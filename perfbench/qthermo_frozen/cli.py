@@ -1,0 +1,525 @@
+"""Configuration-driven experiment runner (the qthermo command).
+
+Configs are flat key = value text files with an `experiment` discriminator;
+see configs/ in the repository for the figure-reproduction recipes.  Every
+run writes a data table (CSV by default, JSON on request) plus a JSON
+summary holding the fitted scaling laws, warnings, and wall time.  Outputs
+are deterministic: rows are sorted by the sweep variable and floats are
+serialized with shortest-round-trip repr.
+
+Exit codes: 0 success, 2 config validation, 3 computation, 4 I/O; failures
+emit a machine-readable JSON payload on stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+import time
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+from . import chain as chain_mod
+from . import clm as clm_mod
+from . import fits as fits_mod
+from . import heatcap as heatcap_mod
+from . import mapping as mapping_mod
+from . import spectral as spectral_mod
+from .errors import ConfigError, QThermoError
+from .gaussian import QfiCurve, qfi_from_derivatives
+
+EXPERIMENTS = (
+    "clm-qfi",
+    "free-probe-limit",
+    "tihc-qfi",
+    "chain-to-star",
+    "star-to-chain",
+    "discretize",
+    "heatcap",
+    "gap-error",
+)
+
+POINTS_PER_DECADE = 40
+
+
+def parse_config_text(text: str) -> dict[str, str]:
+    """Parse flat key = value lines; # starts a comment."""
+    cfg: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        value = value.strip()
+        if not key or not value:
+            raise ConfigError(f"line {lineno}: empty key or value in {raw!r}")
+        if key in cfg:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        cfg[key] = value
+    if "experiment" not in cfg:
+        raise ConfigError("config is missing the 'experiment' key")
+    if cfg["experiment"] not in EXPERIMENTS:
+        raise ConfigError(
+            f"unknown experiment {cfg['experiment']!r}; choose from {EXPERIMENTS}"
+        )
+    return cfg
+
+
+class _Config:
+    """Typed accessor over the flat key-value dict that tracks used keys."""
+
+    def __init__(self, raw: dict[str, str]):
+        self.raw = raw
+        self._used = {"experiment", "out", "format", "requires_slow"}
+
+    def _fetch(self, key: str, default):
+        self._used.add(key)
+        if key in self.raw:
+            return self.raw[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
+
+    def str_(self, key: str, default=None) -> str:
+        return self._fetch(key, default)
+
+    def float_(self, key: str, default=None) -> float:
+        v = self._fetch(key, default)
+        if isinstance(v, str):
+            try:
+                return float(v)
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: {v!r} is not a float") from exc
+        return v
+
+    def int_(self, key: str, default=None) -> int:
+        v = self._fetch(key, default)
+        if isinstance(v, str):
+            try:
+                return int(v)
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: {v!r} is not an int") from exc
+        return v
+
+    def bool_(self, key: str, default=False) -> bool:
+        v = self._fetch(key, default)
+        if isinstance(v, bool):
+            return v
+        if v.lower() in ("true", "yes", "1"):
+            return True
+        if v.lower() in ("false", "no", "0"):
+            return False
+        raise ConfigError(f"key {key!r}: {v!r} is not a boolean")
+
+    def float_list(self, key: str, default=None) -> list[float]:
+        v = self._fetch(key, default)
+        if isinstance(v, str):
+            try:
+                return [float(tok) for tok in v.split(",") if tok.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: {v!r} is not a float list") from exc
+        return v
+
+    def int_list(self, key: str, default=None) -> list[int]:
+        v = self._fetch(key, default)
+        if isinstance(v, str):
+            try:
+                return [int(tok) for tok in v.split(",") if tok.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: {v!r} is not an int list") from exc
+        return v
+
+    def reject_unknown(self) -> None:
+        unknown = set(self.raw) - self._used
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+
+
+class _Required:
+    pass
+
+
+_REQUIRED = _Required()
+
+
+def _temperature_grid(cfg: _Config) -> np.ndarray:
+    t_min = cfg.float_("T_min", _REQUIRED)
+    t_max = cfg.float_("T_max", _REQUIRED)
+    if not 0.0 < t_min < t_max:
+        raise ConfigError("need 0 < T_min < T_max")
+    decades = np.log10(t_max / t_min)
+    default_points = max(4, int(round(POINTS_PER_DECADE * decades)))
+    points = cfg.int_("points", default_points)
+    if points < 2:
+        raise ConfigError("points must be >= 2")
+    return np.geomspace(t_min, t_max, points)
+
+
+def _fit_window(cfg: _Config, grid: np.ndarray | None = None) -> tuple[float, float] | None:
+    lo = cfg.float_("fit_window_lo", None)
+    hi = cfg.float_("fit_window_hi", None)
+    if (lo is None) != (hi is None):
+        raise ConfigError("fit_window_lo and fit_window_hi must be given together")
+    if lo is None:
+        return None
+    if not lo < hi:
+        raise ConfigError("need fit_window_lo < fit_window_hi")
+    if grid is not None and (lo < grid[0] * (1 - 1e-12) or hi > grid[-1] * (1 + 1e-12)):
+        raise ConfigError("fit window must lie inside [T_min, T_max]")
+    return (lo, hi)
+
+
+def _spectral_density(cfg: _Config) -> spectral_mod.ContinuousSpectralDensity:
+    family = cfg.str_("family", "lorentz_drude")
+    gamma = cfg.float_("gamma", _REQUIRED)
+    omega_c = cfg.float_("omega_c", _REQUIRED)
+    if family == "lorentz_drude":
+        return spectral_mod.LorentzDrude(gamma=gamma, omega_c=omega_c)
+    if family == "exponential":
+        return spectral_mod.ExponentialCutoff(gamma=gamma, omega_c=omega_c, s=cfg.float_("s", 1.0))
+    raise ConfigError(f"unknown spectral family {family!r}")
+
+
+def _chain_spec(cfg: _Config) -> tuple[chain_mod.ChainSpec, bool]:
+    """(chain, regularize_gapless) from a config."""
+    n_half = cfg.int_("N", _REQUIRED)
+    family = cfg.str_("coupling_family", "power_law")
+    if family == "power_law":
+        base = chain_mod.power_law_chain(n_half, 0.0, G=cfg.float_("G", 1.0), t=cfg.float_("t", 2.5))
+    elif family == "exponential":
+        base = chain_mod.exponential_chain(n_half, 0.0, G=cfg.float_("G", 1.0), c=cfg.float_("c", 1.0))
+    elif family == "csv":
+        base = chain_mod.read_couplings_csv(cfg.str_("couplings_csv", _REQUIRED), 0.0)
+        if base.N != n_half:
+            raise ConfigError(f"couplings CSV holds N={base.N}, config says N={n_half}")
+    else:
+        raise ConfigError(f"unknown coupling family {family!r}")
+    gapless = cfg.bool_("gapless", False)
+    gap = cfg.float_("gap", None)
+    omega_sq = cfg.float_("omega_sq", None)
+    given = sum(x is not None and x is not False for x in (gapless or None, gap, omega_sq))
+    if given != 1:
+        raise ConfigError("give exactly one of gapless=true, gap=<Delta>, omega_sq=<value>")
+    base_sq = chain_mod.gapless_frequency_sq(n_half, base.couplings)
+    if gapless:
+        omega_sq = base_sq
+    elif gap is not None:
+        omega_sq = base_sq + gap * gap
+    chain = chain_mod.ChainSpec(N=n_half, omega_sq=float(omega_sq), couplings=base.couplings)
+    return chain, bool(gapless)
+
+
+Rows = list[list[float]]
+ExperimentResult = tuple[list[str], Rows, list[fits_mod.ScalingFit], list[str], dict]
+
+
+def _run_clm_qfi(cfg: _Config, quad_tol: float) -> ExperimentResult:
+    sd = _spectral_density(cfg)
+    star = spectral_mod.make_star(sd, omega0_sq=cfg.float_("omega0_sq", _REQUIRED))
+    omega_min = cfg.float_("omega_min", 0.0)
+    ts = _temperature_grid(cfg)
+    window = _fit_window(cfg, ts)
+    cfg.reject_unknown()
+    rows: Rows = []
+    qs = []
+    for t in ts:
+        q = clm_mod.SteadyStateQuery(star=star, T=float(t), omega_min=omega_min, quad_tol=quad_tol)
+        cov = clm_mod.steady_covariances(q)
+        der = clm_mod.covariance_T_derivatives(q)
+        f = qfi_from_derivatives(cov, der)
+        qs.append(f)
+        rel = 1.0 / (t * np.sqrt(f)) if f > 0 else np.inf
+        rows.append([float(t), 1.0 / t, cov.s11, cov.s22, f, float(rel)])
+    curve = QfiCurve(tuple(float(t) for t in ts), tuple(qs))
+    fit = [fits_mod.fit_power_law(curve, window)] if window else []
+    return (
+        ["T", "beta", "sigma11", "sigma22", "qfi", "rel_error_M1"],
+        rows,
+        fit,
+        list(star.warnings),
+        {},
+    )
+
+
+def _run_free_probe(cfg: _Config, quad_tol: float) -> ExperimentResult:
+    sd = _spectral_density(cfg)
+    star = spectral_mod.make_star(sd, omega0_sq=0.0)
+    t = cfg.float_("T", _REQUIRED)
+    start = cfg.float_("omega_min_start", 1e-4)
+    count = cfg.int_("omega_min_count", 4)
+    ratio = cfg.float_("omega_min_ratio", 10.0)
+    cfg.reject_unknown()
+    seq = [start / ratio**k for k in range(count)]
+    limit, samples = clm_mod.free_probe_qfi_limit(star, t, seq, quad_tol=quad_tol)
+    rows = [[wm, f, 2.0 * t * t * f] for wm, f in samples]
+    extra = {"limit_estimate": limit, "two_T_sq_F": 2.0 * t * t * limit, "T": t}
+    return ["omega_min", "qfi", "two_T_sq_F"], rows, [], list(star.warnings), extra
+
+
+def _run_tihc_qfi(cfg: _Config, quad_tol: float) -> ExperimentResult:
+    del quad_tol  # chain sums are exact
+    chain, regularize = _chain_spec(cfg)
+    ts = _temperature_grid(cfg)
+    fit_kind = cfg.str_("fit", "none")
+    window = _fit_window(cfg, ts)
+    cfg.reject_unknown()
+    rows: Rows = []
+    qs = []
+    for t in ts:
+        cov = chain_mod.node_covariances(chain, float(t), regularize_gapless=regularize)
+        f = chain_mod.node_qfi(chain, float(t), regularize_gapless=regularize)
+        qs.append(f)
+        rel = 1.0 / (t * np.sqrt(f)) if f > 0 else np.inf
+        rows.append([float(t), 1.0 / t, cov.s11, cov.s22, f, float(rel)])
+    curve = QfiCurve(tuple(float(t) for t in ts), tuple(qs))
+    fit_list = []
+    if fit_kind == "power_law":
+        fit_list = [fits_mod.fit_power_law(curve, window)]
+    elif fit_kind == "exponential_gap":
+        fit_list = [fits_mod.fit_exponential_gap(curve, window)]
+    elif fit_kind != "none":
+        raise ConfigError(f"unknown fit kind {fit_kind!r}")
+    extra = {"omega_sq": chain.omega_sq, "gap": chain_mod.chain_spectrum(chain).gap}
+    return (
+        ["T", "beta", "sigma11", "sigma22", "qfi", "rel_error_M1"],
+        rows,
+        fit_list,
+        [],
+        extra,
+    )
+
+
+def _run_chain_to_star(cfg: _Config, quad_tol: float) -> ExperimentResult:
+    del quad_tol
+    chain, _ = _chain_spec(cfg)
+    cfg.reject_unknown()
+    star = mapping_mod.chain_to_star(chain)
+    rows = [[w, g] for w, g in star.coupled_modes]
+    extra = {
+        "probe_omega_sq": star.probe_omega_sq,
+        "decoupled_count": star.decoupled_count,
+        "renormalization_sq": star.renormalization_sq(),
+    }
+    return ["omega", "g"], rows, [], list(star.warnings), extra
+
+
+def _star_from_cfg(cfg: _Config) -> spectral_mod.StarSpec:
+    modes_csv = cfg.str_("modes_csv", None)
+    omega0_sq = cfg.float_("omega0_sq", 0.0)
+    if modes_csv is not None:
+        modes = spectral_mod.read_modes_csv(modes_csv)
+        return spectral_mod.make_star(modes, omega0_sq=omega0_sq)
+    sd = _spectral_density(cfg)
+    return spectral_mod.discretize_clm(
+        sd,
+        n_modes=cfg.int_("n_modes", _REQUIRED),
+        omega_max=cfg.float_("omega_max", _REQUIRED),
+        omega0_sq=omega0_sq,
+    )
+
+
+def _run_star_to_chain(cfg: _Config, quad_tol: float) -> ExperimentResult:
+    del quad_tol
+    star = _star_from_cfg(cfg)
+    fit_lo = cfg.int_("fit_n_lo", 0)
+    fit_hi = cfg.int_("fit_n_hi", 0)
+    cfg.reject_unknown()
+    freqs = mapping_mod.clm_normal_modes(star)
+    rec = mapping_mod.star_to_chain(freqs)
+    rows = [[float(i + 1), float(g)] for i, g in enumerate(rec.chain.couplings)]
+    fit_list = []
+    if fit_hi > fit_lo > 0:
+        n_idx = np.arange(1, rec.chain.N + 1, dtype=float)
+        g = rec.chain.coupling_array
+        mask = (n_idx >= fit_lo) & (n_idx <= fit_hi) & (g > 0.0)
+        fit_list = [fits_mod.loglog_fit(n_idx[mask], g[mask], window=(fit_lo, fit_hi))]
+    extra = {
+        "omega_sq": rec.chain.omega_sq,
+        "Omega": float(np.sqrt(rec.chain.omega_sq)),
+        "condition_number": rec.condition_number,
+        "physical": rec.physical,
+        "omega_R_sq": star.omega_R_sq,
+    }
+    return ["n", "G"], rows, fit_list, list(star.warnings), extra
+
+
+def _run_discretize(cfg: _Config, quad_tol: float) -> ExperimentResult:
+    del quad_tol
+    sd = _spectral_density(cfg)
+    n_modes = cfg.int_("n_modes", _REQUIRED)
+    omega_max = cfg.float_("omega_max", _REQUIRED)
+    omega0_sq = cfg.float_("omega0_sq", 0.0)
+    cfg.reject_unknown()
+    star = spectral_mod.discretize_clm(sd, n_modes, omega_max, omega0_sq=omega0_sq)
+    modes = star.sd
+    rows = [[w, g] for w, g in zip(modes.omegas, modes.gs)]
+    extra = {"omega_R_sq": star.omega_R_sq}
+    if isinstance(sd, spectral_mod.LorentzDrude):
+        deficit, predicted = spectral_mod.discretization_residual(sd, n_modes, omega_max)
+        extra.update({"deficit": deficit, "predicted_leading": predicted})
+    return ["omega", "g"], rows, [], list(star.warnings), extra
+
+
+def _run_heatcap(cfg: _Config, quad_tol: float) -> ExperimentResult:
+    del quad_tol
+    spec = heatcap_mod.IsingSpec(
+        J=cfg.float_("J", _REQUIRED), h=cfg.float_("h", _REQUIRED), N=cfg.int_("N", _REQUIRED)
+    )
+    ts = _temperature_grid(cfg)
+    cfg.reject_unknown()
+    rows: Rows = []
+    for t in ts:
+        c_exact = heatcap_mod.ising_heat_capacity(spec, float(t), "exact")
+        bd = spec.gap / t
+        if bd >= 5.0:
+            c_asym = heatcap_mod.ising_heat_capacity(spec, float(t), "asymptotic")
+            ratio = c_exact / c_asym if c_asym > 0 else np.nan
+        else:
+            c_asym, ratio = np.nan, np.nan
+        rows.append([float(t), 1.0 / t, c_exact, float(c_asym), float(ratio)])
+    extra = {"gap": spec.gap}
+    return ["T", "beta", "C_exact", "C_asymptotic", "ratio"], rows, [], [], extra
+
+
+def _run_gap_error(cfg: _Config, quad_tol: float) -> ExperimentResult:
+    del quad_tol
+    s = cfg.float_("s", _REQUIRED)
+    g = cfg.float_("G", 1.0)
+    n_list = cfg.int_list("N_list", _REQUIRED)
+    cfg.reject_unknown()
+    fit = chain_mod.gap_error_scaling(s, g, n_list)
+    rows = []
+    for n in sorted(n_list):
+        nn = np.arange(1, n + 1, dtype=float)
+        gs = g / nn**s
+        alt = 2.0 * float(np.sum(np.where(nn % 2 == 1, gs, -gs)))
+        k = np.arange(1, n + 1, dtype=float)
+        xi = alt + 2.0 * float(np.sum(gs * np.cos(2.0 * np.pi * k * n / (2 * n + 1))))
+        rows.append([float(n), abs(xi)])
+    return ["N", "abs_gap_error"], rows, [fit], [], {"s": s}
+
+
+_RUNNERS: dict[str, Callable[[_Config, float], ExperimentResult]] = {
+    "clm-qfi": _run_clm_qfi,
+    "free-probe-limit": _run_free_probe,
+    "tihc-qfi": _run_tihc_qfi,
+    "chain-to-star": _run_chain_to_star,
+    "star-to-chain": _run_star_to_chain,
+    "discretize": _run_discretize,
+    "heatcap": _run_heatcap,
+    "gap-error": _run_gap_error,
+}
+
+
+def _write_outputs(
+    out_path: Path,
+    fmt: str,
+    columns: list[str],
+    rows: Rows,
+    summary: dict,
+) -> None:
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(repr(float(v)) for v in row) for row in rows]
+        out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        out_path.write_text(
+            json.dumps({"columns": columns, "rows": rows}, indent=1) + "\n",
+            encoding="utf-8",
+        )
+    summary_path = out_path.with_suffix(".summary.json")
+    summary_path.write_text(json.dumps(summary, indent=1, default=str) + "\n", encoding="utf-8")
+
+
+def run_experiment(
+    raw_cfg: dict[str, str],
+    out: str | None = None,
+    fmt: str | None = None,
+    tol: float | None = None,
+    slow_ok: bool = False,
+) -> dict:
+    """Validate, compute, and write one experiment; returns the summary."""
+    cfg = _Config(raw_cfg)
+    experiment = raw_cfg["experiment"]
+    if cfg.bool_("requires_slow", False) and not slow_ok:
+        raise ConfigError(
+            f"experiment {experiment!r} is marked slow; re-run with --slow to confirm"
+        )
+    out_path = Path(out if out is not None else cfg.str_("out", f"{experiment}.csv"))
+    fmt = fmt if fmt is not None else cfg.str_("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown output format {fmt!r}")
+    quad_tol = tol if tol is not None else cfg.float_("quad_tol", 1e-9)
+
+    start = time.perf_counter()
+    columns, rows, fit_list, warnings, extra = _RUNNERS[experiment](cfg, quad_tol)
+    wall = time.perf_counter() - start
+
+    summary = {
+        "experiment": experiment,
+        "params": dict(raw_cfg),
+        "fits": [dataclasses.asdict(f) for f in fit_list],
+        "warnings": list(warnings),
+        "wall_time_s": wall,
+        **extra,
+    }
+    try:
+        _write_outputs(out_path, fmt, columns, rows, summary)
+    except OSError as exc:
+        raise _IOFailure(str(exc)) from exc
+    return summary
+
+
+class _IOFailure(Exception):
+    pass
+
+
+def _fail(exit_code: int, error: str, message: str) -> int:
+    payload = {"error": error, "message": message, "exit_code": exit_code}
+    print(json.dumps(payload), file=sys.stderr)
+    return exit_code
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="qthermo",
+        description="Run a low-temperature thermometry experiment from a config file.",
+    )
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--config", required=True, help="path to a key = value config file")
+    parser.add_argument("--out", default=None, help="output data path (overrides config)")
+    parser.add_argument("--format", default=None, choices=("csv", "json"))
+    parser.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
+    parser.add_argument("--slow", action="store_true", help="allow slow-marked recipes")
+    args = parser.parse_args(argv)
+
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except OSError as exc:
+        return _fail(4, "io-error", f"cannot read config: {exc}")
+    try:
+        cfg = parse_config_text(text)
+        if cfg["experiment"] != args.experiment:
+            raise ConfigError(
+                f"config declares experiment {cfg['experiment']!r}, "
+                f"command line says {args.experiment!r}"
+            )
+        run_experiment(cfg, out=args.out, fmt=args.format, tol=args.tol, slow_ok=args.slow)
+    except ConfigError as exc:
+        return _fail(2, "config-error", str(exc))
+    except _IOFailure as exc:
+        return _fail(4, "io-error", str(exc))
+    except (QThermoError, ValueError, ArithmeticError) as exc:
+        return _fail(3, "computation-error", f"{type(exc).__name__}: {exc}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,246 @@
+"""Exact steady state of a Brownian probe in an Ohmic reservoir.
+
+The stationary covariances of the probe are frequency integrals weighted by
+the susceptibility,
+
+    s11 = (1/pi) int_{wmin}^inf  J(w)/|alpha(w)|^2 coth(w/2T) dw,
+    s22 = (1/pi) int_{wmin}^inf  w^2 J(w)/|alpha(w)|^2 coth(w/2T) dw,
+
+their temperature derivatives follow by differentiating under the integral
+(d coth(w/2T)/dT = (w/2T^2)/sinh^2(w/2T)), and the QFI is assembled through
+the derivative formula with the finite-difference fidelity route retained
+as a cross-check.  A probe with zero bare frequency needs an infrared
+cutoff wmin > 0; its QFI is defined by the wmin -> 0 limit.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import brentq
+
+from .errors import ConvergenceError, DivergenceError, IntegrationError
+from .gaussian import (
+    CovarianceDerivatives,
+    QfiCurve,
+    SingleModeCovariance,
+    coth,
+    csch2,
+    qfi_from_derivatives,
+    qfi_from_fidelity,
+)
+from .spectral import (
+    ContinuousSpectralDensity,
+    StarSpec,
+    low_frequency_slope,
+    self_energy,
+    susceptibility_abs_sq,
+)
+
+
+@dataclass(frozen=True)
+class SteadyStateQuery:
+    """One steady-state evaluation point.
+
+    omega_min is the infrared cutoff (0 means none); it must be positive
+    when the probe has no bare trapping, otherwise s11 diverges.
+    """
+
+    star: StarSpec
+    T: float
+    omega_min: float = 0.0
+    quad_tol: float = 1e-9
+
+    def __post_init__(self) -> None:
+        if self.T <= 0.0:
+            raise ValueError("temperature must be positive")
+        if self.omega_min < 0.0:
+            raise ValueError("omega_min must be >= 0")
+        if self.star.omega0_sq == 0.0 and self.omega_min <= 0.0:
+            raise DivergenceError(
+                "a probe with omega_0 = 0 requires an infrared cutoff omega_min > 0 "
+                "(s11 diverges otherwise)"
+            )
+
+
+def _resonance(star: StarSpec) -> float | None:
+    """Root of Re alpha(w) = 0, located by bracketed root finding."""
+    sd = star.sd
+
+    def re_alpha(w: float) -> float:
+        return star.omega0_sq + star.omega_R_sq - w * w - self_energy(sd, w)
+
+    lo = 1e-9 * sd.omega_c
+    hi = 10.0 * math.sqrt(star.omega0_sq + star.omega_R_sq) + 10.0 * sd.omega_c
+    if re_alpha(lo) > 0.0 > re_alpha(hi):
+        return float(brentq(re_alpha, lo, hi, rtol=1e-14))
+    return None
+
+
+def _breakpoints(q: SteadyStateQuery) -> tuple[float, list[float], float]:
+    """(lower limit, interior quad points, finite cap B) for the integrals.
+
+    Seeds every scale the integrand can have: the thermal scale T, the
+    cutoff wc, the low-frequency knee w* = w0^2/J'(0) of 1/|alpha|^2, the
+    resonance peak with its width, and a geometric ladder above omega_min
+    for the 1/w^2-divergent free-probe integrands.
+    """
+    sd = q.star.sd
+    if hasattr(sd, "omegas"):
+        raise TypeError("steady-state integrals need a continuous reservoir")
+    T, wc = q.T, sd.omega_c
+    pts: set[float] = set()
+    for scale in (T, wc):
+        pts.update((0.1 * scale, scale, 10.0 * scale))
+    slope = low_frequency_slope(sd)
+    if q.star.omega0_sq > 0.0:
+        knee = q.star.omega0_sq / slope
+        pts.update((0.1 * knee, knee, 10.0 * knee, 100.0 * knee))
+    res = _resonance(q.star)
+    B = max(50.0 * wc, 1000.0 * T)
+    if res is not None:
+        width = max(float(sd.j(res)) / (2.0 * res), 1e-14 * res)
+        pts.add(res)
+        for k in (1.0, 10.0, 100.0, 1000.0):
+            pts.update((res - k * width, res + k * width))
+        B = max(B, 10.0 * res)
+    lo = q.omega_min
+    if lo > 0.0:
+        x = 10.0 * lo
+        while x < B:
+            pts.add(x)
+            x *= 10.0
+    return lo, sorted(p for p in pts if lo < p < B), B
+
+
+def _integrate(q: SteadyStateQuery, f, lo: float, pts: list[float], B: float) -> float:
+    tol = q.quad_tol
+    try:
+        v1, _ = quad(f, lo, B, points=pts, limit=800, epsabs=1e-14, epsrel=tol)
+        v2 = 0.0
+        if abs(f(B)) > 1e-280:
+            v2, _ = quad(f, B, np.inf, limit=200, epsabs=1e-14, epsrel=tol)
+    except Exception as exc:
+        raise IntegrationError(f"steady-state quadrature failed: {exc}") from exc
+    total = v1 + v2
+    if not math.isfinite(total):
+        raise IntegrationError(f"steady-state quadrature returned {total!r}")
+    return total
+
+
+def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
+    """Stationary probe covariance for the query's reservoir and temperature."""
+    sd = q.star.sd
+    lo, pts, B = _breakpoints(q)
+    T = q.T
+
+    def weight(w: float) -> float:
+        return float(sd.j(w)) / susceptibility_abs_sq(q.star, w, tol=q.quad_tol)
+
+    s11 = _integrate(q, lambda w: weight(w) * coth(w / (2.0 * T)), lo, pts, B) / np.pi
+    s22 = _integrate(q, lambda w: w * w * weight(w) * coth(w / (2.0 * T)), lo, pts, B) / np.pi
+    cov = SingleModeCovariance(s11=s11, s22=s22)
+    if cov.det() < 0.25 - 1e-9:
+        raise IntegrationError(
+            f"unphysical steady covariance det={cov.det()!r} < 1/4 "
+            f"(s11={s11!r}, s22={s22!r}); quadrature diagnostics: "
+            f"lo={lo!r} B={B!r} tol={q.quad_tol!r}"
+        )
+    return cov
+
+
+def covariance_T_derivatives(q: SteadyStateQuery) -> CovarianceDerivatives:
+    """d(s11)/dT and d(s22)/dT by differentiating under the integral."""
+    sd = q.star.sd
+    lo, pts, B = _breakpoints(q)
+    T = q.T
+
+    def weight(w: float) -> float:
+        return float(sd.j(w)) / susceptibility_abs_sq(q.star, w, tol=q.quad_tol)
+
+    def dcoth(w: float) -> float:
+        return (w / (2.0 * T * T)) * csch2(w / (2.0 * T))
+
+    a1 = _integrate(q, lambda w: weight(w) * dcoth(w), lo, pts, B) / np.pi
+    a2 = _integrate(q, lambda w: w * w * weight(w) * dcoth(w), lo, pts, B) / np.pi
+    return CovarianceDerivatives(a1=a1, a2=a2)
+
+
+def clm_qfi(q: SteadyStateQuery) -> float:
+    """Thermometric QFI of the steady probe (derivative route, the default)."""
+    return qfi_from_derivatives(steady_covariances(q), covariance_T_derivatives(q))
+
+
+def clm_qfi_fidelity(q: SteadyStateQuery, step_fraction: float = 1e-3) -> float:
+    """Cross-check route: finite-difference fidelity on the steady family."""
+
+    def cov_at(temp: float) -> SingleModeCovariance:
+        return steady_covariances(replace(q, T=temp))
+
+    return qfi_from_fidelity(cov_at, q.T, step_fraction=step_fraction)
+
+
+def qfi_curve(
+    star: StarSpec,
+    temperatures,
+    omega_min: float = 0.0,
+    quad_tol: float = 1e-9,
+) -> QfiCurve:
+    """Sweep clm_qfi over a temperature grid (sorted ascending)."""
+    ts = sorted(float(t) for t in temperatures)
+    qs = [
+        clm_qfi(SteadyStateQuery(star=star, T=t, omega_min=omega_min, quad_tol=quad_tol))
+        for t in ts
+    ]
+    return QfiCurve(tuple(ts), tuple(qs))
+
+
+def free_probe_qfi_limit(
+    star: StarSpec,
+    T: float,
+    omega_min_sequence=None,
+    quad_tol: float = 1e-9,
+) -> tuple[float, list[tuple[float, float]]]:
+    """QFI of the omega_0 = 0 probe in the infrared-cutoff limit.
+
+    Evaluates F(T, wmin) along a decreasing sequence (default geometric,
+    ratio 10, from 1e-4 to 1e-7) and extrapolates wmin -> 0 with a linear
+    fit F = F_inf + c*wmin over the last three points.  The trapping is
+    provided entirely by omega_R.
+    """
+    if star.omega0_sq != 0.0:
+        raise ValueError("free_probe_qfi_limit requires omega0_sq = 0")
+    if omega_min_sequence is None:
+        omega_min_sequence = [1e-4, 1e-5, 1e-6, 1e-7]
+    seq = [float(w) for w in omega_min_sequence]
+    if len(seq) < 3 or any(b >= a for a, b in zip(seq, seq[1:])):
+        raise ValueError("omega_min_sequence must be decreasing with >= 3 entries")
+    samples: list[tuple[float, float]] = []
+    for wm in seq:
+        f = clm_qfi(SteadyStateQuery(star=star, T=T, omega_min=wm, quad_tol=quad_tol))
+        samples.append((wm, f))
+    diffs = [abs(b[1] - a[1]) for a, b in zip(samples, samples[1:])]
+    if len(diffs) >= 2 and diffs[-1] > 2.0 * diffs[-2] + 1e-12 * abs(samples[-1][1]):
+        raise ConvergenceError(
+            f"non-Cauchy tail in omega_min sequence: |dF| = {diffs!r}"
+        )
+    wm3 = np.array([s[0] for s in samples[-3:]])
+    f3 = np.array([s[1] for s in samples[-3:]])
+    design = np.vstack([wm3, np.ones_like(wm3)]).T
+    (_, intercept), *_ = np.linalg.lstsq(design, f3, rcond=None)
+    return float(intercept), samples
+
+
+def write_qfi_csv(curve: QfiCurve, covs: list[SingleModeCovariance], path: str) -> None:
+    """Emit a QFI sweep as CSV: T,beta,sigma11,sigma22,qfi,rel_error_M1."""
+    if len(covs) != len(curve.temperatures):
+        raise ValueError("one covariance per temperature sample required")
+    rel = curve.rel_error_single_shot()
+    lines = ["T,beta,sigma11,sigma22,qfi,rel_error_M1"]
+    for t, f, c, r in zip(curve.temperatures, curve.qfi, covs, rel):
+        lines.append(f"{t!r},{1.0 / t!r},{c.s11!r},{c.s22!r},{f!r},{r!r}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

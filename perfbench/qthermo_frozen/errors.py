@@ -1,0 +1,71 @@
+"""Exception hierarchy for qthermo.
+
+Every error raised by the library derives from QThermoError so callers can
+catch library failures without swallowing programming errors.
+"""
+
+
+class QThermoError(Exception):
+    """Base class for all qthermo errors."""
+
+
+class InvalidStateError(QThermoError):
+    """Covariance matrix violates the uncertainty relation or positivity."""
+
+
+class NumericalDomainError(QThermoError):
+    """A formula was driven outside its numerical domain (caller bug)."""
+
+
+class StepTooSmallError(QThermoError):
+    """Finite-difference step is below the floating-point resolution floor."""
+
+
+class DegenerateStateError(QThermoError):
+    """State sits at (or below) the minimal-uncertainty boundary where the
+    derivative-based QFI formula has a vanishing denominator."""
+
+
+class SupportError(QThermoError):
+    """Evaluation requested outside the support of a discrete mode list."""
+
+
+class PoleError(QThermoError):
+    """Self-energy of a discrete reservoir evaluated at one of its poles."""
+
+
+class DivergenceError(QThermoError):
+    """An integral diverges for the requested parameters."""
+
+
+class IntegrationError(QThermoError):
+    """Adaptive quadrature failed to converge or produced an unphysical
+    result; carries diagnostics in the message."""
+
+
+class UnstableChainError(QThermoError):
+    """Chain spectrum is not bounded from below."""
+
+
+class ZeroModeError(QThermoError):
+    """Gapless chain hit the zero mode without regularization enabled."""
+
+
+class ConditioningError(QThermoError):
+    """Linear system too ill-conditioned to trust (condition number in msg)."""
+
+
+class ModeMatchingError(QThermoError):
+    """No frequency bijection between two spectra within tolerance."""
+
+
+class ConvergenceError(QThermoError):
+    """A limiting sequence did not converge (non-Cauchy tail)."""
+
+
+class FitError(QThermoError):
+    """Regression input unusable: too few points or non-positive values."""
+
+
+class ConfigError(QThermoError):
+    """Experiment configuration failed to parse or validate."""

@@ -1,0 +1,267 @@
+"""Single-mode Gaussian states and temperature metrology.
+
+A zero-mean single-mode Gaussian state is fully described by its 2x2
+covariance matrix.  This module provides the Uhlmann fidelity between two
+such states, the Bures distance, and the quantum Fisher information (QFI)
+for temperature estimation through two independent routes:
+
+* a central finite difference of the fidelity,
+      F_T = 4 (1 - F(rho_T, rho_{T+d})) / d^2   as d -> 0,
+* the closed formula in the covariance derivatives,
+      F_T = 4 (a1 a2 + 2 s11^2 a2^2 + 2 s22^2 a1^2) / (16 s11^2 s22^2 - 1),
+  valid for diagonal covariances (s12 = 0).
+
+Units: hbar = k_B = 1 throughout.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .errors import (
+    DegenerateStateError,
+    InvalidStateError,
+    NumericalDomainError,
+    StepTooSmallError,
+)
+
+# Tolerance on det(sigma) >= 1/4; loose enough that quadrature noise on
+# near-vacuum states does not spuriously reject them.
+PHYSICALITY_TOL = 1e-12
+
+_MIN_STEP_FACTOR = 1e3 * np.finfo(float).eps
+
+
+def coth(x: float) -> float:
+    """coth(x) for x > 0, evaluated as 1 + 2/expm1(2x).
+
+    Avoids the catastrophic cancellation of cosh/sinh at small x and is
+    exact (1.0) once expm1 overflows, which covers beta*Delta up to ~1e3
+    and far beyond.
+    """
+    if x <= 0.0:
+        raise ValueError(f"coth requires x > 0, got {x}")
+    if x > 350.0:
+        return 1.0
+    return 1.0 + 2.0 / math.expm1(2.0 * x)
+
+
+def csch2(x: float) -> float:
+    """1/sinh(x)^2 for x > 0, underflowing gracefully to 0 at large x."""
+    if x <= 0.0:
+        raise ValueError(f"csch2 requires x > 0, got {x}")
+    if x > 350.0:
+        return 0.0
+    s = math.sinh(x)
+    return 1.0 / (s * s)
+
+
+@dataclass(frozen=True)
+class SingleModeCovariance:
+    """Covariance matrix [[s11, s12], [s12, s22]] of one bosonic mode.
+
+    s11 is the position variance (units 1/energy), s22 the momentum
+    variance (units energy).  All states treated here have s12 = 0.
+    """
+
+    s11: float
+    s22: float
+    s12: float = 0.0
+
+    def det(self) -> float:
+        return self.s11 * self.s22 - self.s12 * self.s12
+
+    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
+        return self.s11 > 0.0 and self.s22 > 0.0 and self.det() >= 0.25 - tol
+
+    def validate(self, tol: float = PHYSICALITY_TOL) -> "SingleModeCovariance":
+        if not self.is_physical(tol):
+            raise InvalidStateError(
+                f"covariance violates uncertainty relation: "
+                f"s11={self.s11!r} s22={self.s22!r} s12={self.s12!r} "
+                f"det={self.det()!r} < 1/4"
+            )
+        return self
+
+
+@dataclass(frozen=True)
+class CovarianceDerivatives:
+    """Temperature derivatives (a1, a2) = (d s11/dT, d s22/dT)."""
+
+    a1: float
+    a2: float
+
+
+def thermal_mode_covariance(omega: float, T: float) -> SingleModeCovariance:
+    """Covariance of a harmonic mode of frequency omega at temperature T.
+
+    s11 = coth(omega/2T)/(2 omega), s22 = omega coth(omega/2T)/2.
+    """
+    if omega <= 0.0 or T <= 0.0:
+        raise ValueError("thermal_mode_covariance requires omega > 0 and T > 0")
+    nu = coth(omega / (2.0 * T))
+    return SingleModeCovariance(s11=nu / (2.0 * omega), s22=nu * omega / 2.0)
+
+
+def thermal_mode_derivatives(omega: float, T: float) -> CovarianceDerivatives:
+    """Analytic dT-derivatives of the thermal covariance.
+
+    d coth(omega/2T)/dT = (omega/2T^2) csch^2(omega/2T).
+    """
+    if omega <= 0.0 or T <= 0.0:
+        raise ValueError("thermal_mode_derivatives requires omega > 0 and T > 0")
+    dnu = (omega / (2.0 * T * T)) * csch2(omega / (2.0 * T))
+    return CovarianceDerivatives(a1=dnu / (2.0 * omega), a2=dnu * omega / 2.0)
+
+
+def uhlmann_fidelity(a: SingleModeCovariance, b: SingleModeCovariance) -> float:
+    """Uhlmann fidelity between two zero-mean single-mode Gaussian states.
+
+        F = 2 / (sqrt(Lam + Del) - sqrt(Lam)),
+        Lam = (4 det a - 1)(4 det b - 1),  Del = 4 det(a + b).
+
+    Symmetric in its arguments; equals 1 iff a == b.
+    """
+    a.validate()
+    b.validate()
+    da = a.det()
+    db = b.det()
+    # Clamp the tiny negative excursions PHYSICALITY_TOL allows.
+    lam = max(4.0 * da - 1.0, 0.0) * max(4.0 * db - 1.0, 0.0)
+    dsum = SingleModeCovariance(a.s11 + b.s11, a.s22 + b.s22, a.s12 + b.s12)
+    del_ = 4.0 * dsum.det()
+    rad = lam + del_
+    if rad < 0.0:
+        raise NumericalDomainError(
+            f"negative radicand Lam + Del = {rad!r}; inputs are inconsistent"
+        )
+    if del_ <= 0.0:
+        raise NumericalDomainError("vanishing denominator in fidelity formula")
+    # rationalized form of 2/(sqrt(Lam+Del) - sqrt(Lam)): no cancellation
+    # when the states are close (Del << Lam)
+    f = 2.0 * (math.sqrt(rad) + math.sqrt(lam)) / del_
+    if f > 1.0 + 1e-9:
+        raise NumericalDomainError(f"fidelity {f!r} > 1; inputs are inconsistent")
+    return min(f, 1.0)
+
+
+def bures_distance_sq(a: SingleModeCovariance, b: SingleModeCovariance) -> float:
+    """Squared Bures distance 2(1 - sqrt(F)); zero iff a == b."""
+    return 2.0 * (1.0 - math.sqrt(uhlmann_fidelity(a, b)))
+
+
+def qfi_from_fidelity(
+    cov_at: Callable[[float], SingleModeCovariance],
+    T: float,
+    step_fraction: float = 1e-3,
+    richardson: bool = True,
+) -> float:
+    """QFI from a central finite difference of the fidelity.
+
+    Evaluates 4(1 - F(sigma(T - d/2), sigma(T + d/2)))/d^2 with
+    d = step_fraction * T.  Centering the pair around T makes the estimate
+    second order in d; one Richardson step (on by default) removes the
+    leading d^2 error as well.
+    """
+    if T <= 0.0:
+        raise ValueError("qfi_from_fidelity requires T > 0")
+    if not 0.0 < step_fraction <= 0.1:
+        raise ValueError("step_fraction must lie in (0, 0.1]")
+    delta = step_fraction * T
+    if delta < _MIN_STEP_FACTOR * T:
+        raise StepTooSmallError(
+            f"step {delta!r} below resolution floor {_MIN_STEP_FACTOR * T!r}"
+        )
+
+    def estimate(d: float) -> float:
+        f = uhlmann_fidelity(cov_at(T - d / 2.0), cov_at(T + d / 2.0))
+        return 4.0 * (1.0 - f) / (d * d)
+
+    f1 = estimate(delta)
+    if not richardson:
+        return max(f1, 0.0)
+    f2 = estimate(delta / 2.0)
+    return max((4.0 * f2 - f1) / 3.0, 0.0)
+
+
+def qfi_from_derivatives(
+    cov: SingleModeCovariance, deriv: CovarianceDerivatives
+) -> float:
+    """QFI from the covariance and its temperature derivatives.
+
+    F_T = 4 (a1 a2 + 2 s11^2 a2^2 + 2 s22^2 a1^2) / (16 s11^2 s22^2 - 1),
+    which needs no second-order Taylor coefficients.  Only valid for
+    diagonal covariances; the pure-state boundary (denominator <= 0) is
+    rejected rather than regularized since the finite-difference route
+    stays available there.
+    """
+    cov.validate()
+    if abs(cov.s12) > 1e-12 * math.sqrt(abs(cov.s11 * cov.s22)):
+        raise InvalidStateError(
+            "qfi_from_derivatives requires a diagonal covariance (s12 = 0)"
+        )
+    if not (math.isfinite(deriv.a1) and math.isfinite(deriv.a2)):
+        raise ValueError("derivatives must be finite")
+    p = cov.s11 * cov.s22
+    denom = 16.0 * p * p - 1.0
+    if denom <= 0.0:
+        raise DegenerateStateError(
+            f"16 s11^2 s22^2 - 1 = {denom!r} <= 0: state at the "
+            "minimal-uncertainty boundary"
+        )
+    num = (
+        deriv.a1 * deriv.a2
+        + 2.0 * cov.s11 * cov.s11 * deriv.a2 * deriv.a2
+        + 2.0 * cov.s22 * cov.s22 * deriv.a1 * deriv.a1
+    )
+    return 4.0 * num / denom
+
+
+@dataclass(frozen=True)
+class QfiCurve:
+    """Sampled (T, F_T) data with the single-shot relative error 1/(T sqrt(F)).
+
+    Temperatures are strictly increasing; QFI values finite and >= 0.
+    """
+
+    temperatures: tuple[float, ...]
+    qfi: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        t = np.asarray(self.temperatures, dtype=float)
+        f = np.asarray(self.qfi, dtype=float)
+        if t.size != f.size:
+            raise ValueError("temperatures and qfi must have equal length")
+        if t.size and not np.all(np.diff(t) > 0.0):
+            raise ValueError("temperatures must be strictly increasing")
+        if not np.all(np.isfinite(f)) or np.any(f < 0.0):
+            raise ValueError("qfi samples must be finite and non-negative")
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[tuple[float, float]]) -> "QfiCurve":
+        ts, fs = zip(*samples) if samples else ((), ())
+        return cls(tuple(ts), tuple(fs))
+
+    @property
+    def t_array(self) -> np.ndarray:
+        return np.asarray(self.temperatures, dtype=float)
+
+    @property
+    def qfi_array(self) -> np.ndarray:
+        return np.asarray(self.qfi, dtype=float)
+
+    def rel_error_single_shot(self) -> np.ndarray:
+        """Best-case relative error dT/T = 1/(T sqrt(F)) for one shot (M = 1).
+
+        inf where F = 0.
+        """
+        t = self.t_array
+        f = self.qfi_array
+        out = np.full_like(t, np.inf)
+        ok = f > 0.0
+        out[ok] = 1.0 / (t[ok] * np.sqrt(f[ok]))
+        return out

@@ -1,0 +1,324 @@
+"""Mappings between harmonic chains and star (open-system) models.
+
+chain -> star: remove the probe node from the circulant interaction matrix,
+diagonalize the remaining symmetric Toeplitz block, and read off effective
+mode frequencies and couplings g_i = sum_j [O]_{ji} G_{1j}.  Reflection
+symmetry decouples exactly half of the modes.
+
+star -> chain: the non-repeated chain frequencies obey the linear relation
+Om_vec = A G_vec with [A]_{jk} = cos(2 pi j k/(2N+1)), so a chain matching
+a given (discretized) star follows from one factorized solve.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import eigh
+
+from .chain import ChainSpec, chain_spectrum, gapless_frequency_sq, power_law_chain
+from .errors import ConditioningError, ModeMatchingError
+from .fits import ScalingFit
+from .spectral import DiscreteModes, StarSpec
+
+# Eigenvalue clusters narrower than this relative width are treated as
+# degenerate: eigensolvers rotate freely inside them, so only the summed
+# squared coupling per cluster is well defined.
+DEGENERACY_REL_WIDTH = 1e-8
+
+# Couplings below this fraction of the largest one count as decoupled.
+DECOUPLED_REL_THRESHOLD = 1e-10
+
+CONDITION_LIMIT = 1e12
+
+
+@dataclass(frozen=True)
+class EffectiveStar:
+    """Star picture of one chain node against the rest of the chain."""
+
+    probe_omega_sq: float
+    coupled_modes: tuple[tuple[float, float], ...]
+    decoupled_count: int
+    warnings: tuple[str, ...] = ()
+
+    @property
+    def omega_array(self) -> np.ndarray:
+        return np.array([w for w, _ in self.coupled_modes])
+
+    @property
+    def g_array(self) -> np.ndarray:
+        return np.array([g for _, g in self.coupled_modes])
+
+    def renormalization_sq(self) -> float:
+        """sum g_i^2 / w_i^2 over the coupled modes."""
+        w = self.omega_array
+        g = self.g_array
+        return float(np.sum(g * g / (w * w)))
+
+    def to_discrete(self) -> DiscreteModes:
+        return DiscreteModes(tuple(self.omega_array), tuple(self.g_array))
+
+    def to_star_spec(self) -> StarSpec:
+        """StarSpec with the bare probe frequency w0^2 = Om^2 - wR^2."""
+        wr2 = self.renormalization_sq()
+        return StarSpec(
+            omega0_sq=max(self.probe_omega_sq - wr2, 0.0),
+            omega_R_sq=wr2,
+            sd=self.to_discrete(),
+            warnings=self.warnings,
+        )
+
+
+@dataclass(frozen=True)
+class DelocalizationProfile:
+    """Expansion q0 = sum_a d_a Q_a of the probe over the chain nodes."""
+
+    coefficients: tuple[float, ...]
+
+    @property
+    def array(self) -> np.ndarray:
+        return np.asarray(self.coefficients, dtype=float)
+
+    @property
+    def normalization(self) -> float:
+        return float(np.sum(self.array**2))
+
+
+@dataclass(frozen=True)
+class ChainReconstruction:
+    """star_to_chain output with solver diagnostics."""
+
+    chain: ChainSpec
+    condition_number: float
+    physical: bool
+
+
+def _reduced_block(c: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Toeplitz block of the non-probe nodes and their couplings to the probe."""
+    first_row = np.concatenate(
+        ([c.omega_sq], c.coupling_array, c.coupling_array[::-1])
+    )
+    idx = np.arange(1, 2 * c.N + 1)
+    block = first_row[(idx[:, None] - idx[None, :]) % (2 * c.N + 1)]
+    border = first_row[idx]
+    return block, border
+
+
+def chain_to_star(c: ChainSpec) -> EffectiveStar:
+    """Diagonalize the inaccessible part of the chain into effective modes.
+
+    Degenerate eigenvalue clusters carry one aggregated coupling
+    sqrt(sum g^2); couplings below DECOUPLED_REL_THRESHOLD of the maximum
+    count as decoupled (reflection antisymmetry gives exact zeros only in
+    exact arithmetic).  A (2N+1)-node chain is expected to keep exactly N
+    coupled modes.
+    """
+    block, border = _reduced_block(c)
+    vals, vecs = eigh(block)
+    g = vecs.T @ border
+    gmax = float(np.max(np.abs(g))) if g.size else 0.0
+    threshold = DECOUPLED_REL_THRESHOLD * gmax
+
+    coupled: list[tuple[float, float]] = []
+    decoupled = 0
+    i = 0
+    n_total = vals.size
+    while i < n_total:
+        j = i + 1
+        while j < n_total and (vals[j] - vals[j - 1]) <= DEGENERACY_REL_WIDTH * max(
+            abs(vals[j]), abs(vals[j - 1])
+        ):
+            j += 1
+        cluster_g_sq = float(np.sum(g[i:j] ** 2))
+        size = j - i
+        if np.sqrt(cluster_g_sq) > threshold:
+            w_sq = float(np.mean(vals[i:j]))
+            coupled.append((float(np.sqrt(max(w_sq, 0.0))), float(np.sqrt(cluster_g_sq))))
+            decoupled += size - 1
+        else:
+            decoupled += size
+        i = j
+
+    warnings: tuple[str, ...] = ()
+    if decoupled != c.N:
+        warnings = (
+            f"reflection symmetry predicts {c.N} decoupled modes, found {decoupled}",
+        )
+    coupled.sort(key=lambda p: p[0])
+    return EffectiveStar(
+        probe_omega_sq=c.omega_sq,
+        coupled_modes=tuple(coupled),
+        decoupled_count=decoupled,
+        warnings=warnings,
+    )
+
+
+def _cosine_matrix(n_freqs: int) -> np.ndarray:
+    n_half = n_freqs - 1
+    j = np.arange(0, n_freqs, dtype=float)
+    return np.cos(2.0 * np.pi * np.outer(j, j) / (2 * n_half + 1))
+
+
+def star_to_chain(normal_freqs_sq) -> ChainReconstruction:
+    """Invert Om_vec = A G_vec for the chain matching the given spectrum.
+
+    Input: the N+1 non-repeated squared frequencies in descending order.
+    The solve is by LU factorization with the condition number reported;
+    unphysical couplings (sign-mixed) are returned flagged, not rejected.
+    """
+    freqs = np.asarray(list(normal_freqs_sq), dtype=float)
+    if freqs.size < 2:
+        raise ValueError("need at least 2 frequencies")
+    if np.any(freqs < 0.0):
+        raise ValueError("squared frequencies must be non-negative")
+    if np.any(np.diff(freqs) >= 0.0):
+        raise ValueError("frequencies must be strictly descending and distinct")
+    a_mat = _cosine_matrix(freqs.size)
+    cond = float(np.linalg.cond(a_mat))
+    if cond > CONDITION_LIMIT:
+        raise ConditioningError(
+            f"cosine system condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
+        )
+    g_vec = np.linalg.solve(a_mat, freqs)
+    omega_sq = float(g_vec[0])
+    couplings = g_vec[1:] / 2.0
+    scale = float(np.max(np.abs(couplings))) if couplings.size else 0.0
+    physical = bool(np.all(couplings >= -1e-12 * max(scale, 1.0)))
+    chain = ChainSpec(N=freqs.size - 1, omega_sq=omega_sq, couplings=tuple(couplings))
+    return ChainReconstruction(chain=chain, condition_number=cond, physical=physical)
+
+
+def clm_normal_modes(star: StarSpec) -> np.ndarray:
+    """Squared normal-mode frequencies of the (N+1)-particle discrete star.
+
+    Diagonalizes the bordered potential matrix (diagonal w0^2 + wR^2 and
+    w_n^2, border row/column g_n); returns them in descending order.  The
+    output strictly interlaces the reservoir frequencies.
+    """
+    if not isinstance(star.sd, DiscreteModes):
+        raise TypeError("clm_normal_modes requires a star with discrete modes")
+    w = star.sd.omega_array
+    g = star.sd.g_array
+    n = w.size
+    v = np.zeros((n + 1, n + 1))
+    v[0, 0] = star.omega0_sq + star.omega_R_sq
+    v[1:, 0] = g
+    v[0, 1:] = g
+    v[np.arange(1, n + 1), np.arange(1, n + 1)] = w * w
+    vals = eigh(v, eigvals_only=True)
+    if vals[0] < -1e-12 * max(abs(vals[-1]), 1.0):
+        raise ValueError(f"star potential not positive semidefinite: {vals[0]!r}")
+    return np.clip(vals, 0.0, None)[::-1]
+
+
+def _fix_sign(row: np.ndarray) -> np.ndarray:
+    k = int(np.argmax(np.abs(row)))
+    return -row if row[k] < 0.0 else row
+
+
+def probe_delocalization(star: StarSpec, match_tol: float = 1e-6) -> DelocalizationProfile:
+    """Coefficients of the probe position over the matching chain's nodes.
+
+    Builds the chain with star_to_chain(clm_normal_modes(star)), pairs its
+    non-repeated modes with the star's normal modes by frequency, and reads
+    the probe row of (O_star^T oplus 1_N) O_chain.  The sum of squared
+    coefficients is exactly 1 (orthogonal factors).
+    """
+    if not isinstance(star.sd, DiscreteModes):
+        raise TypeError("probe_delocalization requires a star with discrete modes")
+    ev = clm_normal_modes(star)
+    rec = star_to_chain(ev)
+    chain = rec.chain
+    n_half = chain.N
+    spec = chain_spectrum(chain).array
+    # chain_spectrum index a carries ev[a] by construction of star_to_chain
+    mismatch = np.abs(spec - ev) > match_tol * np.maximum(np.abs(ev), 1e-30)
+    if np.any(mismatch):
+        bad = int(np.argmax(mismatch))
+        raise ModeMatchingError(
+            f"chain mode {bad} at {spec[bad]!r} does not match star mode {ev[bad]!r}"
+        )
+
+    n_nodes = 2 * n_half + 1
+    jj = np.arange(n_nodes, dtype=float)
+    # rows 0..N: cosine modes ordered like ev; the sine partners carry no
+    # amplitude on the probe node and only pad the orthogonal factor
+    o_chain_top = np.empty((n_half + 1, n_nodes))
+    o_chain_top[0] = 1.0 / np.sqrt(n_nodes)
+    for a in range(1, n_half + 1):
+        o_chain_top[a] = np.sqrt(2.0 / n_nodes) * np.cos(2.0 * np.pi * a * jj / n_nodes)
+
+    w = star.sd.omega_array
+    g = star.sd.g_array
+    n = w.size
+    v = np.zeros((n + 1, n + 1))
+    v[0, 0] = star.omega0_sq + star.omega_R_sq
+    v[1:, 0] = g
+    v[0, 1:] = g
+    v[np.arange(1, n + 1), np.arange(1, n + 1)] = w * w
+    _, vecs = eigh(v)
+    o_star = vecs[:, ::-1].T  # rows = eigenvectors, descending eigenvalue
+    o_star = np.array([_fix_sign(row) for row in o_star])
+
+    # probe row of O_star^T @ O_chain_top: d_j = sum_k O_star[k, 0] * O_chain_top[k, j]
+    d = o_star[:, 0] @ o_chain_top
+    d = _fix_sign(d)
+    return DelocalizationProfile(coefficients=tuple(float(x) for x in d))
+
+
+def star_coupling_scaling(
+    s: float,
+    N_list,
+    G: float = 1.0,
+    fixed_n: tuple[int, ...] = (3, 5, 8),
+) -> tuple[ScalingFit, ScalingFit]:
+    """Scaling g_n ~ n N^(-3/2) of star couplings for gapless power-law chains.
+
+    Runs chain_to_star on gapless chains G_n = G/n^s for each size in
+    N_list, then fits ln g = c + p ln n + q ln N jointly over n in fixed_n
+    (the N-exponent is taken at fixed absolute index n).  Returns the pair
+    of ScalingFits (in n, in N).
+    """
+    sizes = sorted(int(x) for x in N_list)
+    if len(sizes) < 2:
+        raise ValueError("need at least two chain sizes")
+    if max(fixed_n) >= min(sizes):
+        raise ValueError("fixed_n indices must be below the smallest chain size")
+    rows = []
+    for size in sizes:
+        chain = power_law_chain(size, 0.0, G=G, t=s)
+        chain = ChainSpec(
+            N=size,
+            omega_sq=gapless_frequency_sq(size, chain.couplings),
+            couplings=chain.couplings,
+        )
+        star = chain_to_star(chain)
+        gs = star.g_array  # ascending frequency order
+        for n in fixed_n:
+            rows.append((float(n), float(size), float(gs[n - 1])))
+    pts = np.array(rows)
+    design = np.column_stack([np.log(pts[:, 0]), np.log(pts[:, 1]), np.ones(len(pts))])
+    target = np.log(pts[:, 2])
+    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    resid = target - design @ coef
+    ss_tot = float(np.sum((target - target.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    r2 = min(max(r2, 0.0), 1.0)
+    n_fit = ScalingFit(
+        kind="power_law",
+        exponent_or_gap=float(coef[0]),
+        prefactor=float(np.exp(coef[2])),
+        r_squared=r2,
+        window=(float(min(fixed_n)), float(max(fixed_n))),
+        n_points=len(rows),
+    )
+    size_fit = ScalingFit(
+        kind="power_law",
+        exponent_or_gap=float(coef[1]),
+        prefactor=float(np.exp(coef[2])),
+        r_squared=r2,
+        window=(float(sizes[0]), float(sizes[-1])),
+        n_points=len(rows),
+    )
+    return n_fit, size_fit
