@@ -32,7 +32,6 @@ from .clm import (
     write_qfi_csv,
 )
 from .errors import (
-    ConditioningError,
     ConfigError,
     ConvergenceError,
     DegenerateStateError,

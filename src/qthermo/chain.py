@@ -211,29 +211,33 @@ def node_qfi(
     return qfi_from_derivatives(cov, der)
 
 
-def gap_error_scaling(s: float, G: float, N_list) -> ScalingFit:
-    """Size scaling of the finite-chain gap error for G_n = G/n^s.
+def gap_error(N: int, s: float, G: float = 1.0) -> float:
+    """Finite-chain gap error Xi(N) for the couplings G_n = G/n^s, n <= N.
 
     Xi(N) is the residual of the large-N gap formula evaluated with the
     couplings actually present in the length-N chain,
-        Xi(N) = Delta^2(N) - [Om^2 - 2 sum_{n<=N} (-1)^(n-1) G_n],
-    which is independent of Om^2.  |Xi| is fitted against N on log-log
-    axes; expected exponents: -2 for s > 2 (log-degraded at s = 2) and
-    -s for 1 < s < 2.
+        Xi(N) = Delta^2(N) - [Om^2 - 2 sum_{n<=N} (-1)^(n-1) G_n]
+              = 2 sum_{n<=N} (-1)^(n-1) G_n - gapless_frequency_sq(N, G),
+    which is independent of Om^2.
+    """
+    n = np.arange(1, N + 1, dtype=float)
+    g = G / n**s
+    alt = 2.0 * float(np.sum(np.where(n % 2 == 1, g, -g)))
+    return alt - gapless_frequency_sq(N, g)
+
+
+def gap_error_scaling(s: float, G: float, N_list) -> ScalingFit:
+    """Size scaling of the finite-chain gap error |Xi(N)| for G_n = G/n^s.
+
+    |gap_error(N, s, G)| is fitted against N on log-log axes; expected
+    exponents: -2 for s > 2 (log-degraded at s = 2) and -s for 1 < s < 2.
     """
     if s <= 1.0:
         raise ValueError("gap_error_scaling requires power-law decay s > 1")
     ns = sorted(int(n) for n in N_list)
     if len(ns) < 4:
         raise FitError("need at least 4 chain sizes to fit the gap error")
-    xi = []
-    for N in ns:
-        n = np.arange(1, N + 1, dtype=float)
-        g = G / n**s
-        alt = 2.0 * np.sum(np.where(n % 2 == 1, g, -g))
-        k = np.arange(1, N + 1, dtype=float)
-        delta_sq = alt + 2.0 * np.sum(g * np.cos(2.0 * np.pi * k * N / (2 * N + 1)))
-        xi.append(abs(delta_sq))
+    xi = [abs(gap_error(N, s, G)) for N in ns]
     return loglog_fit(np.asarray(ns, dtype=float), np.asarray(xi), window=(ns[0], ns[-1]))
 
 

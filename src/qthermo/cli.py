@@ -274,7 +274,8 @@ def _run_tihc_qfi(cfg: _Config, quad_tol: float) -> ExperimentResult:
     qs = []
     for t in ts:
         cov = chain_mod.node_covariances(chain, float(t), regularize_gapless=regularize)
-        f = chain_mod.node_qfi(chain, float(t), regularize_gapless=regularize)
+        der = chain_mod.node_covariance_derivatives(chain, float(t), regularize_gapless=regularize)
+        f = qfi_from_derivatives(cov, der)
         qs.append(f)
         rel = 1.0 / (t * np.sqrt(f)) if f > 0 else np.inf
         rows.append([float(t), 1.0 / t, cov.s11, cov.s22, f, float(rel)])
@@ -343,7 +344,6 @@ def _run_star_to_chain(cfg: _Config, quad_tol: float) -> ExperimentResult:
     extra = {
         "omega_sq": rec.chain.omega_sq,
         "Omega": float(np.sqrt(rec.chain.omega_sq)),
-        "condition_number": rec.condition_number,
         "physical": rec.physical,
         "omega_R_sq": star.omega_R_sq,
     }
@@ -395,14 +395,7 @@ def _run_gap_error(cfg: _Config, quad_tol: float) -> ExperimentResult:
     n_list = cfg.int_list("N_list", _REQUIRED)
     cfg.reject_unknown()
     fit = chain_mod.gap_error_scaling(s, g, n_list)
-    rows = []
-    for n in sorted(n_list):
-        nn = np.arange(1, n + 1, dtype=float)
-        gs = g / nn**s
-        alt = 2.0 * float(np.sum(np.where(nn % 2 == 1, gs, -gs)))
-        k = np.arange(1, n + 1, dtype=float)
-        xi = alt + 2.0 * float(np.sum(gs * np.cos(2.0 * np.pi * k * n / (2 * n + 1))))
-        rows.append([float(n), abs(xi)])
+    rows = [[float(n), abs(chain_mod.gap_error(n, s, g))] for n in sorted(n_list)]
     return ["N", "abs_gap_error"], rows, [fit], [], {"s": s}
 
 

@@ -51,10 +51,6 @@ class ZeroModeError(QThermoError):
     """Gapless chain hit the zero mode without regularization enabled."""
 
 
-class ConditioningError(QThermoError):
-    """Linear system too ill-conditioned to trust (condition number in msg)."""
-
-
 class ModeMatchingError(QThermoError):
     """No frequency bijection between two spectra within tolerance."""
 

@@ -5,9 +5,10 @@ diagonalize the remaining symmetric Toeplitz block, and read off effective
 mode frequencies and couplings g_i = sum_j [O]_{ji} G_{1j}.  Reflection
 symmetry decouples exactly half of the modes.
 
-star -> chain: the non-repeated chain frequencies obey the linear relation
-Om_vec = A G_vec with [A]_{jk} = cos(2 pi j k/(2N+1)), so a chain matching
-a given (discretized) star follows from one factorized solve.
+star -> chain: the non-repeated chain frequencies are the cosine half of
+the discrete Fourier transform of the circulant's first row
+(Om^2, G_1, .., G_N, G_N, .., G_1), so a chain matching a given
+(discretized) star is one inverse real DFT of its normal-mode spectrum.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .chain import ChainSpec, chain_spectrum, gapless_frequency_sq, power_law_chain
-from .errors import ConditioningError, ModeMatchingError
+from .errors import ModeMatchingError
 from .fits import ScalingFit
 from .spectral import DiscreteModes, StarSpec
 
@@ -29,8 +30,6 @@ DEGENERACY_REL_WIDTH = 1e-8
 
 # Couplings below this fraction of the largest one count as decoupled.
 DECOUPLED_REL_THRESHOLD = 1e-10
-
-CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,9 @@ class DelocalizationProfile:
 
 @dataclass(frozen=True)
 class ChainReconstruction:
-    """star_to_chain output with solver diagnostics."""
+    """star_to_chain output: the chain and whether its couplings are physical."""
 
     chain: ChainSpec
-    condition_number: float
     physical: bool
 
 
@@ -154,18 +152,21 @@ def chain_to_star(c: ChainSpec) -> EffectiveStar:
     )
 
 
-def _cosine_matrix(n_freqs: int) -> np.ndarray:
-    n_half = n_freqs - 1
-    j = np.arange(0, n_freqs, dtype=float)
-    return np.cos(2.0 * np.pi * np.outer(j, j) / (2 * n_half + 1))
-
-
 def star_to_chain(normal_freqs_sq) -> ChainReconstruction:
-    """Invert Om_vec = A G_vec for the chain matching the given spectrum.
+    """Chain whose non-repeated spectrum is the given one, by inverse real DFT.
 
-    Input: the N+1 non-repeated squared frequencies in descending order.
-    The solve is by LU factorization with the condition number reported;
-    unphysical couplings (sign-mixed) are returned flagged, not rejected.
+    Input: the N+1 non-repeated squared frequencies in descending order;
+    index a is assigned to the chain mode Om_a^2.  The circulant eigenvalues
+    Om_a^2 = Om^2 + 2 sum_k G_k cos(2 pi k a/(2N+1)) are the DFT of the
+    first row (Om^2, G_1, .., G_N, G_N, .., G_1), so irfft(Om_vec, 2N+1)
+    returns that row exactly, in O(N log N).
+
+    No conditioning guard is needed: the cosine matrix
+    [A]_{ak} = cos(2 pi a k/(2N+1)) of the equivalent linear system satisfies
+    (S A S)^2 = (2N+1) 1 with S = diag(1, sqrt 2, .., sqrt 2), so
+    S A S/sqrt(2N+1) is an orthogonal involution and cond(A) <= cond(S)^2 = 2
+    for every N.  Unphysical couplings (sign-mixed) are returned flagged,
+    not rejected.
     """
     freqs = np.asarray(list(normal_freqs_sq), dtype=float)
     if freqs.size < 2:
@@ -174,42 +175,45 @@ def star_to_chain(normal_freqs_sq) -> ChainReconstruction:
         raise ValueError("squared frequencies must be non-negative")
     if np.any(np.diff(freqs) >= 0.0):
         raise ValueError("frequencies must be strictly descending and distinct")
-    a_mat = _cosine_matrix(freqs.size)
-    cond = float(np.linalg.cond(a_mat))
-    if cond > CONDITION_LIMIT:
-        raise ConditioningError(
-            f"cosine system condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    g_vec = np.linalg.solve(a_mat, freqs)
-    omega_sq = float(g_vec[0])
-    couplings = g_vec[1:] / 2.0
-    scale = float(np.max(np.abs(couplings))) if couplings.size else 0.0
+    n_half = freqs.size - 1
+    row = np.fft.irfft(freqs, n=2 * n_half + 1)
+    couplings = row[1 : n_half + 1]
+    scale = float(np.max(np.abs(couplings)))
     physical = bool(np.all(couplings >= -1e-12 * max(scale, 1.0)))
-    chain = ChainSpec(N=freqs.size - 1, omega_sq=omega_sq, couplings=tuple(couplings))
-    return ChainReconstruction(chain=chain, condition_number=cond, physical=physical)
+    chain = ChainSpec(N=n_half, omega_sq=float(row[0]), couplings=tuple(couplings))
+    return ChainReconstruction(chain=chain, physical=physical)
+
+
+def _star_potential(star: StarSpec) -> np.ndarray:
+    """Bordered (arrowhead) potential matrix of the discrete star.
+
+    Diagonal w0^2 + wR^2 and w_n^2, border row/column g_n.
+    """
+    if not isinstance(star.sd, DiscreteModes):
+        raise TypeError("the star must have discrete modes")
+    w = star.sd.omega_array
+    g = star.sd.g_array
+    v = np.diag(np.concatenate(([star.omega0_sq + star.omega_R_sq], w * w)))
+    v[1:, 0] = g
+    v[0, 1:] = g
+    return v
+
+
+def _descending_modes(vals: np.ndarray) -> np.ndarray:
+    """Ascending star eigenvalues, checked PSD, as non-negative descending modes."""
+    if vals[0] < -1e-12 * max(abs(vals[-1]), 1.0):
+        raise ValueError(f"star potential not positive semidefinite: {vals[0]!r}")
+    return np.clip(vals, 0.0, None)[::-1]
 
 
 def clm_normal_modes(star: StarSpec) -> np.ndarray:
     """Squared normal-mode frequencies of the (N+1)-particle discrete star.
 
-    Diagonalizes the bordered potential matrix (diagonal w0^2 + wR^2 and
-    w_n^2, border row/column g_n); returns them in descending order.  The
-    output strictly interlaces the reservoir frequencies.
+    Diagonalizes the bordered potential matrix; returns them in descending
+    order.  The output strictly interlaces the reservoir frequencies.
     """
-    if not isinstance(star.sd, DiscreteModes):
-        raise TypeError("clm_normal_modes requires a star with discrete modes")
-    w = star.sd.omega_array
-    g = star.sd.g_array
-    n = w.size
-    v = np.zeros((n + 1, n + 1))
-    v[0, 0] = star.omega0_sq + star.omega_R_sq
-    v[1:, 0] = g
-    v[0, 1:] = g
-    v[np.arange(1, n + 1), np.arange(1, n + 1)] = w * w
-    vals = eigh(v, eigvals_only=True)
-    if vals[0] < -1e-12 * max(abs(vals[-1]), 1.0):
-        raise ValueError(f"star potential not positive semidefinite: {vals[0]!r}")
-    return np.clip(vals, 0.0, None)[::-1]
+    vals = eigh(_star_potential(star), eigvals_only=True)
+    return _descending_modes(vals)
 
 
 def _fix_sign(row: np.ndarray) -> np.ndarray:
@@ -220,14 +224,13 @@ def _fix_sign(row: np.ndarray) -> np.ndarray:
 def probe_delocalization(star: StarSpec, match_tol: float = 1e-6) -> DelocalizationProfile:
     """Coefficients of the probe position over the matching chain's nodes.
 
-    Builds the chain with star_to_chain(clm_normal_modes(star)), pairs its
-    non-repeated modes with the star's normal modes by frequency, and reads
-    the probe row of (O_star^T oplus 1_N) O_chain.  The sum of squared
-    coefficients is exactly 1 (orthogonal factors).
+    Diagonalizes the star once, builds the chain with star_to_chain of its
+    normal modes, pairs the chain's non-repeated modes with them by
+    frequency, and reads the probe row of (O_star^T oplus 1_N) O_chain.
+    The sum of squared coefficients is exactly 1 (orthogonal factors).
     """
-    if not isinstance(star.sd, DiscreteModes):
-        raise TypeError("probe_delocalization requires a star with discrete modes")
-    ev = clm_normal_modes(star)
+    vals, vecs = eigh(_star_potential(star))
+    ev = _descending_modes(vals)
     rec = star_to_chain(ev)
     chain = rec.chain
     n_half = chain.N
@@ -241,23 +244,13 @@ def probe_delocalization(star: StarSpec, match_tol: float = 1e-6) -> Delocalizat
         )
 
     n_nodes = 2 * n_half + 1
-    jj = np.arange(n_nodes, dtype=float)
     # rows 0..N: cosine modes ordered like ev; the sine partners carry no
     # amplitude on the probe node and only pad the orthogonal factor
-    o_chain_top = np.empty((n_half + 1, n_nodes))
+    a = np.arange(n_half + 1, dtype=float)[:, None]
+    jj = np.arange(n_nodes, dtype=float)
+    o_chain_top = np.sqrt(2.0 / n_nodes) * np.cos(2.0 * np.pi * a * jj / n_nodes)
     o_chain_top[0] = 1.0 / np.sqrt(n_nodes)
-    for a in range(1, n_half + 1):
-        o_chain_top[a] = np.sqrt(2.0 / n_nodes) * np.cos(2.0 * np.pi * a * jj / n_nodes)
 
-    w = star.sd.omega_array
-    g = star.sd.g_array
-    n = w.size
-    v = np.zeros((n + 1, n + 1))
-    v[0, 0] = star.omega0_sq + star.omega_R_sq
-    v[1:, 0] = g
-    v[0, 1:] = g
-    v[np.arange(1, n + 1), np.arange(1, n + 1)] = w * w
-    _, vecs = eigh(v)
     o_star = vecs[:, ::-1].T  # rows = eigenvectors, descending eigenvalue
     o_star = np.array([_fix_sign(row) for row in o_star])
 

@@ -29,6 +29,7 @@ from qthermo import (
     thermal_mode_derivatives,
     write_couplings_csv,
 )
+from qthermo.chain import gap_error
 from qthermo.gaussian import QfiCurve, qfi_from_derivatives
 
 
@@ -156,6 +157,26 @@ class TestNodeCovariances:
         cov = node_covariances(c, 0.01, regularize_gapless=True)
         assert cov.s11 > 0.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="zero-mode threshold mismatch: a mode counts as zero below "
+        "Om^2 = 1e-12 Om_max^2 but is clamped only below the frequency floor "
+        "1e-8 Om_max, so a rounding residue between the two is used as the "
+        "mode frequency and sigma11 follows the residue, not the chain",
+    )
+    def test_gapless_sigma11_ignores_zero_mode_residue(self):
+        # fig3b chain at its lowest temperature; a 1e-15 shift of Om^2 moves
+        # the zero-mode residue (~1.3e-15) but nothing physical
+        c = gapless_fig3_chain()
+        nudged = ChainSpec(N=c.N, omega_sq=c.omega_sq + 1e-15, couplings=c.couplings)
+        t = 1e-3
+        f, f_nudged = (node_qfi(x, t, regularize_gapless=True) for x in (c, nudged))
+        assert f_nudged == pytest.approx(f, rel=1e-8)
+        cov, cov_nudged = (
+            node_covariances(x, t, regularize_gapless=True) for x in (c, nudged)
+        )
+        assert cov_nudged.s11 == pytest.approx(cov.s11, rel=1e-6)
+
     def test_derivatives_match_finite_differences(self):
         c = gapped_fig3_chain(N=40)
         t, h = 0.05, 1e-6
@@ -211,6 +232,14 @@ class TestNodeQfi:
 
 
 class TestGapErrorScaling:
+    @pytest.mark.parametrize("n_half,s", [(7, 3.0), (50, 2.5), (201, 1.5)])
+    def test_gap_error_is_spectrum_residual(self, n_half, s):
+        # Xi(N) = Delta^2(N) - [Om^2 - 2 sum (-1)^(n-1) G_n] for any Om^2
+        c = gapped_fig3_chain(N=n_half, delta=0.3, t=s)
+        alt = 2.0 * sum((-1) ** (n - 1) * g for n, g in enumerate(c.couplings, start=1))
+        delta_sq = float(np.min(chain_spectrum(c).array))
+        assert gap_error(n_half, s) == pytest.approx(delta_sq - c.omega_sq + alt, abs=1e-12)
+
     @pytest.mark.parametrize(
         "s,lo,hi",
         [

@@ -141,7 +141,26 @@ class TestStarToChain:
             scale = float(np.max(np.abs(spec)))
             assert np.max(np.abs(np.sort(back) - np.sort(spec))) < 1e-8 * scale
 
+    @pytest.mark.parametrize("n_half", [1, 2, 3, 40, 400])
+    def test_matches_dense_cosine_solve(self, n_half):
+        # reference: Om_vec = A G_vec with [A]_{jk} = cos(2 pi j k/(2N+1)),
+        # G_vec = (Om^2, 2 G_1, .., 2 G_N), solved by LU
+        rng = np.random.default_rng(n_half)
+        freqs = np.sort(rng.uniform(0.1, 10.0, n_half + 1))[::-1]
+        j = np.arange(n_half + 1, dtype=float)
+        a_mat = np.cos(2.0 * np.pi * np.outer(j, j) / (2 * n_half + 1))
+        assert np.linalg.cond(a_mat) <= 2.0
+        g_vec = np.linalg.solve(a_mat, freqs)
+        dense_couplings = g_vec[1:] / 2.0
+        chain = star_to_chain(freqs).chain
+        assert chain.N == n_half
+        assert abs(chain.omega_sq - g_vec[0]) <= 1e-12 * abs(g_vec[0])
+        gap = np.max(np.abs(chain.coupling_array - dense_couplings))
+        assert gap <= 1e-12 * np.max(np.abs(dense_couplings))
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            star_to_chain([1.0])  # too few
         with pytest.raises(ValueError):
             star_to_chain([1.0, 2.0, 3.0])  # ascending
         with pytest.raises(ValueError):
@@ -153,7 +172,8 @@ class TestStarToChain:
         freqs = clm_normal_modes(star)
         rec = star_to_chain(freqs)
         assert rec.physical
-        assert rec.condition_number < 10.0
+        back = chain_spectrum(rec.chain).array
+        assert np.max(np.abs(back - freqs)) <= 1e-12 * float(np.max(freqs))
         assert math.sqrt(rec.chain.omega_sq) == pytest.approx(23.0796, abs=0.01)
         n_idx = np.arange(1, rec.chain.N + 1, dtype=float)
         g = rec.chain.coupling_array
