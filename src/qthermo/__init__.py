@@ -16,6 +16,7 @@ from .chain import (
     gapless_frequency_sq,
     node_covariances,
     node_covariance_derivatives,
+    node_moments,
     node_qfi,
     power_law_chain,
     read_couplings_csv,
@@ -29,7 +30,6 @@ from .clm import (
     free_probe_qfi_limit,
     qfi_curve,
     steady_covariances,
-    write_qfi_csv,
 )
 from .errors import (
     ConfigError,

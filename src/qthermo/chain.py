@@ -8,11 +8,12 @@ frequencies are exact cosine sums,
 with a = 1..N doubly degenerate.  Single-node covariances use the analytic
 circulant weights (1/(2N+1) for a = 0, 2/(2N+1) otherwise; the sine
 partner of each degenerate pair has no amplitude on the probe node), which
-is exact and O(N) per temperature with no eigensolver.
+is exact, with no eigensolver: the spectrum once per sweep, O(N) per temperature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,32 @@ def _node_mode_data(
     return om, w
 
 
+def node_moments(
+    c: ChainSpec,
+    temperatures,
+    regularize_gapless: bool = False,
+    gap_floor_scale: float = GAP_FLOOR_SCALE,
+) -> list[tuple[SingleModeCovariance, CovarianceDerivatives]]:
+    """Node covariance and its analytic T-derivatives at each temperature.
+
+    The spectrum and the probe weights do not depend on T, so they are
+    built once per call; each temperature then costs one O(N) mode sum.
+    """
+    ts = [float(t) for t in temperatures]
+    if not all(0.0 < t < math.inf for t in ts):
+        raise ValueError("temperature must be positive and finite")
+    om, w = _node_mode_data(c, regularize_gapless, gap_floor_scale)
+    out = []
+    for T in ts:
+        x = om / (2.0 * T)
+        nu = _coth_vec(x)
+        dnu = (om / (2.0 * T * T)) * _csch2_vec(x)
+        s11, s22 = float(np.sum(w * nu / (2.0 * om))), float(np.sum(w * om * nu / 2.0))
+        a1, a2 = float(np.sum(w * dnu / (2.0 * om))), float(np.sum(w * om * dnu / 2.0))
+        out.append((SingleModeCovariance(s11, s22), CovarianceDerivatives(a1, a2)))
+    return out
+
+
 def node_covariances(
     c: ChainSpec,
     T: float,
@@ -174,13 +201,7 @@ def node_covariances(
     gap_floor_scale: float = GAP_FLOOR_SCALE,
 ) -> SingleModeCovariance:
     """Reduced covariance of one node of the thermal chain at temperature T."""
-    if T <= 0.0:
-        raise ValueError("temperature must be positive")
-    om, w = _node_mode_data(c, regularize_gapless, gap_floor_scale)
-    nu = _coth_vec(om / (2.0 * T))
-    s11 = float(np.sum(w * nu / (2.0 * om)))
-    s22 = float(np.sum(w * om * nu / 2.0))
-    return SingleModeCovariance(s11=s11, s22=s22)
+    return node_moments(c, [T], regularize_gapless, gap_floor_scale)[0][0]
 
 
 def node_covariance_derivatives(
@@ -190,13 +211,7 @@ def node_covariance_derivatives(
     gap_floor_scale: float = GAP_FLOOR_SCALE,
 ) -> CovarianceDerivatives:
     """Analytic temperature derivatives of the node covariance."""
-    if T <= 0.0:
-        raise ValueError("temperature must be positive")
-    om, w = _node_mode_data(c, regularize_gapless, gap_floor_scale)
-    dnu = (om / (2.0 * T * T)) * _csch2_vec(om / (2.0 * T))
-    a1 = float(np.sum(w * dnu / (2.0 * om)))
-    a2 = float(np.sum(w * om * dnu / 2.0))
-    return CovarianceDerivatives(a1=a1, a2=a2)
+    return node_moments(c, [T], regularize_gapless, gap_floor_scale)[0][1]
 
 
 def node_qfi(
@@ -206,9 +221,7 @@ def node_qfi(
     gap_floor_scale: float = GAP_FLOOR_SCALE,
 ) -> float:
     """Local thermometric QFI of a single chain node."""
-    cov = node_covariances(c, T, regularize_gapless, gap_floor_scale)
-    der = node_covariance_derivatives(c, T, regularize_gapless, gap_floor_scale)
-    return qfi_from_derivatives(cov, der)
+    return qfi_from_derivatives(*node_moments(c, [T], regularize_gapless, gap_floor_scale)[0])
 
 
 def gap_error(N: int, s: float, G: float = 1.0) -> float:

@@ -19,7 +19,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from . import heatcap as heatcap_mod
 from . import mapping as mapping_mod
 from . import spectral as spectral_mod
 from .errors import ConfigError, QThermoError
-from .gaussian import QfiCurve, qfi_from_derivatives
+from .gaussian import QFI_COLUMNS, QfiCurve
 
 EXPERIMENTS = (
     "clm-qfi",
@@ -72,8 +72,13 @@ def parse_config_text(text: str) -> dict[str, str]:
     return cfg
 
 
+_REQUIRED = object()
+
+
 class _Config:
     """Typed accessor over the flat key-value dict that tracks used keys."""
+
+    quad_tol: float  # resolved once: --tol, else the config's quad_tol, else 1e-9
 
     def __init__(self, raw: dict[str, str]):
         self.raw = raw
@@ -90,23 +95,20 @@ class _Config:
     def str_(self, key: str, default=None) -> str:
         return self._fetch(key, default)
 
-    def float_(self, key: str, default=None) -> float:
+    def _parsed(self, key: str, default, parse, what: str):
         v = self._fetch(key, default)
         if isinstance(v, str):
             try:
-                return float(v)
+                return parse(v)
             except ValueError as exc:
-                raise ConfigError(f"key {key!r}: {v!r} is not a float") from exc
+                raise ConfigError(f"key {key!r}: {v!r} is not {what}") from exc
         return v
 
+    def float_(self, key: str, default=None) -> float:
+        return self._parsed(key, default, float, "a float")
+
     def int_(self, key: str, default=None) -> int:
-        v = self._fetch(key, default)
-        if isinstance(v, str):
-            try:
-                return int(v)
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: {v!r} is not an int") from exc
-        return v
+        return self._parsed(key, default, int, "an int")
 
     def bool_(self, key: str, default=False) -> bool:
         v = self._fetch(key, default)
@@ -118,35 +120,16 @@ class _Config:
             return False
         raise ConfigError(f"key {key!r}: {v!r} is not a boolean")
 
-    def float_list(self, key: str, default=None) -> list[float]:
-        v = self._fetch(key, default)
-        if isinstance(v, str):
-            try:
-                return [float(tok) for tok in v.split(",") if tok.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: {v!r} is not a float list") from exc
-        return v
-
     def int_list(self, key: str, default=None) -> list[int]:
-        v = self._fetch(key, default)
-        if isinstance(v, str):
-            try:
-                return [int(tok) for tok in v.split(",") if tok.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: {v!r} is not an int list") from exc
-        return v
+        def parse(v: str) -> list[int]:
+            return [int(tok) for tok in v.split(",") if tok.strip()]
+
+        return self._parsed(key, default, parse, "an int list")
 
     def reject_unknown(self) -> None:
         unknown = set(self.raw) - self._used
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-
-class _Required:
-    pass
-
-
-_REQUIRED = _Required()
 
 
 def _temperature_grid(cfg: _Config) -> np.ndarray:
@@ -217,38 +200,22 @@ def _chain_spec(cfg: _Config) -> tuple[chain_mod.ChainSpec, bool]:
 
 
 Rows = list[list[float]]
-ExperimentResult = tuple[list[str], Rows, list[fits_mod.ScalingFit], list[str], dict]
+ExperimentResult = tuple[Sequence[str], Rows, list[fits_mod.ScalingFit], list[str], dict]
 
 
-def _run_clm_qfi(cfg: _Config, quad_tol: float) -> ExperimentResult:
+def _run_clm_qfi(cfg: _Config) -> ExperimentResult:
     sd = _spectral_density(cfg)
     star = spectral_mod.make_star(sd, omega0_sq=cfg.float_("omega0_sq", _REQUIRED))
     omega_min = cfg.float_("omega_min", 0.0)
     ts = _temperature_grid(cfg)
     window = _fit_window(cfg, ts)
     cfg.reject_unknown()
-    rows: Rows = []
-    qs = []
-    for t in ts:
-        q = clm_mod.SteadyStateQuery(star=star, T=float(t), omega_min=omega_min, quad_tol=quad_tol)
-        cov = clm_mod.steady_covariances(q)
-        der = clm_mod.covariance_T_derivatives(q)
-        f = qfi_from_derivatives(cov, der)
-        qs.append(f)
-        rel = 1.0 / (t * np.sqrt(f)) if f > 0 else np.inf
-        rows.append([float(t), 1.0 / t, cov.s11, cov.s22, f, float(rel)])
-    curve = QfiCurve(tuple(float(t) for t in ts), tuple(qs))
+    curve = clm_mod.qfi_curve(star, ts, omega_min=omega_min, quad_tol=cfg.quad_tol)
     fit = [fits_mod.fit_power_law(curve, window)] if window else []
-    return (
-        ["T", "beta", "sigma11", "sigma22", "qfi", "rel_error_M1"],
-        rows,
-        fit,
-        list(star.warnings),
-        {},
-    )
+    return QFI_COLUMNS, curve.rows(), fit, list(star.warnings), {}
 
 
-def _run_free_probe(cfg: _Config, quad_tol: float) -> ExperimentResult:
+def _run_free_probe(cfg: _Config) -> ExperimentResult:
     sd = _spectral_density(cfg)
     star = spectral_mod.make_star(sd, omega0_sq=0.0)
     t = cfg.float_("T", _REQUIRED)
@@ -257,29 +224,20 @@ def _run_free_probe(cfg: _Config, quad_tol: float) -> ExperimentResult:
     ratio = cfg.float_("omega_min_ratio", 10.0)
     cfg.reject_unknown()
     seq = [start / ratio**k for k in range(count)]
-    limit, samples = clm_mod.free_probe_qfi_limit(star, t, seq, quad_tol=quad_tol)
+    limit, samples = clm_mod.free_probe_qfi_limit(star, t, seq, quad_tol=cfg.quad_tol)
     rows = [[wm, f, 2.0 * t * t * f] for wm, f in samples]
     extra = {"limit_estimate": limit, "two_T_sq_F": 2.0 * t * t * limit, "T": t}
     return ["omega_min", "qfi", "two_T_sq_F"], rows, [], list(star.warnings), extra
 
 
-def _run_tihc_qfi(cfg: _Config, quad_tol: float) -> ExperimentResult:
-    del quad_tol  # chain sums are exact
+def _run_tihc_qfi(cfg: _Config) -> ExperimentResult:
     chain, regularize = _chain_spec(cfg)
     ts = _temperature_grid(cfg)
     fit_kind = cfg.str_("fit", "none")
     window = _fit_window(cfg, ts)
     cfg.reject_unknown()
-    rows: Rows = []
-    qs = []
-    for t in ts:
-        cov = chain_mod.node_covariances(chain, float(t), regularize_gapless=regularize)
-        der = chain_mod.node_covariance_derivatives(chain, float(t), regularize_gapless=regularize)
-        f = qfi_from_derivatives(cov, der)
-        qs.append(f)
-        rel = 1.0 / (t * np.sqrt(f)) if f > 0 else np.inf
-        rows.append([float(t), 1.0 / t, cov.s11, cov.s22, f, float(rel)])
-    curve = QfiCurve(tuple(float(t) for t in ts), tuple(qs))
+    moments = chain_mod.node_moments(chain, ts, regularize_gapless=regularize)
+    curve = QfiCurve.from_moments(ts, moments)
     fit_list = []
     if fit_kind == "power_law":
         fit_list = [fits_mod.fit_power_law(curve, window)]
@@ -288,17 +246,10 @@ def _run_tihc_qfi(cfg: _Config, quad_tol: float) -> ExperimentResult:
     elif fit_kind != "none":
         raise ConfigError(f"unknown fit kind {fit_kind!r}")
     extra = {"omega_sq": chain.omega_sq, "gap": chain_mod.chain_spectrum(chain).gap}
-    return (
-        ["T", "beta", "sigma11", "sigma22", "qfi", "rel_error_M1"],
-        rows,
-        fit_list,
-        [],
-        extra,
-    )
+    return QFI_COLUMNS, curve.rows(), fit_list, [], extra
 
 
-def _run_chain_to_star(cfg: _Config, quad_tol: float) -> ExperimentResult:
-    del quad_tol
+def _run_chain_to_star(cfg: _Config) -> ExperimentResult:
     chain, _ = _chain_spec(cfg)
     cfg.reject_unknown()
     star = mapping_mod.chain_to_star(chain)
@@ -326,8 +277,7 @@ def _star_from_cfg(cfg: _Config) -> spectral_mod.StarSpec:
     )
 
 
-def _run_star_to_chain(cfg: _Config, quad_tol: float) -> ExperimentResult:
-    del quad_tol
+def _run_star_to_chain(cfg: _Config) -> ExperimentResult:
     star = _star_from_cfg(cfg)
     fit_lo = cfg.int_("fit_n_lo", 0)
     fit_hi = cfg.int_("fit_n_hi", 0)
@@ -350,8 +300,7 @@ def _run_star_to_chain(cfg: _Config, quad_tol: float) -> ExperimentResult:
     return ["n", "G"], rows, fit_list, list(star.warnings), extra
 
 
-def _run_discretize(cfg: _Config, quad_tol: float) -> ExperimentResult:
-    del quad_tol
+def _run_discretize(cfg: _Config) -> ExperimentResult:
     sd = _spectral_density(cfg)
     n_modes = cfg.int_("n_modes", _REQUIRED)
     omega_max = cfg.float_("omega_max", _REQUIRED)
@@ -367,8 +316,7 @@ def _run_discretize(cfg: _Config, quad_tol: float) -> ExperimentResult:
     return ["omega", "g"], rows, [], list(star.warnings), extra
 
 
-def _run_heatcap(cfg: _Config, quad_tol: float) -> ExperimentResult:
-    del quad_tol
+def _run_heatcap(cfg: _Config) -> ExperimentResult:
     spec = heatcap_mod.IsingSpec(
         J=cfg.float_("J", _REQUIRED), h=cfg.float_("h", _REQUIRED), N=cfg.int_("N", _REQUIRED)
     )
@@ -388,8 +336,7 @@ def _run_heatcap(cfg: _Config, quad_tol: float) -> ExperimentResult:
     return ["T", "beta", "C_exact", "C_asymptotic", "ratio"], rows, [], [], extra
 
 
-def _run_gap_error(cfg: _Config, quad_tol: float) -> ExperimentResult:
-    del quad_tol
+def _run_gap_error(cfg: _Config) -> ExperimentResult:
     s = cfg.float_("s", _REQUIRED)
     g = cfg.float_("G", 1.0)
     n_list = cfg.int_list("N_list", _REQUIRED)
@@ -399,7 +346,7 @@ def _run_gap_error(cfg: _Config, quad_tol: float) -> ExperimentResult:
     return ["N", "abs_gap_error"], rows, [fit], [], {"s": s}
 
 
-_RUNNERS: dict[str, Callable[[_Config, float], ExperimentResult]] = {
+_RUNNERS: dict[str, Callable[[_Config], ExperimentResult]] = {
     "clm-qfi": _run_clm_qfi,
     "free-probe-limit": _run_free_probe,
     "tihc-qfi": _run_tihc_qfi,
@@ -414,7 +361,7 @@ _RUNNERS: dict[str, Callable[[_Config, float], ExperimentResult]] = {
 def _write_outputs(
     out_path: Path,
     fmt: str,
-    columns: list[str],
+    columns: Sequence[str],
     rows: Rows,
     summary: dict,
 ) -> None:
@@ -449,10 +396,10 @@ def run_experiment(
     fmt = fmt if fmt is not None else cfg.str_("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    quad_tol = tol if tol is not None else cfg.float_("quad_tol", 1e-9)
+    cfg.quad_tol = tol if tol is not None else cfg.float_("quad_tol", 1e-9)
 
     start = time.perf_counter()
-    columns, rows, fit_list, warnings, extra = _RUNNERS[experiment](cfg, quad_tol)
+    columns, rows, fit_list, warnings, extra = _RUNNERS[experiment](cfg)
     wall = time.perf_counter() - start
 
     summary = {

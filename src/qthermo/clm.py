@@ -33,7 +33,6 @@ from .gaussian import (
     qfi_from_fidelity,
 )
 from .spectral import (
-    ContinuousSpectralDensity,
     StarSpec,
     low_frequency_slope,
     self_energy,
@@ -55,8 +54,8 @@ class SteadyStateQuery:
     quad_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.T <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError("temperature must be positive and finite")
         if self.omega_min < 0.0:
             raise ValueError("omega_min must be >= 0")
         if self.star.omega0_sq == 0.0 and self.omega_min <= 0.0:
@@ -131,17 +130,23 @@ def _integrate(q: SteadyStateQuery, f, lo: float, pts: list[float], B: float) ->
     return total
 
 
-def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
-    """Stationary probe covariance for the query's reservoir and temperature."""
+def _weighted_moments(q: SteadyStateQuery, kernel) -> tuple[float, float, float, float]:
+    """(1/pi) int J/|alpha|^2 kernel and its w^2-weighted partner, plus (lo, B)."""
     sd = q.star.sd
     lo, pts, B = _breakpoints(q)
-    T = q.T
 
     def weight(w: float) -> float:
         return float(sd.j(w)) / susceptibility_abs_sq(q.star, w, tol=q.quad_tol)
 
-    s11 = _integrate(q, lambda w: weight(w) * coth(w / (2.0 * T)), lo, pts, B) / np.pi
-    s22 = _integrate(q, lambda w: w * w * weight(w) * coth(w / (2.0 * T)), lo, pts, B) / np.pi
+    m0 = _integrate(q, lambda w: weight(w) * kernel(w), lo, pts, B) / np.pi
+    m2 = _integrate(q, lambda w: w * w * weight(w) * kernel(w), lo, pts, B) / np.pi
+    return m0, m2, lo, B
+
+
+def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
+    """Stationary probe covariance for the query's reservoir and temperature."""
+    T = q.T
+    s11, s22, lo, B = _weighted_moments(q, lambda w: coth(w / (2.0 * T)))
     cov = SingleModeCovariance(s11=s11, s22=s22)
     if cov.det() < 0.25 - 1e-9:
         raise IntegrationError(
@@ -154,18 +159,8 @@ def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
 
 def covariance_T_derivatives(q: SteadyStateQuery) -> CovarianceDerivatives:
     """d(s11)/dT and d(s22)/dT by differentiating under the integral."""
-    sd = q.star.sd
-    lo, pts, B = _breakpoints(q)
     T = q.T
-
-    def weight(w: float) -> float:
-        return float(sd.j(w)) / susceptibility_abs_sq(q.star, w, tol=q.quad_tol)
-
-    def dcoth(w: float) -> float:
-        return (w / (2.0 * T * T)) * csch2(w / (2.0 * T))
-
-    a1 = _integrate(q, lambda w: weight(w) * dcoth(w), lo, pts, B) / np.pi
-    a2 = _integrate(q, lambda w: w * w * weight(w) * dcoth(w), lo, pts, B) / np.pi
+    a1, a2, _, _ = _weighted_moments(q, lambda w: (w / (2.0 * T * T)) * csch2(w / (2.0 * T)))
     return CovarianceDerivatives(a1=a1, a2=a2)
 
 
@@ -189,13 +184,17 @@ def qfi_curve(
     omega_min: float = 0.0,
     quad_tol: float = 1e-9,
 ) -> QfiCurve:
-    """Sweep clm_qfi over a temperature grid (sorted ascending)."""
+    """Sweep the derivative-route QFI over a temperature grid (sorted ascending).
+
+    The curve keeps the steady covariance at each temperature.
+    """
     ts = sorted(float(t) for t in temperatures)
-    qs = [
-        clm_qfi(SteadyStateQuery(star=star, T=t, omega_min=omega_min, quad_tol=quad_tol))
-        for t in ts
-    ]
-    return QfiCurve(tuple(ts), tuple(qs))
+
+    def moments(t: float) -> tuple[SingleModeCovariance, CovarianceDerivatives]:
+        q = SteadyStateQuery(star=star, T=t, omega_min=omega_min, quad_tol=quad_tol)
+        return steady_covariances(q), covariance_T_derivatives(q)
+
+    return QfiCurve.from_moments(ts, (moments(t) for t in ts))
 
 
 def free_probe_qfi_limit(
@@ -232,15 +231,3 @@ def free_probe_qfi_limit(
     design = np.vstack([wm3, np.ones_like(wm3)]).T
     (_, intercept), *_ = np.linalg.lstsq(design, f3, rcond=None)
     return float(intercept), samples
-
-
-def write_qfi_csv(curve: QfiCurve, covs: list[SingleModeCovariance], path: str) -> None:
-    """Emit a QFI sweep as CSV: T,beta,sigma11,sigma22,qfi,rel_error_M1."""
-    if len(covs) != len(curve.temperatures):
-        raise ValueError("one covariance per temperature sample required")
-    rel = curve.rel_error_single_shot()
-    lines = ["T,beta,sigma11,sigma22,qfi,rel_error_M1"]
-    for t, f, c, r in zip(curve.temperatures, curve.qfi, covs, rel):
-        lines.append(f"{t!r},{1.0 / t!r},{c.s11!r},{c.s22!r},{f!r},{r!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

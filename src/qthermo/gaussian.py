@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -101,8 +101,8 @@ def thermal_mode_covariance(omega: float, T: float) -> SingleModeCovariance:
 
     s11 = coth(omega/2T)/(2 omega), s22 = omega coth(omega/2T)/2.
     """
-    if omega <= 0.0 or T <= 0.0:
-        raise ValueError("thermal_mode_covariance requires omega > 0 and T > 0")
+    if omega <= 0.0 or not 0.0 < T < math.inf:
+        raise ValueError("thermal_mode_covariance requires omega > 0 and finite T > 0")
     nu = coth(omega / (2.0 * T))
     return SingleModeCovariance(s11=nu / (2.0 * omega), s22=nu * omega / 2.0)
 
@@ -112,8 +112,8 @@ def thermal_mode_derivatives(omega: float, T: float) -> CovarianceDerivatives:
 
     d coth(omega/2T)/dT = (omega/2T^2) csch^2(omega/2T).
     """
-    if omega <= 0.0 or T <= 0.0:
-        raise ValueError("thermal_mode_derivatives requires omega > 0 and T > 0")
+    if omega <= 0.0 or not 0.0 < T < math.inf:
+        raise ValueError("thermal_mode_derivatives requires omega > 0 and finite T > 0")
     dnu = (omega / (2.0 * T * T)) * csch2(omega / (2.0 * T))
     return CovarianceDerivatives(a1=dnu / (2.0 * omega), a2=dnu * omega / 2.0)
 
@@ -221,30 +221,48 @@ def qfi_from_derivatives(
     return 4.0 * num / denom
 
 
+QFI_COLUMNS = ("T", "beta", "sigma11", "sigma22", "qfi", "rel_error_M1")
+
+
 @dataclass(frozen=True)
 class QfiCurve:
     """Sampled (T, F_T) data with the single-shot relative error 1/(T sqrt(F)).
 
     Temperatures are strictly increasing; QFI values finite and >= 0.
+    covariances, when given, holds the state at each temperature.
     """
 
     temperatures: tuple[float, ...]
     qfi: tuple[float, ...]
+    covariances: tuple[SingleModeCovariance, ...] = ()
 
     def __post_init__(self) -> None:
         t = np.asarray(self.temperatures, dtype=float)
         f = np.asarray(self.qfi, dtype=float)
         if t.size != f.size:
             raise ValueError("temperatures and qfi must have equal length")
+        if self.covariances and len(self.covariances) != t.size:
+            raise ValueError("one covariance per temperature required")
         if t.size and not np.all(np.diff(t) > 0.0):
             raise ValueError("temperatures must be strictly increasing")
         if not np.all(np.isfinite(f)) or np.any(f < 0.0):
             raise ValueError("qfi samples must be finite and non-negative")
 
     @classmethod
-    def from_samples(cls, samples: Sequence[tuple[float, float]]) -> "QfiCurve":
-        ts, fs = zip(*samples) if samples else ((), ())
-        return cls(tuple(ts), tuple(fs))
+    def from_moments(cls, temperatures, moments) -> "QfiCurve":
+        """Curve from one (covariance, derivatives) pair per temperature."""
+        covs, qs = [], []
+        for cov, der in moments:
+            covs.append(cov)
+            qs.append(qfi_from_derivatives(cov, der))
+        return cls(tuple(float(t) for t in temperatures), tuple(qs), tuple(covs))
+
+    def rows(self) -> list[list[float]]:
+        """Table rows in QFI_COLUMNS order; needs the covariances."""
+        if len(self.covariances) != len(self.temperatures):
+            raise ValueError("rows need one covariance per temperature")
+        cols = zip(self.temperatures, self.qfi, self.covariances, self.rel_error_single_shot())
+        return [[t, 1.0 / t, c.s11, c.s22, f, float(r)] for t, f, c, r in cols]
 
     @property
     def t_array(self) -> np.ndarray:

@@ -226,7 +226,7 @@ def probe_delocalization(star: StarSpec, match_tol: float = 1e-6) -> Delocalizat
 
     Diagonalizes the star once, builds the chain with star_to_chain of its
     normal modes, pairs the chain's non-repeated modes with them by
-    frequency, and reads the probe row of (O_star^T oplus 1_N) O_chain.
+    frequency (to match_tol of the largest mode), and reads the probe row of (O_star^T oplus 1_N) O_chain.
     The sum of squared coefficients is exactly 1 (orthogonal factors).
     """
     vals, vecs = eigh(_star_potential(star))
@@ -235,8 +235,10 @@ def probe_delocalization(star: StarSpec, match_tol: float = 1e-6) -> Delocalizat
     chain = rec.chain
     n_half = chain.N
     spec = chain_spectrum(chain).array
-    # chain_spectrum index a carries ev[a] by construction of star_to_chain
-    mismatch = np.abs(spec - ev) > match_tol * np.maximum(np.abs(ev), 1e-30)
+    # chain_spectrum index a carries ev[a] by construction of star_to_chain;
+    # the DFT round trip rounds at the scale of the largest mode, so a
+    # nearly free probe's tiny lowest mode is matched on that scale too
+    mismatch = np.abs(spec - ev) > match_tol * float(np.max(ev))
     if np.any(mismatch):
         bad = int(np.argmax(mismatch))
         raise ModeMatchingError(

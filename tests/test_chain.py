@@ -13,6 +13,8 @@ from scipy.special import zeta
 
 from qthermo import (
     ChainSpec,
+    LorentzDrude,
+    SteadyStateQuery,
     UnstableChainError,
     ZeroModeError,
     chain_spectrum,
@@ -20,8 +22,10 @@ from qthermo import (
     fit_power_law,
     gap_error_scaling,
     gapless_frequency_sq,
+    make_star,
     node_covariance_derivatives,
     node_covariances,
+    node_moments,
     node_qfi,
     power_law_chain,
     read_couplings_csv,
@@ -29,6 +33,7 @@ from qthermo import (
     thermal_mode_derivatives,
     write_couplings_csv,
 )
+from qthermo import chain as chain_mod
 from qthermo.chain import gap_error
 from qthermo.gaussian import QfiCurve, qfi_from_derivatives
 
@@ -185,6 +190,45 @@ class TestNodeCovariances:
         dn = node_covariances(c, t - h)
         assert der.a1 == pytest.approx((up.s11 - dn.s11) / (2 * h), rel=1e-6)
         assert der.a2 == pytest.approx((up.s22 - dn.s22) / (2 * h), rel=1e-6)
+
+
+class TestNodeMoments:
+    @pytest.mark.parametrize("gapless", [False, True])
+    def test_sweep_equals_per_temperature_calls(self, monkeypatch, gapless):
+        c = gapless_fig3_chain() if gapless else gapped_fig3_chain()
+        ts = np.geomspace(1e-3, 1e-1, 9)
+        built = []
+        spectrum = chain_mod.chain_spectrum
+        monkeypatch.setattr(chain_mod, "chain_spectrum", lambda x: built.append(x) or spectrum(x))
+        moments = node_moments(c, ts, regularize_gapless=gapless)
+        assert len(built) == 1  # the spectrum is built once per sweep
+        assert len(moments) == ts.size
+        for t, (cov, der) in zip(ts, moments):
+            t = float(t)
+            assert cov == node_covariances(c, t, regularize_gapless=gapless)
+            assert der == node_covariance_derivatives(c, t, regularize_gapless=gapless)
+            assert qfi_from_derivatives(cov, der) == node_qfi(c, t, regularize_gapless=gapless)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_temperature_is_rejected(T):
+    # a NaN used to pass as "large x" in coth and return the T = 0 state;
+    # the gapless chain shows the temperature check comes before the
+    # zero-mode check
+    c = gapless_fig3_chain(N=10)
+    star = make_star(LorentzDrude(0.1, 100.0), omega0_sq=1.0)
+    calls = (
+        lambda: node_moments(c, [0.1, T]),
+        lambda: node_covariances(c, T),
+        lambda: node_covariance_derivatives(c, T),
+        lambda: node_qfi(c, T),
+        lambda: SteadyStateQuery(star=star, T=T),
+        lambda: thermal_mode_covariance(1.0, T),
+        lambda: thermal_mode_derivatives(1.0, T),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestNodeQfi:

@@ -1,11 +1,18 @@
 """Tests for the config parser and the qthermo CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qthermo
 from qthermo.cli import main, parse_config_text, run_experiment
 from qthermo.errors import ConfigError
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 CLM_CFG = """
@@ -181,3 +188,57 @@ class TestMainExitCodes:
 
     def test_missing_config_is_4(self, tmp_path):
         assert main(["clm-qfi", "--config", str(tmp_path / "missing.cfg")]) == 4
+
+
+
+# Recipe tables committed with the benchmark (perfbench/reference, seed 0).
+# fig5/fig5_desk are left out (they sit ~1e-13 off their tables since the
+# DFT chain reconstruction) and so are fig2a/fig2b (slow).
+REFERENCE_RECIPES = {
+    name: REPO / "configs" / f"{name}.cfg"
+    for name in (
+        "fig3a",
+        "fig3b",
+        "gap_error",
+        "heatcap_ising",
+        "discretize_residual",
+        "fig4_gapless",
+        "fig4_gapped",
+        "free_probe",
+    )
+}
+REFERENCE_RECIPES["chain_n1000"] = REPO / "perfbench" / "configs" / "chain_n1000.cfg"
+
+_RUN_RECIPES = """
+import sys
+from qthermo.cli import parse_config_text, run_experiment
+out = sys.argv[1]
+for name, path in zip(sys.argv[2::2], sys.argv[3::2]):
+    with open(path, encoding="utf-8") as fh:
+        run_experiment(parse_config_text(fh.read()), out=f"{out}/{name}.csv")
+"""
+
+
+@pytest.fixture(scope="module")
+def recipe_tables(tmp_path_factory):
+    """CLI tables of REFERENCE_RECIPES, made as the benchmark makes them.
+
+    The eigensolver's last bits depend on the BLAS thread count (fig4), so
+    the recipes run in one child process with BLAS pinned to one thread,
+    like perfbench/run.py's workers.
+    """
+    out = tmp_path_factory.mktemp("recipes")
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    src = str(Path(qthermo.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    args = [str(x) for item in REFERENCE_RECIPES.items() for x in item]
+    subprocess.run([sys.executable, "-c", _RUN_RECIPES, str(out), *args], env=env, check=True)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_RECIPES))
+def test_recipe_table_matches_reference(recipe_tables, name):
+    expected = (REPO / "perfbench" / "reference" / f"{name}.csv").read_bytes()
+    assert (recipe_tables / f"{name}.csv").read_bytes() == expected

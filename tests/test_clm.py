@@ -24,8 +24,8 @@ from qthermo import (
     qfi_curve,
     steady_covariances,
     thermal_mode_covariance,
-    write_qfi_csv,
 )
+from qthermo.cli import parse_config_text, run_experiment
 from qthermo.gaussian import qfi_from_derivatives
 
 
@@ -188,19 +188,35 @@ class TestFreeProbeLimit:
             free_probe_qfi_limit(make_star(LorentzDrude(0.1, 100.0), 1.0), 1e-3)
 
 
-class TestCsvEmission:
-    def test_schema_and_round_trip_floats(self, tmp_path):
-        star = fig2_star(1.0)
-        ts = [0.5, 1.0]
-        covs = [steady_covariances(SteadyStateQuery(star=star, T=t)) for t in ts]
-        qs = [clm_qfi(SteadyStateQuery(star=star, T=t)) for t in ts]
-        from qthermo import QfiCurve
-
-        curve = QfiCurve(tuple(ts), tuple(qs))
+class TestCliTable:
+    def test_clm_qfi_csv_round_trips_to_library(self, tmp_path):
+        # every CLI row holds clm_qfi and steady_covariances at its grid
+        # temperature exactly: floats are written with repr
+        cfg = parse_config_text(
+            "experiment = clm-qfi\ngamma = 0.1\nomega_c = 100\nomega0_sq = 1.0\n"
+            "T_min = 0.5\nT_max = 1.0\npoints = 3\n"
+        )
         path = tmp_path / "curve.csv"
-        write_qfi_csv(curve, covs, str(path))
+        run_experiment(cfg, out=str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "T,beta,sigma11,sigma22,qfi,rel_error_M1"
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.5
-        assert float(first[4]) == qs[0]  # repr round-trips exactly
+        grid = np.geomspace(0.5, 1.0, 3)
+        assert len(lines) == 1 + grid.size
+        star = fig2_star(1.0)
+        for t, line in zip(grid, lines[1:]):
+            T, beta, s11, s22, f, rel = (float(x) for x in line.split(","))
+            q = SteadyStateQuery(star=star, T=float(t))
+            cov = steady_covariances(q)
+            assert (T, beta) == (t, 1.0 / t)
+            assert (s11, s22) == (cov.s11, cov.s22)
+            assert f == clm_qfi(q)
+            assert rel == 1.0 / (t * math.sqrt(f))
+
+    def test_qfi_curve_keeps_covariances(self):
+        star = fig2_star(1.0)
+        ts = (0.5, 1.0)
+        curve = qfi_curve(star, ts)
+        for t, f, cov in zip(ts, curve.qfi, curve.covariances):
+            q = SteadyStateQuery(star=star, T=t)
+            assert cov == steady_covariances(q)
+            assert f == clm_qfi(q)

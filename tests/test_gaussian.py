@@ -249,6 +249,22 @@ class TestQfiCurve:
         with pytest.raises(ValueError):
             QfiCurve((0.5, 1.0), (1.0, -1.0))  # negative qfi
 
+    def test_covariance_count_must_match(self):
+        with pytest.raises(ValueError):
+            QfiCurve((0.5, 1.0), (1.0, 1.0), (thermal_mode_covariance(1.0, 0.5),))
+
+    def test_from_moments_and_rows(self):
+        ts = (0.5, 1.0)
+        moments = [(thermal_mode_covariance(1.0, t), thermal_mode_derivatives(1.0, t)) for t in ts]
+        curve = QfiCurve.from_moments(ts, moments)
+        assert curve.covariances == tuple(cov for cov, _ in moments)
+        assert curve.qfi == tuple(qfi_from_derivatives(*m) for m in moments)
+        rows = curve.rows()
+        for row, t, f, (cov, _) in zip(rows, ts, curve.qfi, moments):
+            assert row == [t, 1.0 / t, cov.s11, cov.s22, f, 1.0 / (t * math.sqrt(f))]
+        with pytest.raises(ValueError):
+            QfiCurve(ts, curve.qfi).rows()  # no covariances to tabulate
+
     def test_rel_error(self):
         curve = QfiCurve((0.5, 1.0), (4.0, 0.0))
         rel = curve.rel_error_single_shot()

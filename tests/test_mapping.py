@@ -8,8 +8,10 @@ import pytest
 
 from qthermo import (
     ChainSpec,
+    ChainSpectrum,
     DiscreteModes,
     LorentzDrude,
+    ModeMatchingError,
     StarSpec,
     chain_spectrum,
     chain_to_star,
@@ -21,6 +23,7 @@ from qthermo import (
     star_coupling_scaling,
     star_to_chain,
 )
+from qthermo import mapping
 
 
 def gapless_chain(N=100, t=2.5, G=1.0):
@@ -240,6 +243,30 @@ class TestProbeDelocalization:
         participation = 1.0 / float(np.sum(d**4))
         assert participation > 20.0  # spread over many of the 301 nodes
         assert np.sum(np.abs(d) > 1e-3 * np.max(np.abs(d))) > 150
+
+
+    @pytest.mark.parametrize(
+        "n_modes,omega0_sq", [(80, 1e-8), (80, 1e-10), (80, 1e-12), (400, 1e-8)]
+    )
+    def test_nearly_free_probe(self, n_modes, omega0_sq):
+        # the lowest star mode is tiny next to the DFT rounding of the
+        # largest one, so it only matches on the largest mode's scale
+        star = discretize_clm(LorentzDrude(0.1, 2.0), n_modes, 20.0, omega0_sq=omega0_sq)
+        prof = probe_delocalization(star)
+        assert prof.normalization == pytest.approx(1.0, abs=1e-10)
+
+    def test_shifted_chain_mode_is_rejected(self, monkeypatch):
+        star = discretize_clm(LorentzDrude(0.1, 2.0), 40, 20.0, omega0_sq=0.04)
+        spectrum = mapping.chain_spectrum
+
+        def shifted(c):
+            vals = spectrum(c).array
+            vals[3] += 1e-3 * vals.max()
+            return ChainSpectrum(tuple(vals))
+
+        monkeypatch.setattr(mapping, "chain_spectrum", shifted)
+        with pytest.raises(ModeMatchingError, match="chain mode 3 "):
+            probe_delocalization(star)
 
 
 class TestStarCouplingScaling:
