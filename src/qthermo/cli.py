@@ -4,8 +4,8 @@ Configs are flat key = value text files with an `experiment` discriminator;
 see configs/ in the repository for the figure-reproduction recipes.  Every
 run writes a data table (CSV by default, JSON on request) plus a JSON
 summary holding the fitted scaling laws, warnings, and wall time.  Outputs
-are deterministic: rows are sorted by the sweep variable and floats are
-serialized with shortest-round-trip repr.
+are deterministic for a fixed BLAS thread count (chain-to-star's dense eigh
+rounds per thread count): rows sorted by the sweep variable, floats as repr.
 
 Exit codes: 0 success, 2 config validation, 3 computation, 4 I/O; failures
 emit a machine-readable JSON payload on stderr.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,12 +33,7 @@ from .gaussian import (
     qfi_from_derivatives,
     qfi_from_fidelity,
 )
-from .spectral import (
-    StarSpec,
-    low_frequency_slope,
-    self_energy,
-    susceptibility_abs_sq,
-)
+from .spectral import StarSpec, low_frequency_slope, susceptibility_real
 
 
 @dataclass(frozen=True)
@@ -67,13 +63,9 @@ class SteadyStateQuery:
 
 def _resonance(star: StarSpec) -> float | None:
     """Root of Re alpha(w) = 0, located by bracketed root finding."""
-    sd = star.sd
-
-    def re_alpha(w: float) -> float:
-        return star.omega0_sq + star.omega_R_sq - w * w - self_energy(sd, w)
-
-    lo = 1e-9 * sd.omega_c
-    hi = 10.0 * math.sqrt(star.omega0_sq + star.omega_R_sq) + 10.0 * sd.omega_c
+    re_alpha = partial(susceptibility_real, star)
+    lo = 1e-9 * star.sd.omega_c
+    hi = 10.0 * math.sqrt(star.omega0_sq + star.omega_R_sq) + 10.0 * star.sd.omega_c
     if re_alpha(lo) > 0.0 > re_alpha(hi):
         return float(brentq(re_alpha, lo, hi, rtol=1e-14))
     return None
@@ -136,7 +128,9 @@ def _weighted_moments(q: SteadyStateQuery, kernel) -> tuple[float, float, float,
     lo, pts, B = _breakpoints(q)
 
     def weight(w: float) -> float:
-        return float(sd.j(w)) / susceptibility_abs_sq(q.star, w, tol=q.quad_tol)
+        jw = sd.j(w)
+        re = susceptibility_real(q.star, w, tol=q.quad_tol)
+        return jw / (re * re + jw * jw)
 
     m0 = _integrate(q, lambda w: weight(w) * kernel(w), lo, pts, B) / np.pi
     m2 = _integrate(q, lambda w: w * w * weight(w) * kernel(w), lo, pts, B) / np.pi

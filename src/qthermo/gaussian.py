@@ -145,7 +145,9 @@ def uhlmann_fidelity(a: SingleModeCovariance, b: SingleModeCovariance) -> float:
     # when the states are close (Del << Lam)
     f = 2.0 * (math.sqrt(rad) + math.sqrt(lam)) / del_
     if f > 1.0 + 1e-9:
-        raise NumericalDomainError(f"fidelity {f!r} > 1; inputs are inconsistent")
+        raise NumericalDomainError(
+            f"fidelity {f!r} > 1: det(a + b) lost precision (strongly squeezed, s12 != 0)"
+        )
     return min(f, 1.0)
 
 

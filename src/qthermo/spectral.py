@@ -42,9 +42,10 @@ class LorentzDrude:
             raise ValueError("LorentzDrude requires gamma > 0 and omega_c > 0")
 
     def j(self, omega):
-        w = np.asarray(omega, dtype=float)
-        out = 2.0 * self.gamma * w * self.omega_c**2 / (w * w + self.omega_c**2)
-        return float(out) if np.isscalar(omega) else out
+        """J at a float omega >= 0 (float out) or on an ndarray (elementwise).
+        No caller passes a list or omega < 0: `evaluate` and `self_energy`
+        reject it and the quadratures start at 0."""
+        return 2.0 * self.gamma * omega * self.omega_c**2 / (omega * omega + self.omega_c**2)
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,14 @@ class ExponentialCutoff:
             raise ValueError("ExponentialCutoff requires gamma, omega_c, s > 0")
 
     def j(self, omega):
-        w = np.asarray(omega, dtype=float)
-        out = (
+        """As LorentzDrude.j, but a float gives a NumPy float64: NumPy's power
+        and exp keep a float and the same entry of an array bit-identical."""
+        return (
             (self.gamma * np.pi / 2.0)
-            * w**self.s
+            * np.power(omega, self.s)
             / self.omega_c ** (self.s - 1.0)
-            * np.exp(-w / self.omega_c)
+            * np.exp(-omega / self.omega_c)
         )
-        return float(out) if np.isscalar(omega) else out
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,7 @@ class GenericOhmic:
             raise ValueError(f"cutoff function must satisfy f(0) = 1, got {f0!r}")
 
     def j(self, omega):
+        """J at a scalar omega >= 0 or an ndarray, one cutoff_fn call per entry."""
         if np.isscalar(omega):
             return self.gamma * float(omega) * float(self.cutoff_fn(omega / self.omega_c))
         w = np.asarray(omega, dtype=float)
@@ -175,8 +177,6 @@ def renormalization_frequency_sq(sd: SpectralDensityModel, tol: float = QUAD_TOL
     if isinstance(sd, LorentzDrude):
         return sd.gamma * sd.omega_c
     if isinstance(sd, ExponentialCutoff):
-        if sd.s <= 0.0:
-            raise DivergenceError("omega_R^2 diverges for s <= 0")
         return 0.5 * sd.gamma * math.gamma(sd.s) * sd.omega_c
     b = _tail_start(sd)
     try:
@@ -230,13 +230,13 @@ def self_energy_pv(
             # removable point: L'Hopital value (J'(w) w + J(w)) / (2 w)
             h = 1e-6 * w
             return (sd.j(w + h) * (w + h) - sd.j(w - h) * (w - h)) / (2.0 * h) / (2.0 * w)
-        return (float(sd.j(x)) * x - jw) / d
+        return (sd.j(x) * x - jw) / d
 
     b = _tail_start(sd, w)
     pts = sorted({p for p in (0.5 * w, w, 2.0 * w, sd.omega_c, 10.0 * sd.omega_c) if 0.0 < p < b})
     v1, _ = quad(subtracted, 0.0, b, points=pts, limit=400, epsabs=1e-14, epsrel=tol)
     v2, _ = quad(
-        lambda x: float(sd.j(x)) * x / ((x - w) * (x + w)),
+        lambda x: sd.j(x) * x / ((x - w) * (x + w)),
         b,
         np.inf,
         limit=200,
@@ -305,16 +305,18 @@ def make_star(
     )
 
 
-def susceptibility_abs_sq(star: StarSpec, omega: float, tol: float = QUAD_TOL) -> float:
-    """|alpha(omega)|^2 with Re = w0^2 + wR^2 - w^2 - S(w) and Im = -J(w).
+def susceptibility_real(star: StarSpec, omega: float, tol: float = QUAD_TOL) -> float:
+    """Re alpha(omega) = w0^2 + wR^2 - w^2 - S(w); exactly w0^2 at omega = 0."""
+    return star.omega0_sq + star.omega_R_sq - omega * omega - self_energy(star.sd, omega, tol=tol)
 
-    At omega = 0 the renormalization cancels exactly and the value is w0^4.
-    """
+
+def susceptibility_abs_sq(star: StarSpec, omega: float, tol: float = QUAD_TOL) -> float:
+    """|alpha(omega)|^2 = (Re alpha)^2 + J(omega)^2; exactly w0^4 at omega = 0."""
     if omega < 0.0:
         raise ValueError("susceptibility requires omega >= 0")
     if isinstance(star.sd, DiscreteModes):
         raise TypeError("susceptibility_abs_sq needs a continuous spectral density")
-    re = star.omega0_sq + star.omega_R_sq - omega * omega - self_energy(star.sd, omega, tol=tol)
+    re = susceptibility_real(star, omega, tol=tol)
     im = float(star.sd.j(omega))
     return re * re + im * im
 

@@ -192,11 +192,13 @@ class TestMainExitCodes:
 
 
 # Recipe tables committed with the benchmark (perfbench/reference, seed 0).
-# fig5/fig5_desk are left out (they sit ~1e-13 off their tables since the
-# DFT chain reconstruction) and so are fig2a/fig2b (slow).
+# fig5/fig5_desk are left out: they sit ~1e-13 off their tables since the
+# DFT chain reconstruction.  fig2a and fig2b take about 1 s together.
 REFERENCE_RECIPES = {
     name: REPO / "configs" / f"{name}.cfg"
     for name in (
+        "fig2a",
+        "fig2b",
         "fig3a",
         "fig3b",
         "gap_error",

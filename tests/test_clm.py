@@ -6,13 +6,17 @@ Lorentz-Drude form.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from qthermo import (
+    ConvergenceError,
     DivergenceError,
+    IntegrationError,
     LorentzDrude,
     SteadyStateQuery,
     clm_qfi,
@@ -25,6 +29,7 @@ from qthermo import (
     steady_covariances,
     thermal_mode_covariance,
 )
+from qthermo import clm
 from qthermo.cli import parse_config_text, run_experiment
 from qthermo.gaussian import qfi_from_derivatives
 
@@ -220,3 +225,90 @@ class TestCliTable:
             q = SteadyStateQuery(star=star, T=t)
             assert cov == steady_covariances(q)
             assert f == clm_qfi(q)
+
+
+class TestWeightEvaluations:
+    @pytest.mark.parametrize("moments", [steady_covariances, covariance_T_derivatives])
+    def test_one_j_call_per_integrand_node(self, monkeypatch, moments):
+        # the weight J/|alpha|^2 evaluates J once per node; the two extra
+        # calls are the low-frequency slope and the resonance width
+        calls = {"j": 0, "f": 0}
+        real_j = LorentzDrude.j
+        real_integrate = clm._integrate
+
+        def j(self, w):
+            calls["j"] += 1
+            return real_j(self, w)
+
+        def integrate(q, f, *args):
+            # counts quad's nodes and the direct tail probe f(B) alike
+            def counted(w):
+                calls["f"] += 1
+                return f(w)
+
+            return real_integrate(q, counted, *args)
+
+        monkeypatch.setattr(LorentzDrude, "j", j)
+        monkeypatch.setattr(clm, "_integrate", integrate)
+        moments(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
+        assert calls["f"] > 100
+        assert calls["j"] <= calls["f"] + 2
+
+
+class TestMpmathOracle:
+    """fig2a's star against 30-digit mpmath quadrature of the four moments."""
+
+    @staticmethod
+    def moments(T, gamma=0.1, wc=100.0, w0sq=1.0):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            g, c, w0, T = mp.mpf(gamma), mp.mpf(wc), mp.mpf(w0sq), mp.mpf(T)
+
+            def re_alpha(w):
+                return w0 + g * c - w**2 - g * c**3 / (w**2 + c**2)
+
+            def weight(w):
+                jw = 2 * g * w * c**2 / (w**2 + c**2)
+                return jw / (re_alpha(w) ** 2 + jw**2)
+
+            pts = [0, T, 10 * T, mp.findroot(re_alpha, 1), c, mp.inf]
+            kernels = (
+                lambda w: mp.coth(w / (2 * T)),
+                lambda w: w / (2 * T**2) / mp.sinh(w / (2 * T)) ** 2,
+            )
+            return [
+                float(mp.quad(lambda w: w**p * weight(w) * k(w), pts) / mp.pi)
+                for k in kernels
+                for p in (0, 2)
+            ]
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-2])
+    def test_fig2a_moments(self, t):
+        q = SteadyStateQuery(star=fig2_star(1.0), T=t)
+        cov, der = steady_covariances(q), covariance_T_derivatives(q)
+        s11, s22, a1, a2 = self.moments(t)
+        assert cov.s11 == pytest.approx(s11, rel=1e-9)
+        assert cov.s22 == pytest.approx(s22, rel=1e-9)
+        assert der.a1 == pytest.approx(a1, rel=1e-9)
+        assert der.a2 == pytest.approx(a2, rel=1e-9)
+
+
+class TestErrors:
+    def test_non_cauchy_tail_raises_convergence_error(self, monkeypatch):
+        values = iter([1.0, 1.1, 1.3, 2.0])
+        monkeypatch.setattr(clm, "clm_qfi", lambda q: next(values))
+        with pytest.raises(ConvergenceError, match="non-Cauchy"):
+            free_probe_qfi_limit(fig2_star(0.0), 1e-3)
+
+    def test_non_finite_quadrature_raises_integration_error(self, monkeypatch):
+        monkeypatch.setattr(clm, "quad", lambda *args, **kw: (math.nan, 0.0))
+        with pytest.raises(IntegrationError, match="returned nan"):
+            steady_covariances(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
+
+    def test_soft_probe_integration_warning_raises_integration_error(self):
+        # the soft probe at T = 1000 makes quad warn; as an error it surfaces typed
+        q = SteadyStateQuery(star=fig2_star(1e-6), T=1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            with pytest.raises(IntegrationError, match="quadrature failed"):
+                steady_covariances(q)

@@ -15,6 +15,7 @@ from qthermo import (
     CovarianceDerivatives,
     DegenerateStateError,
     InvalidStateError,
+    NumericalDomainError,
     QfiCurve,
     SingleModeCovariance,
     StepTooSmallError,
@@ -114,6 +115,16 @@ class TestUhlmannFidelity:
         eps = 1e-13
         a = SingleModeCovariance(0.5 - eps, 0.5 - eps)
         assert uhlmann_fidelity(a, a) == pytest.approx(1.0, abs=1e-9)
+
+    def test_squeezed_pair_loses_precision(self):
+        # two physical, strongly squeezed states (s12 != 0) for which the
+        # rounding in det(a + b) pushes the formula to F - 1 = 2.5e-9
+        a = SingleModeCovariance(3519.4028807370596, 1370.1174767454834, 2195.9041746833814)
+        b = SingleModeCovariance(3519.402873177902, 1370.117478308571, 2195.9041735775018)
+        a.validate()
+        b.validate()
+        with pytest.raises(NumericalDomainError, match="lost precision"):
+            uhlmann_fidelity(a, b)
 
 
 class TestBuresDistance:

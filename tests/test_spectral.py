@@ -43,6 +43,30 @@ class TestEvaluate:
         slope = (evaluate(sd, h) - evaluate(sd, 0.0)) / h
         assert slope == pytest.approx(math.pi / 2.0, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "sd",
+        [
+            LorentzDrude(gamma=0.1, omega_c=100.0),
+            ExponentialCutoff(gamma=0.2, omega_c=5.0, s=1.0),
+            ExponentialCutoff(gamma=0.2, omega_c=5.0, s=0.5),
+            ExponentialCutoff(gamma=0.2, omega_c=5.0, s=2.3),
+        ],
+        ids=["ld", "exp-s1", "exp-s0.5", "exp-s2.3"],
+    )
+    def test_scalar_and_array_j_agree_bitwise(self, sd):
+        # j is one formula for floats and arrays: a float gives a float (a
+        # NumPy float64 for the exponential cutoff, whose exp is NumPy's)
+        # and an array gives the same bits entry by entry
+        v = sd.j(0.7)
+        if isinstance(sd, LorentzDrude):
+            assert type(v) is float
+        else:
+            assert isinstance(v, float)
+        w = np.concatenate(([0.0], np.geomspace(1e-9, 1e4, 257)))
+        out = sd.j(w)
+        assert isinstance(out, np.ndarray) and out.shape == w.shape
+        assert out.tobytes() == np.array([sd.j(float(x)) for x in w]).tobytes()
+
     def test_generic_ohmic_low_frequency_linearity(self):
         sd = GenericOhmic(gamma=0.3, omega_c=2.0, cutoff_fn=lambda x: 1.0 / (1.0 + x * x))
         for w in (1e-6, 1e-4, 1e-3):
