@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,11 @@ class ChainSpec:
     @property
     def coupling_array(self) -> np.ndarray:
         return np.asarray(self.couplings, dtype=float)
+
+    @cached_property
+    def spectrum(self) -> "ChainSpectrum":
+        """chain_spectrum(self), built once: it does not depend on T."""
+        return chain_spectrum(self)
 
 
 def power_law_chain(N: int, omega_sq: float, G: float = 1.0, t: float = 2.5) -> ChainSpec:
@@ -143,19 +149,17 @@ def gapless_frequency_sq(N: int, couplings) -> float:
     return float(-2.0 * np.sum(g * np.cos(2.0 * np.pi * k * N / (2 * N + 1))))
 
 
-def _node_mode_data(
-    c: ChainSpec, regularize_gapless: bool, gap_floor_scale: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _node_mode_data(c: ChainSpec, regularize_gapless: bool) -> tuple[np.ndarray, np.ndarray]:
     """(frequencies, probe-node weights) with optional zero-mode clamping.
 
     A squared frequency below the cosine-sum rounding scale counts as an
     exact zero mode: coth(0) is singular, so it is either an error or, when
     the caller opts in, clamped up to the gap floor.
     """
-    spec = chain_spectrum(c)
+    spec = c.spectrum
     om = spec.frequencies()
     zero_tol_sq = 1e-12 * max(1.0, spec.max_freq**2)
-    floor = gap_floor_scale * spec.max_freq
+    floor = GAP_FLOOR_SCALE * spec.max_freq
     if float(np.min(spec.array)) < zero_tol_sq:
         if not regularize_gapless:
             raise ZeroModeError(
@@ -169,20 +173,18 @@ def _node_mode_data(
 
 
 def node_moments(
-    c: ChainSpec,
-    temperatures,
-    regularize_gapless: bool = False,
-    gap_floor_scale: float = GAP_FLOOR_SCALE,
+    c: ChainSpec, temperatures, regularize_gapless: bool = False
 ) -> list[tuple[SingleModeCovariance, CovarianceDerivatives]]:
     """Node covariance and its analytic T-derivatives at each temperature.
 
     The spectrum and the probe weights do not depend on T, so they are
-    built once per call; each temperature then costs one O(N) mode sum.
+    built once per chain (ChainSpec.spectrum); each temperature then costs
+    one O(N) mode sum.
     """
     ts = [float(t) for t in temperatures]
     if not all(0.0 < t < math.inf for t in ts):
         raise ValueError("temperature must be positive and finite")
-    om, w = _node_mode_data(c, regularize_gapless, gap_floor_scale)
+    om, w = _node_mode_data(c, regularize_gapless)
     out = []
     for T in ts:
         x = om / (2.0 * T)
@@ -195,33 +197,22 @@ def node_moments(
 
 
 def node_covariances(
-    c: ChainSpec,
-    T: float,
-    regularize_gapless: bool = False,
-    gap_floor_scale: float = GAP_FLOOR_SCALE,
+    c: ChainSpec, T: float, regularize_gapless: bool = False
 ) -> SingleModeCovariance:
     """Reduced covariance of one node of the thermal chain at temperature T."""
-    return node_moments(c, [T], regularize_gapless, gap_floor_scale)[0][0]
+    return node_moments(c, [T], regularize_gapless)[0][0]
 
 
 def node_covariance_derivatives(
-    c: ChainSpec,
-    T: float,
-    regularize_gapless: bool = False,
-    gap_floor_scale: float = GAP_FLOOR_SCALE,
+    c: ChainSpec, T: float, regularize_gapless: bool = False
 ) -> CovarianceDerivatives:
     """Analytic temperature derivatives of the node covariance."""
-    return node_moments(c, [T], regularize_gapless, gap_floor_scale)[0][1]
+    return node_moments(c, [T], regularize_gapless)[0][1]
 
 
-def node_qfi(
-    c: ChainSpec,
-    T: float,
-    regularize_gapless: bool = False,
-    gap_floor_scale: float = GAP_FLOOR_SCALE,
-) -> float:
+def node_qfi(c: ChainSpec, T: float, regularize_gapless: bool = False) -> float:
     """Local thermometric QFI of a single chain node."""
-    return qfi_from_derivatives(*node_moments(c, [T], regularize_gapless, gap_floor_scale)[0])
+    return qfi_from_derivatives(*node_moments(c, [T], regularize_gapless)[0])
 
 
 def gap_error(N: int, s: float, G: float = 1.0) -> float:

@@ -7,8 +7,9 @@ summary holding the fitted scaling laws, warnings, and wall time.  Outputs
 are deterministic for a fixed BLAS thread count (chain-to-star's dense eigh
 rounds per thread count): rows sorted by the sweep variable, floats as repr.
 
-Exit codes: 0 success, 2 config validation, 3 computation, 4 I/O; failures
-emit a machine-readable JSON payload on stderr.
+Exit codes: 0 success, 2 config validation, 3 computation, 4 I/O (the
+config, an input file it names, or an output); failures emit a
+machine-readable JSON payload on stderr.
 """
 
 from __future__ import annotations
@@ -31,17 +32,6 @@ from . import mapping as mapping_mod
 from . import spectral as spectral_mod
 from .errors import ConfigError, QThermoError
 from .gaussian import QFI_COLUMNS, QfiCurve
-
-EXPERIMENTS = (
-    "clm-qfi",
-    "free-probe-limit",
-    "tihc-qfi",
-    "chain-to-star",
-    "star-to-chain",
-    "discretize",
-    "heatcap",
-    "gap-error",
-)
 
 POINTS_PER_DECADE = 40
 
@@ -236,16 +226,18 @@ def _run_tihc_qfi(cfg: _Config) -> ExperimentResult:
     fit_kind = cfg.str_("fit", "none")
     window = _fit_window(cfg, ts)
     cfg.reject_unknown()
+    fits = {
+        "none": None,
+        "power_law": fits_mod.fit_power_law,
+        "exponential_gap": fits_mod.fit_exponential_gap,
+    }
+    if fit_kind not in fits:
+        raise ConfigError(f"unknown fit kind {fit_kind!r}; choose from {tuple(fits)}")
+    fit = fits[fit_kind]
     moments = chain_mod.node_moments(chain, ts, regularize_gapless=regularize)
     curve = QfiCurve.from_moments(ts, moments)
-    fit_list = []
-    if fit_kind == "power_law":
-        fit_list = [fits_mod.fit_power_law(curve, window)]
-    elif fit_kind == "exponential_gap":
-        fit_list = [fits_mod.fit_exponential_gap(curve, window)]
-    elif fit_kind != "none":
-        raise ConfigError(f"unknown fit kind {fit_kind!r}")
-    extra = {"omega_sq": chain.omega_sq, "gap": chain_mod.chain_spectrum(chain).gap}
+    fit_list = [fit(curve, window)] if fit else []
+    extra = {"omega_sq": chain.omega_sq, "gap": chain.spectrum.gap}
     return QFI_COLUMNS, curve.rows(), fit_list, [], extra
 
 
@@ -289,8 +281,7 @@ def _run_star_to_chain(cfg: _Config) -> ExperimentResult:
     if fit_hi > fit_lo > 0:
         n_idx = np.arange(1, rec.chain.N + 1, dtype=float)
         g = rec.chain.coupling_array
-        mask = (n_idx >= fit_lo) & (n_idx <= fit_hi) & (g > 0.0)
-        fit_list = [fits_mod.loglog_fit(n_idx[mask], g[mask], window=(fit_lo, fit_hi))]
+        fit_list = [fits_mod.loglog_fit(n_idx[g > 0.0], g[g > 0.0], window=(fit_lo, fit_hi))]
     extra = {
         "omega_sq": rec.chain.omega_sq,
         "Omega": float(np.sqrt(rec.chain.omega_sq)),
@@ -325,12 +316,11 @@ def _run_heatcap(cfg: _Config) -> ExperimentResult:
     rows: Rows = []
     for t in ts:
         c_exact = heatcap_mod.ising_heat_capacity(spec, float(t), "exact")
-        bd = spec.gap / t
-        if bd >= 5.0:
+        try:  # the asymptotic form refuses beta*Delta < 5 and criticality
             c_asym = heatcap_mod.ising_heat_capacity(spec, float(t), "asymptotic")
-            ratio = c_exact / c_asym if c_asym > 0 else np.nan
-        else:
-            c_asym, ratio = np.nan, np.nan
+        except ValueError:
+            c_asym = np.nan
+        ratio = c_exact / c_asym if c_asym > 0 else np.nan
         rows.append([float(t), 1.0 / t, c_exact, float(c_asym), float(ratio)])
     extra = {"gap": spec.gap}
     return ["T", "beta", "C_exact", "C_asymptotic", "ratio"], rows, [], [], extra
@@ -356,6 +346,7 @@ _RUNNERS: dict[str, Callable[[_Config], ExperimentResult]] = {
     "heatcap": _run_heatcap,
     "gap-error": _run_gap_error,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def _write_outputs(
@@ -410,15 +401,8 @@ def run_experiment(
         "wall_time_s": wall,
         **extra,
     }
-    try:
-        _write_outputs(out_path, fmt, columns, rows, summary)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
+    _write_outputs(out_path, fmt, columns, rows, summary)
     return summary
-
-
-class _IOFailure(Exception):
-    pass
 
 
 def _fail(exit_code: int, error: str, message: str) -> int:
@@ -441,11 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        return _fail(4, "io-error", f"cannot read config: {exc}")
-    try:
-        cfg = parse_config_text(text)
+        cfg = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
         if cfg["experiment"] != args.experiment:
             raise ConfigError(
                 f"config declares experiment {cfg['experiment']!r}, "
@@ -454,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         run_experiment(cfg, out=args.out, fmt=args.format, tol=args.tol, slow_ok=args.slow)
     except ConfigError as exc:
         return _fail(2, "config-error", str(exc))
-    except _IOFailure as exc:
+    except OSError as exc:
         return _fail(4, "io-error", str(exc))
     except (QThermoError, ValueError, ArithmeticError) as exc:
         return _fail(3, "computation-error", f"{type(exc).__name__}: {exc}")

@@ -24,6 +24,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DivergenceError, IntegrationError
+from .fits import _linear_fit
 from .gaussian import (
     CovarianceDerivatives,
     QfiCurve,
@@ -222,6 +223,5 @@ def free_probe_qfi_limit(
         )
     wm3 = np.array([s[0] for s in samples[-3:]])
     f3 = np.array([s[1] for s in samples[-3:]])
-    design = np.vstack([wm3, np.ones_like(wm3)]).T
-    (_, intercept), *_ = np.linalg.lstsq(design, f3, rcond=None)
-    return float(intercept), samples
+    _, intercept, _ = _linear_fit(wm3, f3)
+    return intercept, samples

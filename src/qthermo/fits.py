@@ -42,14 +42,18 @@ class ScalingFit:
             raise FitError(f"r_squared {self.r_squared!r} outside [0, 1]")
 
 
+def _r_squared(y: np.ndarray, resid: np.ndarray) -> float:
+    """Coefficient of determination of a least-squares fit, clipped to [0, 1]."""
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    return min(max(r2, 0.0), 1.0)
+
+
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares slope, intercept, r^2."""
     design = np.vstack([x, np.ones_like(x)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return float(slope), float(intercept), min(max(r2, 0.0), 1.0)
+    return float(slope), float(intercept), _r_squared(y, y - (slope * x + intercept))
 
 
 def _select_window(

@@ -75,11 +75,11 @@ class SingleModeCovariance:
     def det(self) -> float:
         return self.s11 * self.s22 - self.s12 * self.s12
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return self.s11 > 0.0 and self.s22 > 0.0 and self.det() >= 0.25 - tol
+    def is_physical(self) -> bool:
+        return self.s11 > 0.0 and self.s22 > 0.0 and self.det() >= 0.25 - PHYSICALITY_TOL
 
-    def validate(self, tol: float = PHYSICALITY_TOL) -> "SingleModeCovariance":
-        if not self.is_physical(tol):
+    def validate(self) -> "SingleModeCovariance":
+        if not self.is_physical():
             raise InvalidStateError(
                 f"covariance violates uncertainty relation: "
                 f"s11={self.s11!r} s22={self.s22!r} s12={self.s12!r} "

@@ -14,6 +14,7 @@ by the gap-mode value, giving C_N <= N C(Delta, T).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -64,6 +65,13 @@ class IsingSpec:
     @property
     def gap(self) -> float:
         return 2.0 * abs(self.h - self.J)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Read-only ising_spectrum(self), built once: it does not depend on T."""
+        eps = ising_spectrum(self)
+        eps.flags.writeable = False
+        return eps
 
 
 def _mode_c_array(statistics: Statistics, eps: np.ndarray, T: float) -> np.ndarray:
@@ -135,7 +143,7 @@ def ising_heat_capacity(
     if T <= 0.0:
         raise ValueError("temperature must be positive")
     if mode == "exact":
-        return float(np.sum(_mode_c_array("qubit", ising_spectrum(spec), T)))
+        return float(np.sum(_mode_c_array("qubit", spec.spectrum, T)))
     if mode != "asymptotic":
         raise ValueError(f"unknown mode {mode!r}")
     delta = spec.gap

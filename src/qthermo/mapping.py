@@ -20,7 +20,7 @@ from scipy.linalg import eigh
 
 from .chain import ChainSpec, chain_spectrum, gapless_frequency_sq, power_law_chain
 from .errors import ModeMatchingError
-from .fits import ScalingFit
+from .fits import ScalingFit, _r_squared
 from .spectral import DiscreteModes, StarSpec
 
 # Eigenvalue clusters narrower than this relative width are treated as
@@ -30,6 +30,10 @@ DEGENERACY_REL_WIDTH = 1e-8
 
 # Couplings below this fraction of the largest one count as decoupled.
 DECOUPLED_REL_THRESHOLD = 1e-10
+
+# Star-mode indices n (ascending frequency) at which star_coupling_scaling
+# fits g_n ~ n N^(-3/2).
+COUPLING_FIT_INDICES = (3, 5, 8)
 
 
 @dataclass(frozen=True)
@@ -221,13 +225,14 @@ def _fix_sign(row: np.ndarray) -> np.ndarray:
     return -row if row[k] < 0.0 else row
 
 
-def probe_delocalization(star: StarSpec, match_tol: float = 1e-6) -> DelocalizationProfile:
+def probe_delocalization(star: StarSpec) -> DelocalizationProfile:
     """Coefficients of the probe position over the matching chain's nodes.
 
     Diagonalizes the star once, builds the chain with star_to_chain of its
-    normal modes, pairs the chain's non-repeated modes with them by
-    frequency (to match_tol of the largest mode), and reads the probe row of (O_star^T oplus 1_N) O_chain.
-    The sum of squared coefficients is exactly 1 (orthogonal factors).
+    normal modes, checks that the chain's non-repeated modes reproduce them
+    to 1e-6 of the largest mode (ModeMatchingError otherwise), and reads
+    the probe row of (O_star^T oplus 1_N) O_chain.  The sum of squared
+    coefficients is exactly 1 (orthogonal factors).
     """
     vals, vecs = eigh(_star_potential(star))
     ev = _descending_modes(vals)
@@ -238,7 +243,7 @@ def probe_delocalization(star: StarSpec, match_tol: float = 1e-6) -> Delocalizat
     # chain_spectrum index a carries ev[a] by construction of star_to_chain;
     # the DFT round trip rounds at the scale of the largest mode, so a
     # nearly free probe's tiny lowest mode is matched on that scale too
-    mismatch = np.abs(spec - ev) > match_tol * float(np.max(ev))
+    mismatch = np.abs(spec - ev) > 1e-6 * float(np.max(ev))
     if np.any(mismatch):
         bad = int(np.argmax(mismatch))
         raise ModeMatchingError(
@@ -262,27 +267,22 @@ def probe_delocalization(star: StarSpec, match_tol: float = 1e-6) -> Delocalizat
     return DelocalizationProfile(coefficients=tuple(float(x) for x in d))
 
 
-def star_coupling_scaling(
-    s: float,
-    N_list,
-    G: float = 1.0,
-    fixed_n: tuple[int, ...] = (3, 5, 8),
-) -> tuple[ScalingFit, ScalingFit]:
+def star_coupling_scaling(s: float, N_list) -> tuple[ScalingFit, ScalingFit]:
     """Scaling g_n ~ n N^(-3/2) of star couplings for gapless power-law chains.
 
-    Runs chain_to_star on gapless chains G_n = G/n^s for each size in
-    N_list, then fits ln g = c + p ln n + q ln N jointly over n in fixed_n
-    (the N-exponent is taken at fixed absolute index n).  Returns the pair
-    of ScalingFits (in n, in N).
+    Runs chain_to_star on gapless chains G_n = 1/n^s for each size in
+    N_list, then fits ln g = c + p ln n + q ln N jointly over the mode
+    indices n in COUPLING_FIT_INDICES (the N-exponent is taken at fixed
+    absolute index n).  Returns the pair of ScalingFits (in n, in N).
     """
     sizes = sorted(int(x) for x in N_list)
     if len(sizes) < 2:
         raise ValueError("need at least two chain sizes")
-    if max(fixed_n) >= min(sizes):
-        raise ValueError("fixed_n indices must be below the smallest chain size")
+    if max(COUPLING_FIT_INDICES) >= min(sizes):
+        raise ValueError(f"mode indices {COUPLING_FIT_INDICES} must lie below the smallest size")
     rows = []
     for size in sizes:
-        chain = power_law_chain(size, 0.0, G=G, t=s)
+        chain = power_law_chain(size, 0.0, t=s)
         chain = ChainSpec(
             N=size,
             omega_sq=gapless_frequency_sq(size, chain.couplings),
@@ -290,22 +290,19 @@ def star_coupling_scaling(
         )
         star = chain_to_star(chain)
         gs = star.g_array  # ascending frequency order
-        for n in fixed_n:
+        for n in COUPLING_FIT_INDICES:
             rows.append((float(n), float(size), float(gs[n - 1])))
     pts = np.array(rows)
     design = np.column_stack([np.log(pts[:, 0]), np.log(pts[:, 1]), np.ones(len(pts))])
     target = np.log(pts[:, 2])
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    resid = target - design @ coef
-    ss_tot = float(np.sum((target - target.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    r2 = min(max(r2, 0.0), 1.0)
+    r2 = _r_squared(target, target - design @ coef)
     n_fit = ScalingFit(
         kind="power_law",
         exponent_or_gap=float(coef[0]),
         prefactor=float(np.exp(coef[2])),
         r_squared=r2,
-        window=(float(min(fixed_n)), float(max(fixed_n))),
+        window=(float(min(COUPLING_FIT_INDICES)), float(max(COUPLING_FIT_INDICES))),
         n_points=len(rows),
     )
     size_fit = ScalingFit(

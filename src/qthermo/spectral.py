@@ -293,16 +293,9 @@ class StarSpec:
                 )
 
 
-def make_star(
-    sd: SpectralDensityModel, omega0_sq: float, warnings: tuple[str, ...] = ()
-) -> StarSpec:
+def make_star(sd: SpectralDensityModel, omega0_sq: float) -> StarSpec:
     """Build a StarSpec with omega_R^2 computed from the spectral density."""
-    return StarSpec(
-        omega0_sq=omega0_sq,
-        omega_R_sq=renormalization_frequency_sq(sd),
-        sd=sd,
-        warnings=warnings,
-    )
+    return StarSpec(omega0_sq=omega0_sq, omega_R_sq=renormalization_frequency_sq(sd), sd=sd)
 
 
 def susceptibility_real(star: StarSpec, omega: float, tol: float = QUAD_TOL) -> float:
@@ -326,7 +319,6 @@ def discretize_clm(
     n_modes: int,
     omega_max: float,
     omega0_sq: float = 0.0,
-    tol: float = QUAD_TOL,
 ) -> StarSpec:
     """Discretize a continuous reservoir into n_modes uniform modes.
 
@@ -348,7 +340,7 @@ def discretize_clm(
         bin_int = sd.gamma * wc2 * np.log((hi * hi + wc2) / (lo * lo + wc2))
     else:
         bin_int = np.array(
-            [quad(sd.j, l, h, limit=100, epsabs=1e-14, epsrel=tol)[0] for l, h in zip(lo, hi)]
+            [quad(sd.j, l, h, limit=100, epsabs=1e-14, epsrel=QUAD_TOL)[0] for l, h in zip(lo, hi)]
         )
     g2 = wn / np.pi * bin_int
     modes = DiscreteModes(tuple(wn), tuple(np.sqrt(g2)))

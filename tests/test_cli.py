@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qthermo
@@ -56,6 +57,13 @@ class TestConfigParser:
         cfg = parse_config_text(CLM_CFG + "\nmystery_key = 3\n")
         with pytest.raises(ConfigError):
             run_experiment(cfg, out=str(tmp_path / "x.csv"))
+
+
+def _record_calls(monkeypatch, module, name: str) -> list:
+    """Patch module.name to record each call's argument; returns the record."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda arg: calls.append(arg) or fn(arg))
+    return calls
 
 
 class TestRunExperiment:
@@ -144,6 +152,46 @@ class TestRunExperiment:
         summary = run_experiment(cfg, out=str(tmp_path / "tihc_csv.csv"))
         assert summary["gap"] == pytest.approx(0.3, rel=1e-6)
 
+    def test_unknown_tihc_fit_fails_before_the_sweep(self, tmp_path, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the fit kind was checked")
+
+        monkeypatch.setattr(qthermo.chain, "node_moments", sweep)
+        cfg = parse_config_text(
+            "experiment = tihc-qfi\nN = 12\ngap = 0.3\nT_min = 0.05\nT_max = 0.2\n"
+            "points = 4\nfit = bogus"
+        )
+        with pytest.raises(ConfigError, match="bogus"):
+            run_experiment(cfg, out=str(tmp_path / "never.csv"))
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_tihc_builds_the_chain_spectrum_once(self, tmp_path, monkeypatch):
+        builds = _record_calls(monkeypatch, qthermo.chain, "chain_spectrum")
+        cfg = parse_config_text(
+            "experiment = tihc-qfi\nN = 40\ngap = 0.5\nT_min = 0.05\nT_max = 0.2\n"
+            "points = 5\nfit = exponential_gap"
+        )
+        summary = run_experiment(cfg, out=str(tmp_path / "tihc.csv"))
+        assert len(builds) == 1
+        assert summary["gap"] == pytest.approx(0.5, rel=1e-6)
+
+    def test_heatcap_builds_the_spectrum_once_and_gates_the_asymptotic_form(
+        self, tmp_path, monkeypatch
+    ):
+        builds = _record_calls(monkeypatch, qthermo.heatcap, "ising_spectrum")
+        # gap = 1: T in [0.04, 0.5] spans beta*Delta from 25 down to 2
+        cfg = parse_config_text(
+            "experiment = heatcap\nJ = 0.5\nh = 1.0\nN = 1000\n"
+            "T_min = 0.04\nT_max = 0.5\npoints = 6"
+        )
+        out = tmp_path / "ising.csv"
+        run_experiment(cfg, out=str(out))
+        assert len(builds) == 1
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        gated = rows[:, 1] < 5.0  # beta * Delta with Delta = 1
+        assert gated.any() and not gated.all()
+        assert np.all(np.isnan(rows[gated, 3:])) and np.all(np.isfinite(rows[~gated, 2:]))
+
     def test_slow_gating(self, tmp_path):
         cfg = parse_config_text(CLM_CFG + "\nrequires_slow = true\n")
         with pytest.raises(ConfigError):
@@ -188,6 +236,31 @@ class TestMainExitCodes:
 
     def test_missing_config_is_4(self, tmp_path):
         assert main(["clm-qfi", "--config", str(tmp_path / "missing.cfg")]) == 4
+
+    @pytest.mark.parametrize(
+        "key, cfg_text",
+        [
+            (
+                "couplings_csv",
+                "experiment = tihc-qfi\nN = 12\ncoupling_family = csv\n"
+                "gap = 0.3\nT_min = 0.05\nT_max = 0.2\npoints = 4\n",
+            ),
+            ("modes_csv", "experiment = star-to-chain\nomega0_sq = 0.04\n"),
+        ],
+        ids=["couplings_csv", "modes_csv"],
+    )
+    def test_missing_input_csv_is_4(self, tmp_path, capsys, key, cfg_text):
+        missing = tmp_path / "missing.csv"
+        cfg_path = tmp_path / "input.cfg"
+        cfg_path.write_text(cfg_text + f"{key} = {missing}\n")
+        out = tmp_path / "never.csv"
+        experiment = parse_config_text(cfg_text)["experiment"]
+        code = main([experiment, "--config", str(cfg_path), "--out", str(out)])
+        assert code == 4
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "io-error" and payload["exit_code"] == 4
+        assert str(missing) in payload["message"]
+        assert not out.exists() and not out.with_suffix(".summary.json").exists()
 
 
 

@@ -132,6 +132,13 @@ class TestIsingSpectrum:
         eps = ising_spectrum(IsingSpec(J=1.0, h=1.0, N=10**4))
         assert eps.min() == pytest.approx(0.0, abs=1e-12)
 
+    def test_spec_keeps_one_read_only_spectrum(self):
+        spec = IsingSpec(J=0.5, h=1.0, N=100)
+        assert spec.spectrum is spec.spectrum
+        assert np.array_equal(spec.spectrum, ising_spectrum(spec))
+        with pytest.raises(ValueError):
+            spec.spectrum[0] = 0.0
+
 
 class TestIsingHeatCapacity:
     def test_exact_vs_asymptotic_at_bd_20(self):
