@@ -3,9 +3,10 @@
 Configs are flat key = value text files with an `experiment` discriminator;
 see configs/ in the repository for the figure-reproduction recipes.  Every
 run writes a data table (CSV by default, JSON on request) plus a JSON
-summary holding the fitted scaling laws, warnings, and wall time.  Outputs
-are deterministic for a fixed BLAS thread count (chain-to-star's dense eigh
-rounds per thread count): rows sorted by the sweep variable, floats as repr.
+summary holding the fitted scaling laws, warnings, wall time, and the
+versions behind the run.  Outputs are deterministic for a fixed BLAS thread
+count (chain-to-star's dense eigh rounds per thread count): rows sorted by
+the sweep variable, floats as repr.
 
 Exit codes: 0 success, 2 config validation, 3 computation, 4 I/O (the
 config, an input file it names, or an output); failures emit a
@@ -24,6 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import __version__
 from . import chain as chain_mod
 from . import clm as clm_mod
 from . import fits as fits_mod
@@ -369,6 +371,18 @@ def _write_outputs(
     summary_path.write_text(json.dumps(summary, indent=1, default=str) + "\n", encoding="utf-8")
 
 
+def _environment() -> dict[str, str | None]:
+    """Versions behind a run, read without importing anything; scipy is
+    None unless this process has loaded it (chain experiments never do)."""
+    scipy = sys.modules.get("scipy")
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "qthermo": __version__,
+        "scipy": scipy.__version__ if scipy is not None else None,
+    }
+
+
 def run_experiment(
     raw_cfg: dict[str, str],
     out: str | None = None,
@@ -400,6 +414,7 @@ def run_experiment(
         "warnings": list(warnings),
         "wall_time_s": wall,
         **extra,
+        "env": _environment(),
     }
     _write_outputs(out_path, fmt, columns, rows, summary)
     return summary
@@ -425,7 +440,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not UTF-8 text: {exc}") from exc
+        cfg = parse_config_text(text)
         if cfg["experiment"] != args.experiment:
             raise ConfigError(
                 f"config declares experiment {cfg['experiment']!r}, "

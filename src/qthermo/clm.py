@@ -20,8 +20,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DivergenceError, IntegrationError
 from .fits import _linear_fit
@@ -35,6 +33,20 @@ from .gaussian import (
     qfi_from_fidelity,
 )
 from .spectral import StarSpec, low_frequency_slope, susceptibility_real
+
+
+def quad(*args, **kwargs):
+    """scipy's quad, imported on first call: scipy takes ~0.5 s to import."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """scipy's brentq, imported on first call: scipy takes ~0.5 s to import."""
+    from scipy.optimize import brentq
+
+    return brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)

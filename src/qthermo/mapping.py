@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .chain import ChainSpec, chain_spectrum, gapless_frequency_sq, power_law_chain
 from .errors import ModeMatchingError
@@ -34,6 +33,13 @@ DECOUPLED_REL_THRESHOLD = 1e-10
 # Star-mode indices n (ascending frequency) at which star_coupling_scaling
 # fits g_n ~ n N^(-3/2).
 COUPLING_FIT_INDICES = (3, 5, 8)
+
+
+def eigh(*args, **kwargs):
+    """scipy's eigh, imported on first call: scipy takes ~0.5 s to import."""
+    from scipy.linalg import eigh
+
+    return eigh(*args, **kwargs)
 
 
 @dataclass(frozen=True)

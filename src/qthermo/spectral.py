@@ -19,12 +19,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DivergenceError, IntegrationError, PoleError, SupportError
 
 # Default relative tolerance for all adaptive quadrature in this module.
 QUAD_TOL = 1e-9
+
+
+def quad(*args, **kwargs):
+    """scipy's quad, imported on first call: scipy takes ~0.5 s to import."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,14 @@ class TestMainExitCodes:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "computation-error"
 
+    def test_non_utf8_config_is_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "latin1.cfg"
+        cfg_path.write_bytes(b"experiment = heatcap\nJ = 0.5\xff\n")
+        assert main(["heatcap", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "config-error"
+        assert str(cfg_path) in payload["message"]
+
     def test_missing_config_is_4(self, tmp_path):
         assert main(["clm-qfi", "--config", str(tmp_path / "missing.cfg")]) == 4
 

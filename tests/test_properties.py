@@ -1,0 +1,81 @@
+"""Property-based checks of the chain and star mappings and the node state.
+
+Examples are derandomized, so every run draws the same ones.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qthermo import (
+    ChainSpec,
+    DiscreteModes,
+    StarSpec,
+    clm_normal_modes,
+    gapless_frequency_sq,
+    node_covariances,
+    power_law_chain,
+    star_to_chain,
+)
+from qthermo.gaussian import PHYSICALITY_TOL
+
+FIXED = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+@st.composite
+def physical_chains(draw, max_half=300):
+    """Gapped power-law chains G_n = G/n^t: non-negative couplings, and a
+    spectrum that falls strictly with the mode index for t >= 1."""
+    n = draw(st.integers(1, max_half))
+    t = draw(st.floats(1.0, 5.0))
+    g = draw(st.floats(0.1, 10.0))
+    gap = draw(st.floats(1e-3, 3.0))
+    base = power_law_chain(n, 0.0, G=g, t=t)
+    return ChainSpec(n, gapless_frequency_sq(n, base.couplings) + gap * gap, base.couplings)
+
+
+@FIXED
+@given(physical_chains())
+def test_star_to_chain_round_trips_the_couplings(chain):
+    spec = chain.spectrum.array
+    assert np.all(np.diff(spec) < 0.0)
+    rec = star_to_chain(spec)
+    scale = float(np.max(spec))
+    assert rec.physical
+    assert rec.chain.N == chain.N
+    assert abs(rec.chain.omega_sq - chain.omega_sq) <= 1e-13 * scale
+    assert np.max(np.abs(rec.chain.coupling_array - chain.coupling_array)) <= 1e-13 * scale
+
+
+@st.composite
+def discrete_stars(draw):
+    n = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    w = np.cumsum(gaps)
+    g = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    omega0_sq = draw(st.floats(0.01, 10.0))
+    return StarSpec(
+        omega0_sq=omega0_sq,
+        omega_R_sq=float(np.sum(g**2 / w**2)),
+        sd=DiscreteModes(tuple(w), tuple(g)),
+    )
+
+
+@FIXED
+@given(discrete_stars())
+def test_star_normal_modes_strictly_interlace_the_reservoir(star):
+    ev = np.sort(clm_normal_modes(star))
+    bath = star.sd.omega_array**2
+    assert ev.size == bath.size + 1
+    assert np.all(ev[:-1] < bath) and np.all(bath < ev[1:])
+
+
+@FIXED
+@given(
+    physical_chains(max_half=400),
+    st.lists(st.floats(-4.0, 2.0), min_size=1, max_size=5),
+)
+def test_node_covariances_satisfy_the_uncertainty_bound(chain, log10_temperatures):
+    for log10_t in log10_temperatures:
+        cov = node_covariances(chain, 10.0**log10_t)
+        assert cov.det() >= 0.25 - PHYSICALITY_TOL

@@ -1,0 +1,65 @@
+"""scipy stays off the import path: only routines that call it load it.
+
+Each test runs in a fresh interpreter, because this one has already
+imported scipy (the other test modules use it as an oracle).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qthermo
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Prints the loaded scipy modules and, given a config file and an output
+# path, the env record of the summary run_experiment returns.
+_PROBE = """
+import json, sys
+import qthermo, qthermo.cli
+env = None
+if len(sys.argv) > 1:
+    with open(sys.argv[1], encoding="utf-8") as fh:
+        cfg = qthermo.cli.parse_config_text(fh.read())
+    env = qthermo.cli.run_experiment(cfg, out=sys.argv[2])["env"]
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.startswith("scipy")), "env": env}))
+"""
+
+
+def probe(*args: str) -> dict:
+    env = dict(os.environ)
+    src = str(Path(qthermo.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_scipy():
+    assert probe()["scipy"] == []
+
+
+# fig3a is tihc-qfi; discretize_residual has a Lorentz-Drude reservoir,
+# whose bins have a closed form.
+@pytest.mark.parametrize("recipe", ["fig3a", "gap_error", "heatcap_ising", "discretize_residual"])
+def test_chain_experiments_load_no_scipy(tmp_path, recipe):
+    result = probe(str(REPO / "configs" / f"{recipe}.cfg"), str(tmp_path / "out.csv"))
+    assert result["scipy"] == []
+    assert result["env"]["scipy"] is None
+    assert result["env"]["qthermo"] == qthermo.__version__
+
+
+def test_brownian_probe_loads_scipy(tmp_path):
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(
+        "experiment = clm-qfi\nfamily = lorentz_drude\ngamma = 0.1\nomega_c = 100\n"
+        "omega0_sq = 1.0\nT_min = 1e-3\nT_max = 1e-2\npoints = 2\n"
+    )
+    result = probe(str(cfg), str(tmp_path / "out.csv"))
+    assert "scipy" in result["scipy"]
+    assert isinstance(result["env"]["scipy"], str) and result["env"]["scipy"]
