@@ -5,8 +5,9 @@ see configs/ in the repository for the figure-reproduction recipes.  Every
 run writes a data table (CSV by default, JSON on request) plus a JSON
 summary holding the fitted scaling laws, warnings, wall time, and the
 versions behind the run.  Outputs are deterministic for a fixed BLAS thread
-count (chain-to-star's dense eigh rounds per thread count): rows sorted by
-the sweep variable, floats as repr.
+count (chain-to-star's dense eigh rounds per thread count; star-to-chain
+tables are the same for any count): rows sorted by the sweep variable,
+floats as repr.
 
 Exit codes: 0 success, 2 config validation, 3 computation, 4 I/O (the
 config, an input file it names, or an output); failures emit a
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -127,8 +129,8 @@ class _Config:
 def _temperature_grid(cfg: _Config) -> np.ndarray:
     t_min = cfg.float_("T_min", _REQUIRED)
     t_max = cfg.float_("T_max", _REQUIRED)
-    if not 0.0 < t_min < t_max:
-        raise ConfigError("need 0 < T_min < T_max")
+    if not 0.0 < t_min < t_max < math.inf:
+        raise ConfigError("need 0 < T_min < T_max, with T_max finite")
     decades = np.log10(t_max / t_min)
     default_points = max(4, int(round(POINTS_PER_DECADE * decades)))
     points = cfg.int_("points", default_points)

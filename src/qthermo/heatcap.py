@@ -13,6 +13,7 @@ by the gap-mode value, giving C_N <= N C(Delta, T).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -74,6 +75,11 @@ class IsingSpec:
         return eps
 
 
+def _check_temperature(T: float) -> None:
+    if not 0.0 < T < math.inf:
+        raise ValueError("temperature must be positive and finite")
+
+
 def _mode_c_array(statistics: Statistics, eps: np.ndarray, T: float) -> np.ndarray:
     x = eps / T
     out = np.zeros_like(x)
@@ -86,15 +92,15 @@ def _mode_c_array(statistics: Statistics, eps: np.ndarray, T: float) -> np.ndarr
 
 def mode_heat_capacity(statistics: Statistics, epsilon: float, T: float) -> float:
     """Heat capacity of a single thermal mode of energy epsilon."""
-    if epsilon <= 0.0 or T <= 0.0:
-        raise ValueError("mode_heat_capacity requires epsilon > 0 and T > 0")
+    if epsilon <= 0.0:
+        raise ValueError("mode_heat_capacity requires epsilon > 0")
+    _check_temperature(T)
     return float(_mode_c_array(statistics, np.array([epsilon]), T)[0])
 
 
 def lattice_heat_capacity(m: ModeSystem, T: float) -> float:
     """Total heat capacity: the modes are independent, so capacities add."""
-    if T <= 0.0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(T)
     return float(np.sum(_mode_c_array(m.statistics, m.energy_array, T)))
 
 
@@ -108,8 +114,7 @@ def low_temperature_bound(m: ModeSystem, T: float) -> float:
 
 def mean_thermal_energy(m: ModeSystem, T: float) -> float:
     """Thermal expectation sum_n eps_n nbar(eps_n) (zero-point part dropped)."""
-    if T <= 0.0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(T)
     x = m.energy_array / T
     occ = np.zeros_like(x)
     ok = x < _EXP_FLOOR
@@ -140,8 +145,7 @@ def ising_heat_capacity(
     valid only for N >> 1 and beta Delta >> 1 (enforced: beta Delta >= 5
     and a finite gap).
     """
-    if T <= 0.0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(T)
     if mode == "exact":
         return float(np.sum(_mode_c_array("qubit", spec.spectrum, T)))
     if mode != "asymptotic":

@@ -9,6 +9,13 @@ star -> chain: the non-repeated chain frequencies are the cosine half of
 the discrete Fourier transform of the circulant's first row
 (Om^2, G_1, .., G_N, G_N, .., G_1), so a chain matching a given
 (discretized) star is one inverse real DFT of its normal-mode spectrum.
+That spectrum comes from the star's arrowhead potential V = M M^T, whose
+eigenvalues are the squared singular values of the upper-arrow matrix M:
+the secular equation of D^2 + z z^T, solved root by root with LAPACK's
+dlasd4 after setting aside the exact roots of components with z = 0.
+That costs O(N^2) time and O(N) memory, uses no BLAS, and so gives the
+same bits for any BLAS thread count; chain -> star and
+probe_delocalization still use a dense eigh.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, chain_spectrum, gapless_frequency_sq, power_law_chain
-from .errors import ModeMatchingError
+from .errors import ConvergenceError, ModeMatchingError
 from .fits import ScalingFit, _r_squared
 from .spectral import DiscreteModes, StarSpec
 
@@ -40,6 +47,16 @@ def eigh(*args, **kwargs):
     from scipy.linalg import eigh
 
     return eigh(*args, **kwargs)
+
+
+def dlasd4(*args, **kwargs):
+    """LAPACK's dlasd4 secular-equation root, from scipy on first call.
+
+    Returns (delta, sigma, work, info); the root index is 0-based.
+    """
+    from scipy.linalg.lapack import dlasd4
+
+    return dlasd4(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -194,36 +211,54 @@ def star_to_chain(normal_freqs_sq) -> ChainReconstruction:
     return ChainReconstruction(chain=chain, physical=physical)
 
 
+def _discrete_modes(star: StarSpec) -> DiscreteModes:
+    if not isinstance(star.sd, DiscreteModes):
+        raise TypeError("the star must have discrete modes")
+    return star.sd
+
+
 def _star_potential(star: StarSpec) -> np.ndarray:
     """Bordered (arrowhead) potential matrix of the discrete star.
 
     Diagonal w0^2 + wR^2 and w_n^2, border row/column g_n.
     """
-    if not isinstance(star.sd, DiscreteModes):
-        raise TypeError("the star must have discrete modes")
-    w = star.sd.omega_array
-    g = star.sd.g_array
+    sd = _discrete_modes(star)
+    w = sd.omega_array
+    g = sd.g_array
     v = np.diag(np.concatenate(([star.omega0_sq + star.omega_R_sq], w * w)))
     v[1:, 0] = g
     v[0, 1:] = g
     return v
 
 
-def _descending_modes(vals: np.ndarray) -> np.ndarray:
-    """Ascending star eigenvalues, checked PSD, as non-negative descending modes."""
-    if vals[0] < -1e-12 * max(abs(vals[-1]), 1.0):
-        raise ValueError(f"star potential not positive semidefinite: {vals[0]!r}")
-    return np.clip(vals, 0.0, None)[::-1]
-
-
 def clm_normal_modes(star: StarSpec) -> np.ndarray:
     """Squared normal-mode frequencies of the (N+1)-particle discrete star.
 
-    Diagonalizes the bordered potential matrix; returns them in descending
-    order.  The output strictly interlaces the reservoir frequencies.
+    The arrowhead potential V equals M M^T for the upper-arrow matrix
+    M = [[w0, g_1/w_1, .., g_N/w_N], [0, diag(w)]]: its corner is
+    w0^2 + sum g^2/w^2, the wR^2 StarSpec holds to 1e-10.  So V has the
+    eigenvalues of M^T M = D^2 + z z^T with d = (0, w_1, .., w_N) and
+    z = (w0, g/w).  Components with z_j = 0 (w0^2 = 0, or a decoupled
+    mode) are exact eigenvalues d_j^2 and are set aside; dlasd4 solves the
+    secular equation of the rest one root at a time, each to a relative
+    error of O(N eps).  O(N^2) time and O(N) memory, no BLAS.  Returned in
+    descending order; the output strictly interlaces the coupled reservoir
+    frequencies.  ConvergenceError names a root dlasd4 could not find.
     """
-    vals = eigh(_star_potential(star), eigvals_only=True)
-    return _descending_modes(vals)
+    sd = _discrete_modes(star)
+    w = sd.omega_array
+    d = np.concatenate(([0.0], w))
+    z = np.concatenate(([np.sqrt(star.omega0_sq)], sd.g_array / w))
+    live = z != 0.0
+    d_live = d[live]
+    rho = float(np.sum(z[live] ** 2))
+    u = z[live] / np.sqrt(rho)
+    sigma = np.empty(d_live.size)
+    for i in range(d_live.size):
+        _, sigma[i], _, info = dlasd4(i, d_live, u, rho)
+        if info != 0:
+            raise ConvergenceError(f"dlasd4 found no star normal mode {i} (info={info})")
+    return np.sort(np.concatenate((sigma * sigma, d[~live] ** 2)))[::-1]
 
 
 def _fix_sign(row: np.ndarray) -> np.ndarray:
@@ -241,7 +276,9 @@ def probe_delocalization(star: StarSpec) -> DelocalizationProfile:
     coefficients is exactly 1 (orthogonal factors).
     """
     vals, vecs = eigh(_star_potential(star))
-    ev = _descending_modes(vals)
+    if vals[0] < -1e-12 * max(abs(vals[-1]), 1.0):
+        raise ValueError(f"star potential not positive semidefinite: {vals[0]!r}")
+    ev = np.clip(vals, 0.0, None)[::-1]
     rec = star_to_chain(ev)
     chain = rec.chain
     n_half = chain.N

@@ -242,6 +242,19 @@ class TestMainExitCodes:
         assert payload["error"] == "config-error"
         assert str(cfg_path) in payload["message"]
 
+    @pytest.mark.parametrize("points", ["", "points = 4\n"], ids=["default", "given"])
+    def test_infinite_t_max_is_2(self, tmp_path, capsys, points):
+        cfg_path = tmp_path / "inf.cfg"
+        cfg_path.write_text(
+            f"experiment = heatcap\nJ = 0.5\nh = 1.0\nN = 100\nT_min = 0.1\nT_max = inf\n{points}"
+        )
+        out = tmp_path / "never.csv"
+        assert main(["heatcap", "--config", str(cfg_path), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "config-error"
+        assert payload["message"].startswith("need 0 < T_min < T_max")
+        assert not out.exists()
+
     def test_missing_config_is_4(self, tmp_path):
         assert main(["clm-qfi", "--config", str(tmp_path / "missing.cfg")]) == 4
 
@@ -325,3 +338,43 @@ def recipe_tables(tmp_path_factory):
 def test_recipe_table_matches_reference(recipe_tables, name):
     expected = (REPO / "perfbench" / "reference" / f"{name}.csv").read_bytes()
     assert (recipe_tables / f"{name}.csv").read_bytes() == expected
+
+
+_RUN_SLOW_RECIPES = """
+import sys
+from qthermo.cli import parse_config_text, run_experiment
+out = sys.argv[1]
+for name, path in zip(sys.argv[2::2], sys.argv[3::2]):
+    with open(path, encoding="utf-8") as fh:
+        run_experiment(parse_config_text(fh.read()), out=f"{out}/{name}.csv", slow_ok=True)
+"""
+
+
+def _scaled_deviation(got: np.ndarray, ref: np.ndarray) -> float:
+    """perfbench's measure: |a - b| / max(|b|, 1e-3 column max)."""
+    scale = np.maximum(np.abs(ref), 1e-3 * np.max(np.abs(ref), axis=0))
+    return float(np.max(np.abs(got - ref) / scale))
+
+
+def test_star_to_chain_tables_do_not_depend_on_blas_threads(tmp_path):
+    # fig5 and fig5_desk take their star modes from a secular solver, not a
+    # threaded eigensolver, so their last bits hold for any thread count
+    names = ("fig5", "fig5_desk")
+    recipes = [str(x) for name in names for x in (name, REPO / "configs" / f"{name}.cfg")]
+    src = str(Path(qthermo.__file__).resolve().parent.parent)
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        (tmp_path / threads).mkdir()
+        cmd = [sys.executable, "-c", _RUN_SLOW_RECIPES, str(tmp_path / threads), *recipes]
+        subprocess.run(cmd, env=env, check=True)
+    for name in names:
+        table = (tmp_path / "1" / f"{name}.csv").read_bytes()
+        assert (tmp_path / "2" / f"{name}.csv").read_bytes() == table
+        got = np.loadtxt(tmp_path / "1" / f"{name}.csv", delimiter=",", skiprows=1)
+        ref_path = REPO / "perfbench" / "reference" / f"{name}.csv"
+        ref = np.loadtxt(ref_path, delimiter=",", skiprows=1)
+        assert got.shape == ref.shape
+        assert _scaled_deviation(got, ref) <= 1e-8

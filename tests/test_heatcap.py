@@ -174,3 +174,21 @@ class TestIsingHeatCapacity:
         t = 0.3
         direct = sum(mode_heat_capacity("qubit", e, t) for e in ising_spectrum(spec))
         assert ising_heat_capacity(spec, t, "exact") == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+def test_bad_temperature_is_rejected(T):
+    # a NaN used to fail every exp-floor comparison and return C = 0
+    spec = IsingSpec(J=1.0, h=0.5, N=100)
+    m = ModeSystem("bosonic", (0.5, 1.0))
+    calls = (
+        lambda: ising_heat_capacity(spec, T),
+        lambda: ising_heat_capacity(spec, T, "asymptotic"),
+        lambda: mode_heat_capacity("bosonic", 1.0, T),
+        lambda: lattice_heat_capacity(m, T),
+        lambda: low_temperature_bound(m, T),
+        lambda: mean_thermal_energy(m, T),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="temperature"):
+            call()

@@ -3,12 +3,14 @@ and probe delocalization."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from qthermo import (
     ChainSpec,
     ChainSpectrum,
+    ConvergenceError,
     DiscreteModes,
     LorentzDrude,
     ModeMatchingError,
@@ -217,6 +219,63 @@ class TestClmNormalModes:
         bath = w * w
         for i in range(12):
             assert ev[i] < bath[i] < ev[i + 1]
+
+    def test_zero_bare_frequency_gives_an_exact_zero_mode(self):
+        w = np.array([0.5, 1.0, 2.0])
+        g = np.array([0.1, 0.2, 0.3])
+        modes = DiscreteModes(tuple(w), tuple(g))
+        star = StarSpec(omega0_sq=0.0, omega_R_sq=float(np.sum(g**2 / w**2)), sd=modes)
+        ev = clm_normal_modes(star)
+        assert ev[-1] == 0.0
+        assert np.all(ev[:-1] > 0.0)
+
+    def test_decoupled_mode_is_an_exact_mode(self):
+        w = np.array([0.5, 1.0, 2.0, 3.0])
+        g = np.array([0.1, 0.0, 0.3, 0.2])
+        modes = DiscreteModes(tuple(w), tuple(g))
+        star = StarSpec(omega0_sq=1.0, omega_R_sq=float(np.sum(g**2 / w**2)), sd=modes)
+        ev = clm_normal_modes(star)
+        assert ev.size == 5 and np.all(np.diff(ev) < 0.0)
+        assert np.count_nonzero(ev == 1.0) == 1  # w_2^2, exactly
+
+    def test_solver_failure_raises(self, monkeypatch):
+        star = discretize_clm(LorentzDrude(0.1, 2.0), 20, 10.0, omega0_sq=0.04)
+        solve = mapping.dlasd4
+
+        def failing(i, *args):
+            delta, sigma, work, info = solve(i, *args)
+            return delta, math.nan, work, 1 if i == 7 else info
+
+        monkeypatch.setattr(mapping, "dlasd4", failing)
+        with pytest.raises(ConvergenceError, match="mode 7 "):
+            clm_normal_modes(star)
+
+    def test_extreme_modes_match_mpmath_secular_roots(self):
+        # fig5_desk's star; the roots of w0^2 + wR^2 - lam - sum g^2/(w^2 - lam)
+        # at 30 digits, each bracketed by its neighbouring bath poles
+        star = discretize_clm(LorentzDrude(0.1, 2.0), 400, 40.0, omega0_sq=0.04)
+        ev = clm_normal_modes(star)
+        with mpmath.workdps(30):
+            w2 = [mpmath.mpf(x) ** 2 for x in star.sd.omegas]
+            g2 = [mpmath.mpf(x) ** 2 for x in star.sd.gs]
+            top = mpmath.mpf(star.omega0_sq) + mpmath.fsum(a / b for a, b in zip(g2, w2))
+
+            def secular(lam):
+                return top - lam - mpmath.fsum(a / (b - lam) for a, b in zip(g2, w2))
+
+            inset = mpmath.mpf(10) ** -25
+            brackets = {
+                -1: (inset, w2[0]),
+                -2: (w2[0], w2[1]),
+                -3: (w2[1], w2[2]),
+                0: (w2[-1], w2[-1] + top),
+            }
+            for k, (lo, hi) in brackets.items():
+                root = mpmath.findroot(
+                    secular, (lo * (1 + inset), hi * (1 - inset)), solver="anderson"
+                )
+                assert lo < root < hi
+                assert abs(ev[k] - root) <= 1e-14 * root
 
 
 class TestProbeDelocalization:

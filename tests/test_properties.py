@@ -4,7 +4,7 @@ Examples are derandomized, so every run draws the same ones.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qthermo import (
@@ -79,3 +79,32 @@ def test_node_covariances_satisfy_the_uncertainty_bound(chain, log10_temperature
     for log10_t in log10_temperatures:
         cov = node_covariances(chain, 10.0**log10_t)
         assert cov.det() >= 0.25 - PHYSICALITY_TOL
+
+
+@st.composite
+def sparse_discrete_stars(draw):
+    """Discrete stars with some couplings, and sometimes w0^2, exactly 0."""
+    n = draw(st.integers(1, 60))
+    w = np.cumsum(draw(st.lists(st.floats(1e-3, 2.0), min_size=n, max_size=n)))
+    coupling = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    g = np.array(draw(st.lists(coupling, min_size=n, max_size=n)))
+    omega0_sq = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+    assume(omega0_sq > 0.0 or np.any(g > 0.0))
+    return StarSpec(
+        omega0_sq=omega0_sq,
+        omega_R_sq=float(np.sum(g**2 / w**2)),
+        sd=DiscreteModes(tuple(w), tuple(g)),
+    )
+
+
+@FIXED
+@given(sparse_discrete_stars())
+def test_star_normal_modes_match_the_dense_arrowhead(star):
+    w = star.sd.omega_array
+    g = star.sd.g_array
+    arrowhead = np.diag(np.concatenate(([star.omega0_sq + star.omega_R_sq], w * w)))
+    arrowhead[0, 1:] = arrowhead[1:, 0] = g
+    dense = np.linalg.eigvalsh(arrowhead)[::-1]
+    ev = clm_normal_modes(star)
+    assert np.all(np.diff(ev) <= 0.0)
+    assert np.max(np.abs(ev - dense)) <= 1e-12 * dense[0]
