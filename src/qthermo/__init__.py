@@ -1,10 +1,10 @@
 """qthermo: low-temperature quantum thermometry at desk scale.
 
-Gaussian single-mode metrology (fidelity, Bures distance, QFI), exact
-Brownian-probe steady states over Ohmic reservoirs, translationally
-invariant harmonic-chain spectra and local thermometry, chain/star
-mappings with reservoir discretization, and free-mode / Ising heat
-capacities, plus scaling-law fits and a config-driven CLI.
+Gaussian single-mode metrology (fidelity, QFI), exact Brownian-probe
+steady states over Ohmic reservoirs, translationally invariant
+harmonic-chain spectra and local thermometry, chain/star mappings with
+reservoir discretization, and free-mode / Ising heat capacities, plus
+scaling-law fits and a config-driven CLI.
 """
 
 from .chain import (
@@ -15,12 +15,9 @@ from .chain import (
     gap_error_scaling,
     gapless_frequency_sq,
     node_covariances,
-    node_covariance_derivatives,
     node_moments,
     node_qfi,
     power_law_chain,
-    read_couplings_csv,
-    write_couplings_csv,
 )
 from .clm import (
     SteadyStateQuery,
@@ -40,11 +37,9 @@ from .errors import (
     IntegrationError,
     InvalidStateError,
     ModeMatchingError,
-    NumericalDomainError,
     PoleError,
     QThermoError,
     StepTooSmallError,
-    SupportError,
     UnstableChainError,
     ZeroModeError,
 )
@@ -53,7 +48,6 @@ from .gaussian import (
     CovarianceDerivatives,
     QfiCurve,
     SingleModeCovariance,
-    bures_distance_sq,
     coth,
     csch2,
     qfi_from_derivatives,
@@ -90,15 +84,12 @@ from .spectral import (
     StarSpec,
     discretization_residual,
     discretize_clm,
-    evaluate,
     low_frequency_slope,
     make_star,
-    read_modes_csv,
     renormalization_frequency_sq,
     self_energy,
     self_energy_pv,
     susceptibility_abs_sq,
-    write_modes_csv,
 )
 
 __version__ = "0.1.0"

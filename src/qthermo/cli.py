@@ -7,11 +7,12 @@ summary holding the fitted scaling laws, warnings, wall time, and the
 versions behind the run.  Outputs are deterministic for a fixed BLAS thread
 count (chain-to-star's dense eigh rounds per thread count; star-to-chain
 tables are the same for any count): rows sorted by the sweep variable,
-floats as repr.
+floats as repr.  The omega,g mode tables and n,G coupling tables the CLI
+writes are also the inputs it reads (modes_csv, couplings_csv).
 
-Exit codes: 0 success, 2 config validation, 3 computation, 4 I/O (the
-config, an input file it names, or an output); failures emit a
-machine-readable JSON payload on stderr.
+Exit codes: 0 success, 2 config validation (including a malformed input
+table), 3 computation, 4 I/O (the config, an input file it names, or an
+output); failures emit a machine-readable JSON payload on stderr.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .errors import ConfigError, QThermoError
 from .gaussian import QFI_COLUMNS, QfiCurve
 
 POINTS_PER_DECADE = 40
+MODES_COLUMNS = ("omega", "g")
+COUPLINGS_COLUMNS = ("n", "G")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -153,6 +156,39 @@ def _fit_window(cfg: _Config, grid: np.ndarray | None = None) -> tuple[float, fl
     return (lo, hi)
 
 
+def _read_columns(path: str, header: Sequence[str]) -> list[list[float]]:
+    """Columns of a CSV table in the format _write_outputs writes.
+
+    A table that is not UTF-8, lacks the exact header, has no rows, or has a
+    row that is not len(header) finite numbers is a ConfigError naming the
+    file and line; a missing file stays an OSError.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"input table {path} is not UTF-8 text: {exc}") from exc
+    want = ",".join(header)
+    if not lines or lines[0].strip() != want:
+        got = lines[0] if lines else ""
+        raise ConfigError(f"{path} line 1: expected header {want!r}, got {got!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != len(header) or not all(math.isfinite(v) for v in row):
+            raise ConfigError(
+                f"{path} line {lineno}: expected {len(header)} finite numbers, got {line!r}"
+            )
+        rows.append(row)
+    if not rows:
+        raise ConfigError(f"{path}: no rows under the header {want!r}")
+    return [list(col) for col in zip(*rows)]
+
+
 def _spectral_density(cfg: _Config) -> spectral_mod.ContinuousSpectralDensity:
     family = cfg.str_("family", "lorentz_drude")
     gamma = cfg.float_("gamma", _REQUIRED)
@@ -173,9 +209,10 @@ def _chain_spec(cfg: _Config) -> tuple[chain_mod.ChainSpec, bool]:
     elif family == "exponential":
         base = chain_mod.exponential_chain(n_half, 0.0, G=cfg.float_("G", 1.0), c=cfg.float_("c", 1.0))
     elif family == "csv":
-        base = chain_mod.read_couplings_csv(cfg.str_("couplings_csv", _REQUIRED), 0.0)
-        if base.N != n_half:
-            raise ConfigError(f"couplings CSV holds N={base.N}, config says N={n_half}")
+        _, gs = _read_columns(cfg.str_("couplings_csv", _REQUIRED), COUPLINGS_COLUMNS)
+        if len(gs) != n_half:
+            raise ConfigError(f"couplings CSV holds N={len(gs)}, config says N={n_half}")
+        base = chain_mod.ChainSpec(N=n_half, omega_sq=0.0, couplings=tuple(gs))
     else:
         raise ConfigError(f"unknown coupling family {family!r}")
     gapless = cfg.bool_("gapless", False)
@@ -255,14 +292,15 @@ def _run_chain_to_star(cfg: _Config) -> ExperimentResult:
         "decoupled_count": star.decoupled_count,
         "renormalization_sq": star.renormalization_sq(),
     }
-    return ["omega", "g"], rows, [], list(star.warnings), extra
+    return MODES_COLUMNS, rows, [], list(star.warnings), extra
 
 
 def _star_from_cfg(cfg: _Config) -> spectral_mod.StarSpec:
     modes_csv = cfg.str_("modes_csv", None)
     omega0_sq = cfg.float_("omega0_sq", 0.0)
     if modes_csv is not None:
-        modes = spectral_mod.read_modes_csv(modes_csv)
+        omegas, gs = _read_columns(modes_csv, MODES_COLUMNS)
+        modes = spectral_mod.DiscreteModes(tuple(omegas), tuple(gs))
         return spectral_mod.make_star(modes, omega0_sq=omega0_sq)
     sd = _spectral_density(cfg)
     return spectral_mod.discretize_clm(
@@ -292,7 +330,7 @@ def _run_star_to_chain(cfg: _Config) -> ExperimentResult:
         "physical": rec.physical,
         "omega_R_sq": star.omega_R_sq,
     }
-    return ["n", "G"], rows, fit_list, list(star.warnings), extra
+    return COUPLINGS_COLUMNS, rows, fit_list, list(star.warnings), extra
 
 
 def _run_discretize(cfg: _Config) -> ExperimentResult:
@@ -308,7 +346,7 @@ def _run_discretize(cfg: _Config) -> ExperimentResult:
     if isinstance(sd, spectral_mod.LorentzDrude):
         deficit, predicted = spectral_mod.discretization_residual(sd, n_modes, omega_max)
         extra.update({"deficit": deficit, "predicted_leading": predicted})
-    return ["omega", "g"], rows, [], list(star.warnings), extra
+    return MODES_COLUMNS, rows, [], list(star.warnings), extra
 
 
 def _run_heatcap(cfg: _Config) -> ExperimentResult:

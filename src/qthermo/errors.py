@@ -13,10 +13,6 @@ class InvalidStateError(QThermoError):
     """Covariance matrix violates the uncertainty relation or positivity."""
 
 
-class NumericalDomainError(QThermoError):
-    """A formula was driven outside its numerical domain (caller bug)."""
-
-
 class StepTooSmallError(QThermoError):
     """Finite-difference step is below the floating-point resolution floor."""
 
@@ -24,10 +20,6 @@ class StepTooSmallError(QThermoError):
 class DegenerateStateError(QThermoError):
     """State sits at (or below) the minimal-uncertainty boundary where the
     derivative-based QFI formula has a vanishing denominator."""
-
-
-class SupportError(QThermoError):
-    """Evaluation requested outside the support of a discrete mode list."""
 
 
 class PoleError(QThermoError):

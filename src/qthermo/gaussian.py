@@ -1,15 +1,16 @@
 """Single-mode Gaussian states and temperature metrology.
 
 A zero-mean single-mode Gaussian state is fully described by its 2x2
-covariance matrix.  This module provides the Uhlmann fidelity between two
-such states, the Bures distance, and the quantum Fisher information (QFI)
-for temperature estimation through two independent routes:
+covariance matrix; every state here (thermal modes, chain nodes, the
+Brownian probe) is diagonal by construction.  This module provides the
+Uhlmann fidelity between two such states and the quantum Fisher
+information (QFI) for temperature estimation through two independent
+routes:
 
 * a central finite difference of the fidelity,
       F_T = 4 (1 - F(rho_T, rho_{T+d})) / d^2   as d -> 0,
 * the closed formula in the covariance derivatives,
-      F_T = 4 (a1 a2 + 2 s11^2 a2^2 + 2 s22^2 a1^2) / (16 s11^2 s22^2 - 1),
-  valid for diagonal covariances (s12 = 0).
+      F_T = 4 (a1 a2 + 2 s11^2 a2^2 + 2 s22^2 a1^2) / (16 s11^2 s22^2 - 1).
 
 Units: hbar = k_B = 1 throughout.
 """
@@ -22,12 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateStateError,
-    InvalidStateError,
-    NumericalDomainError,
-    StepTooSmallError,
-)
+from .errors import DegenerateStateError, InvalidStateError, StepTooSmallError
 
 # Tolerance on det(sigma) >= 1/4; loose enough that quadrature noise on
 # near-vacuum states does not spuriously reject them.
@@ -62,28 +58,23 @@ def csch2(x: float) -> float:
 
 @dataclass(frozen=True)
 class SingleModeCovariance:
-    """Covariance matrix [[s11, s12], [s12, s22]] of one bosonic mode.
+    """Diagonal covariance matrix diag(s11, s22) of one bosonic mode.
 
     s11 is the position variance (units 1/energy), s22 the momentum
-    variance (units energy).  All states treated here have s12 = 0.
+    variance (units energy).
     """
 
     s11: float
     s22: float
-    s12: float = 0.0
 
     def det(self) -> float:
-        return self.s11 * self.s22 - self.s12 * self.s12
-
-    def is_physical(self) -> bool:
-        return self.s11 > 0.0 and self.s22 > 0.0 and self.det() >= 0.25 - PHYSICALITY_TOL
+        return self.s11 * self.s22
 
     def validate(self) -> "SingleModeCovariance":
-        if not self.is_physical():
+        if not (self.s11 > 0.0 and self.s22 > 0.0 and self.det() >= 0.25 - PHYSICALITY_TOL):
             raise InvalidStateError(
                 f"covariance violates uncertainty relation: "
-                f"s11={self.s11!r} s22={self.s22!r} s12={self.s12!r} "
-                f"det={self.det()!r} < 1/4"
+                f"s11={self.s11!r} s22={self.s22!r} det={self.det()!r} < 1/4"
             )
         return self
 
@@ -132,41 +123,25 @@ def uhlmann_fidelity(a: SingleModeCovariance, b: SingleModeCovariance) -> float:
     db = b.det()
     # Clamp the tiny negative excursions PHYSICALITY_TOL allows.
     lam = max(4.0 * da - 1.0, 0.0) * max(4.0 * db - 1.0, 0.0)
-    dsum = SingleModeCovariance(a.s11 + b.s11, a.s22 + b.s22, a.s12 + b.s12)
-    del_ = 4.0 * dsum.det()
-    rad = lam + del_
-    if rad < 0.0:
-        raise NumericalDomainError(
-            f"negative radicand Lam + Del = {rad!r}; inputs are inconsistent"
-        )
-    if del_ <= 0.0:
-        raise NumericalDomainError("vanishing denominator in fidelity formula")
+    # Del > 0 and Lam >= 0 for any two validated diagonal states
+    del_ = 4.0 * ((a.s11 + b.s11) * (a.s22 + b.s22))
     # rationalized form of 2/(sqrt(Lam+Del) - sqrt(Lam)): no cancellation
-    # when the states are close (Del << Lam)
-    f = 2.0 * (math.sqrt(rad) + math.sqrt(lam)) / del_
-    if f > 1.0 + 1e-9:
-        raise NumericalDomainError(
-            f"fidelity {f!r} > 1: det(a + b) lost precision (strongly squeezed, s12 != 0)"
-        )
+    # when the states are close (Del << Lam); rounding can leave F
+    # slightly above 1, hence the clamp
+    f = 2.0 * (math.sqrt(lam + del_) + math.sqrt(lam)) / del_
     return min(f, 1.0)
-
-
-def bures_distance_sq(a: SingleModeCovariance, b: SingleModeCovariance) -> float:
-    """Squared Bures distance 2(1 - sqrt(F)); zero iff a == b."""
-    return 2.0 * (1.0 - math.sqrt(uhlmann_fidelity(a, b)))
 
 
 def qfi_from_fidelity(
     cov_at: Callable[[float], SingleModeCovariance],
     T: float,
     step_fraction: float = 1e-3,
-    richardson: bool = True,
 ) -> float:
     """QFI from a central finite difference of the fidelity.
 
     Evaluates 4(1 - F(sigma(T - d/2), sigma(T + d/2)))/d^2 with
     d = step_fraction * T.  Centering the pair around T makes the estimate
-    second order in d; one Richardson step (on by default) removes the
+    second order in d; one Richardson step over d and d/2 removes the
     leading d^2 error as well.
     """
     if T <= 0.0:
@@ -184,8 +159,6 @@ def qfi_from_fidelity(
         return 4.0 * (1.0 - f) / (d * d)
 
     f1 = estimate(delta)
-    if not richardson:
-        return max(f1, 0.0)
     f2 = estimate(delta / 2.0)
     return max((4.0 * f2 - f1) / 3.0, 0.0)
 
@@ -196,16 +169,11 @@ def qfi_from_derivatives(
     """QFI from the covariance and its temperature derivatives.
 
     F_T = 4 (a1 a2 + 2 s11^2 a2^2 + 2 s22^2 a1^2) / (16 s11^2 s22^2 - 1),
-    which needs no second-order Taylor coefficients.  Only valid for
-    diagonal covariances; the pure-state boundary (denominator <= 0) is
-    rejected rather than regularized since the finite-difference route
-    stays available there.
+    which needs no second-order Taylor coefficients.  The pure-state
+    boundary (denominator <= 0) is rejected rather than regularized since
+    the finite-difference route stays available there.
     """
     cov.validate()
-    if abs(cov.s12) > 1e-12 * math.sqrt(abs(cov.s11 * cov.s22)):
-        raise InvalidStateError(
-            "qfi_from_derivatives requires a diagonal covariance (s12 = 0)"
-        )
     if not (math.isfinite(deriv.a1) and math.isfinite(deriv.a2)):
         raise ValueError("derivatives must be finite")
     p = cov.s11 * cov.s22

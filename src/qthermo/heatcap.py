@@ -36,8 +36,8 @@ class ModeSystem:
         if self.statistics not in ("bosonic", "fermionic", "qubit"):
             raise ValueError(f"unknown statistics {self.statistics!r}")
         e = np.asarray(self.energies, dtype=float)
-        if e.size == 0 or np.any(e <= 0.0):
-            raise ValueError("energies must be positive and non-empty")
+        if e.size == 0 or not np.all((e > 0.0) & (e < np.inf)):
+            raise ValueError("energies must be finite, positive and non-empty")
         object.__setattr__(self, "energies", tuple(float(x) for x in np.sort(e)))
 
     @property
@@ -58,8 +58,8 @@ class IsingSpec:
     N: int
 
     def __post_init__(self) -> None:
-        if self.J <= 0.0 or self.h <= 0.0:
-            raise ValueError("IsingSpec requires J > 0 and h > 0")
+        if not all(0.0 < x < math.inf for x in (self.J, self.h)):
+            raise ValueError("IsingSpec requires finite J > 0 and h > 0")
         if self.N < 2:
             raise ValueError("IsingSpec requires N >= 2 sites")
 
@@ -92,8 +92,8 @@ def _mode_c_array(statistics: Statistics, eps: np.ndarray, T: float) -> np.ndarr
 
 def mode_heat_capacity(statistics: Statistics, epsilon: float, T: float) -> float:
     """Heat capacity of a single thermal mode of energy epsilon."""
-    if epsilon <= 0.0:
-        raise ValueError("mode_heat_capacity requires epsilon > 0")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("mode_heat_capacity requires finite epsilon > 0")
     _check_temperature(T)
     return float(_mode_c_array(statistics, np.array([epsilon]), T)[0])
 

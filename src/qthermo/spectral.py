@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DivergenceError, IntegrationError, PoleError, SupportError
+from .errors import DivergenceError, IntegrationError, PoleError
 
 # Default relative tolerance for all adaptive quadrature in this module.
 QUAD_TOL = 1e-9
@@ -44,13 +44,13 @@ class LorentzDrude:
     omega_c: float
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0 or self.omega_c <= 0.0:
-            raise ValueError("LorentzDrude requires gamma > 0 and omega_c > 0")
+        if not all(0.0 < x < math.inf for x in (self.gamma, self.omega_c)):
+            raise ValueError("LorentzDrude requires finite gamma > 0 and omega_c > 0")
 
     def j(self, omega):
         """J at a float omega >= 0 (float out) or on an ndarray (elementwise).
-        No caller passes a list or omega < 0: `evaluate` and `self_energy`
-        reject it and the quadratures start at 0."""
+        No caller passes a list or omega < 0: `self_energy` rejects it and
+        the quadratures start at 0."""
         return 2.0 * self.gamma * omega * self.omega_c**2 / (omega * omega + self.omega_c**2)
 
 
@@ -66,8 +66,8 @@ class ExponentialCutoff:
     s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0 or self.omega_c <= 0.0 or self.s <= 0.0:
-            raise ValueError("ExponentialCutoff requires gamma, omega_c, s > 0")
+        if not all(0.0 < x < math.inf for x in (self.gamma, self.omega_c, self.s)):
+            raise ValueError("ExponentialCutoff requires finite gamma, omega_c, s > 0")
 
     def j(self, omega):
         """As LorentzDrude.j, but a float gives a NumPy float64: NumPy's power
@@ -89,8 +89,8 @@ class GenericOhmic:
     cutoff_fn: Callable[[float], float]
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0 or self.omega_c <= 0.0:
-            raise ValueError("GenericOhmic requires gamma > 0 and omega_c > 0")
+        if not all(0.0 < x < math.inf for x in (self.gamma, self.omega_c)):
+            raise ValueError("GenericOhmic requires finite gamma > 0 and omega_c > 0")
         f0 = float(self.cutoff_fn(0.0))
         if abs(f0 - 1.0) > 1e-9:
             raise ValueError(f"cutoff function must satisfy f(0) = 1, got {f0!r}")
@@ -131,41 +131,9 @@ class DiscreteModes:
     def g_array(self) -> np.ndarray:
         return np.asarray(self.gs, dtype=float)
 
-    def spacings(self) -> np.ndarray:
-        """Symmetric nearest-neighbor spacings, one-sided at the ends."""
-        w = self.omega_array
-        if w.size == 1:
-            return np.array([w[0]])
-        dw = np.empty_like(w)
-        dw[1:-1] = (w[2:] - w[:-2]) / 2.0
-        dw[0] = w[1] - w[0]
-        dw[-1] = w[-1] - w[-2]
-        return dw
-
 
 ContinuousSpectralDensity = Union[LorentzDrude, ExponentialCutoff, GenericOhmic]
 SpectralDensityModel = Union[ContinuousSpectralDensity, DiscreteModes]
-
-
-def evaluate(sd: SpectralDensityModel, omega: float) -> float:
-    """J(omega) for continuous models; the binned estimate for discrete ones.
-
-    For a discrete list the estimator at the nearest mode is
-    Jhat(w_i) = pi g_i^2 / (w_i dw_i) with dw_i the local mode spacing.
-    """
-    if omega < 0.0:
-        raise ValueError("evaluate requires omega >= 0")
-    if isinstance(sd, DiscreteModes):
-        w = sd.omega_array
-        dw = sd.spacings()
-        if omega < w[0] - dw[0] / 2.0 or omega > w[-1] + dw[-1] / 2.0:
-            raise SupportError(
-                f"omega={omega!r} outside discrete support "
-                f"[{w[0] - dw[0] / 2.0!r}, {w[-1] + dw[-1] / 2.0!r}]"
-            )
-        i = int(np.argmin(np.abs(w - omega)))
-        return float(np.pi * sd.gs[i] ** 2 / (w[i] * dw[i]))
-    return float(sd.j(omega))
 
 
 def _tail_start(sd: ContinuousSpectralDensity, omega: float = 0.0) -> float:
@@ -286,8 +254,8 @@ class StarSpec:
     warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.omega0_sq < 0.0 or self.omega_R_sq < 0.0:
-            raise ValueError("squared frequencies must be non-negative")
+        if not all(0.0 <= x < math.inf for x in (self.omega0_sq, self.omega_R_sq)):
+            raise ValueError("squared frequencies must be finite and non-negative")
         if self.omega0_sq + self.omega_R_sq <= 0.0:
             raise ValueError("total trapping omega_0^2 + omega_R^2 must be positive")
         if isinstance(self.sd, DiscreteModes):
@@ -334,8 +302,8 @@ def discretize_clm(
     """
     if n_modes < 1:
         raise ValueError("need n_modes >= 1")
-    if omega_max <= sd.omega_c:
-        raise ValueError("omega_max must exceed the cutoff frequency")
+    if not sd.omega_c < omega_max < math.inf:
+        raise ValueError("omega_max must be finite and exceed the cutoff frequency")
     n = np.arange(1, n_modes + 1, dtype=float)
     a = omega_max / n_modes
     wn = n * a
@@ -379,27 +347,3 @@ def discretization_residual(
     predicted = sd.gamma * omega_max / (np.pi * n_modes)
     return deficit, predicted
 
-
-def write_modes_csv(modes: DiscreteModes, path: str) -> None:
-    """Serialize a discrete mode list as CSV with header omega,g."""
-    lines = ["omega,g"]
-    lines += [f"{w!r},{g!r}" for w, g in zip(modes.omegas, modes.gs)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_modes_csv(path: str) -> DiscreteModes:
-    """Read a discrete mode list from CSV with header omega,g."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "omega,g":
-            raise ValueError(f"expected header 'omega,g', got {header!r}")
-        ws, gs = [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            w, g = line.split(",")
-            ws.append(float(w))
-            gs.append(float(g))
-    return DiscreteModes(tuple(ws), tuple(gs))

@@ -23,15 +23,12 @@ from qthermo import (
     gap_error_scaling,
     gapless_frequency_sq,
     make_star,
-    node_covariance_derivatives,
     node_covariances,
     node_moments,
     node_qfi,
     power_law_chain,
-    read_couplings_csv,
     thermal_mode_covariance,
     thermal_mode_derivatives,
-    write_couplings_csv,
 )
 from qthermo import chain as chain_mod
 from qthermo.chain import gap_error
@@ -185,7 +182,7 @@ class TestNodeCovariances:
     def test_derivatives_match_finite_differences(self):
         c = gapped_fig3_chain(N=40)
         t, h = 0.05, 1e-6
-        der = node_covariance_derivatives(c, t)
+        der = node_moments(c, [t])[0][1]
         up = node_covariances(c, t + h)
         dn = node_covariances(c, t - h)
         assert der.a1 == pytest.approx((up.s11 - dn.s11) / (2 * h), rel=1e-6)
@@ -206,7 +203,7 @@ class TestNodeMoments:
         for t, (cov, der) in zip(ts, moments):
             t = float(t)
             assert cov == node_covariances(c, t, regularize_gapless=gapless)
-            assert der == node_covariance_derivatives(c, t, regularize_gapless=gapless)
+            assert der == node_moments(c, [t], regularize_gapless=gapless)[0][1]
             assert qfi_from_derivatives(cov, der) == node_qfi(c, t, regularize_gapless=gapless)
 
 
@@ -220,7 +217,7 @@ def test_bad_temperature_is_rejected(T):
     calls = (
         lambda: node_moments(c, [0.1, T]),
         lambda: node_covariances(c, T),
-        lambda: node_covariance_derivatives(c, T),
+        lambda: node_moments(c, [T])[0][1],
         lambda: node_qfi(c, T),
         lambda: SteadyStateQuery(star=star, T=T),
         lambda: thermal_mode_covariance(1.0, T),
@@ -304,12 +301,3 @@ class TestGapErrorScaling:
         with pytest.raises(FitError):
             gap_error_scaling(3.0, 1.0, [50, 100, 200])
 
-
-class TestCouplingsCsv:
-    def test_round_trip(self, tmp_path):
-        c = power_law_chain(10, 1.5, G=0.7, t=2.0)
-        path = tmp_path / "couplings.csv"
-        write_couplings_csv(c, str(path))
-        back = read_couplings_csv(str(path), omega_sq=1.5)
-        assert back.couplings == c.couplings
-        assert back.omega_sq == 1.5

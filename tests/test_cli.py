@@ -139,11 +139,8 @@ class TestRunExperiment:
         assert summary["gap"] == pytest.approx(0.5, rel=1e-6)
 
     def test_tihc_couplings_from_csv(self, tmp_path):
-        from qthermo import power_law_chain, write_couplings_csv
-
-        chain = power_law_chain(12, 0.0, G=1.0, t=2.5)
         csv_path = tmp_path / "g.csv"
-        write_couplings_csv(chain, str(csv_path))
+        csv_path.write_text("n,G\n" + "".join(f"{n},{1.0 / n**2.5!r}\n" for n in range(1, 13)))
         cfg = parse_config_text(
             "experiment = tihc-qfi\nN = 12\ncoupling_family = csv\n"
             f"couplings_csv = {csv_path}\n"
@@ -282,6 +279,85 @@ class TestMainExitCodes:
         assert payload["error"] == "io-error" and payload["exit_code"] == 4
         assert str(missing) in payload["message"]
         assert not out.exists() and not out.with_suffix(".summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "cfg_text",
+        [
+            "experiment = heatcap\nJ = nan\nh = 1.0\nN = 100\nT_min = 0.1\nT_max = 1.0\n",
+            "experiment = discretize\ngamma = nan\nomega_c = 2.0\nn_modes = 50\nomega_max = 20\n",
+            "experiment = discretize\ngamma = 0.1\nomega_c = 2.0\nn_modes = 50\nomega_max = inf\n",
+        ],
+        ids=["heatcap-J-nan", "discretize-gamma-nan", "discretize-omega_max-inf"],
+    )
+    def test_non_finite_model_parameter_is_3(self, tmp_path, capsys, cfg_text):
+        # these used to exit 0 with C_exact = 0.0, g = nan or inf,nan rows
+        cfg_path = tmp_path / "nonfinite.cfg"
+        cfg_path.write_text(cfg_text)
+        out = tmp_path / "never.csv"
+        experiment = parse_config_text(cfg_text)["experiment"]
+        assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "computation-error"
+        assert not out.exists() and not out.with_suffix(".summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            pytest.param(b"x,y\n1.0,0.5\n2.0,0.25\n", 1, id="header"),
+            pytest.param(b"{h}\n1.0,0.5\n2.0,abc\n", 3, id="non-numeric"),
+            pytest.param(b"{h}\n1.0,0.5,7.0\n2.0,0.25\n", 2, id="extra-column"),
+            pytest.param(b"{h}\n1.0,nan\n2.0,0.25\n", 2, id="non-finite"),
+            pytest.param(b"{h}\n", None, id="no-rows"),
+            pytest.param(b"{h}\n1.0,0.5\n2.0,0.25\xff\n", None, id="non-utf8"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "key, header, cfg_text",
+        [
+            (
+                "couplings_csv",
+                b"n,G",
+                "experiment = tihc-qfi\nN = 2\ncoupling_family = csv\n"
+                "gap = 0.3\nT_min = 0.05\nT_max = 0.2\npoints = 4\n",
+            ),
+            ("modes_csv", b"omega,g", "experiment = star-to-chain\nomega0_sq = 0.04\n"),
+        ],
+        ids=["couplings_csv", "modes_csv"],
+    )
+    def test_malformed_input_table_is_2(
+        self, tmp_path, capsys, key, header, cfg_text, body, line
+    ):
+        table = tmp_path / "table.csv"
+        table.write_bytes(body.replace(b"{h}", header))
+        cfg_path = tmp_path / "input.cfg"
+        cfg_path.write_text(cfg_text + f"{key} = {table}\n")
+        out = tmp_path / "never.csv"
+        experiment = parse_config_text(cfg_text)["experiment"]
+        assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "config-error"
+        assert str(table) in payload["message"]
+        if line is not None:
+            assert f"line {line}:" in payload["message"]
+        assert not out.exists() and not out.with_suffix(".summary.json").exists()
+
+
+def test_chain_to_star_table_maps_back_through_star_to_chain(tmp_path):
+    # one omega,g format serves both directions: the fig4_gapped star, read
+    # back as modes_csv, rebuilds the chain's couplings G_n = n^-2.5
+    star_csv = tmp_path / "star.csv"
+    with open(REPO / "configs" / "fig4_gapped.cfg", encoding="utf-8") as fh:
+        first = run_experiment(parse_config_text(fh.read()), out=str(star_csv))
+    omega0_sq = first["probe_omega_sq"] - first["renormalization_sq"]
+    cfg = parse_config_text(
+        f"experiment = star-to-chain\nmodes_csv = {star_csv}\nomega0_sq = {omega0_sq!r}"
+    )
+    chain_csv = tmp_path / "chain.csv"
+    back = run_experiment(cfg, out=str(chain_csv))
+    n, g = np.loadtxt(chain_csv, delimiter=",", skiprows=1, unpack=True)
+    assert np.array_equal(n, np.arange(1, 101))
+    assert np.max(np.abs(g - n**-2.5)) <= 1e-12
+    assert back["omega_sq"] == pytest.approx(first["probe_omega_sq"], rel=1e-12)
 
 
 

@@ -103,7 +103,8 @@ class TestLatticeHeatCapacity:
             omega_sq=gapless_frequency_sq(30, base.couplings) + 0.25,
             couplings=base.couplings,
         )
-        freqs = chain_spectrum(c).all_frequencies()
+        f = chain_spectrum(c).frequencies()
+        freqs = np.concatenate([f, f[1:]])  # the 2N+1 modes, degeneracy unfolded
         t = 0.5
         f_sum = sum(
             qfi_from_derivatives(
@@ -191,4 +192,19 @@ def test_bad_temperature_is_rejected(T):
     )
     for call in calls:
         with pytest.raises(ValueError, match="temperature"):
+            call()
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_energy_scale_is_rejected(x):
+    # a NaN energy used to fall out of the exp-floor mask: C read 0 for the
+    # mode, and a ModeSystem with a NaN mode summed only the others
+    calls = (
+        lambda: IsingSpec(J=x, h=0.5, N=100),
+        lambda: IsingSpec(J=1.0, h=x, N=100),
+        lambda: ModeSystem("bosonic", (x, 1.0)),
+        lambda: mode_heat_capacity("bosonic", x, 1.0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
             call()
