@@ -64,7 +64,10 @@ class ChainSpec:
             raise ValueError("chain half-size N must be >= 1")
         if len(self.couplings) != self.N:
             raise ValueError(f"need exactly N={self.N} couplings, got {len(self.couplings)}")
-        object.__setattr__(self, "couplings", tuple(float(g) for g in self.couplings))
+        g = np.asarray(self.couplings, dtype=float)
+        if not (abs(self.omega_sq) < math.inf and np.all(np.abs(g) < math.inf)):
+            raise ValueError("omega_sq and the couplings must be finite")
+        object.__setattr__(self, "couplings", tuple(g.tolist()))
 
     @property
     def n_nodes(self) -> int:

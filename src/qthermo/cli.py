@@ -75,8 +75,6 @@ _REQUIRED = object()
 class _Config:
     """Typed accessor over the flat key-value dict that tracks used keys."""
 
-    quad_tol: float  # resolved once: --tol, else the config's quad_tol, else 1e-9
-
     def __init__(self, raw: dict[str, str]):
         self.raw = raw
         self._used = {"experiment", "out", "format", "requires_slow"}
@@ -142,18 +140,23 @@ def _temperature_grid(cfg: _Config) -> np.ndarray:
     return np.geomspace(t_min, t_max, points)
 
 
-def _fit_window(cfg: _Config, grid: np.ndarray | None = None) -> tuple[float, float] | None:
-    lo = cfg.float_("fit_window_lo", None)
-    hi = cfg.float_("fit_window_hi", None)
+def _window(key: str, parse) -> tuple | None:
+    """(lo, hi) from the keys <key>_lo and <key>_hi, read by the _Config
+    accessor parse: both or neither, and lo < hi."""
+    lo = parse(f"{key}_lo", None)
+    hi = parse(f"{key}_hi", None)
     if (lo is None) != (hi is None):
-        raise ConfigError("fit_window_lo and fit_window_hi must be given together")
-    if lo is None:
-        return None
-    if not lo < hi:
-        raise ConfigError("need fit_window_lo < fit_window_hi")
-    if grid is not None and (lo < grid[0] * (1 - 1e-12) or hi > grid[-1] * (1 + 1e-12)):
+        raise ConfigError(f"{key}_lo and {key}_hi must be given together")
+    if lo is not None and not lo < hi:
+        raise ConfigError(f"need {key}_lo < {key}_hi")
+    return None if lo is None else (lo, hi)
+
+
+def _fit_window(cfg: _Config, grid: np.ndarray) -> tuple[float, float] | None:
+    window = _window("fit_window", cfg.float_)
+    if window and (window[0] < grid[0] * (1 - 1e-12) or window[1] > grid[-1] * (1 + 1e-12)):
         raise ConfigError("fit window must lie inside [T_min, T_max]")
-    return (lo, hi)
+    return window
 
 
 def _read_columns(path: str, header: Sequence[str]) -> list[list[float]]:
@@ -241,7 +244,7 @@ def _run_clm_qfi(cfg: _Config) -> ExperimentResult:
     ts = _temperature_grid(cfg)
     window = _fit_window(cfg, ts)
     cfg.reject_unknown()
-    curve = clm_mod.qfi_curve(star, ts, omega_min=omega_min, quad_tol=cfg.quad_tol)
+    curve = clm_mod.qfi_curve(star, ts, omega_min=omega_min)
     fit = [fits_mod.fit_power_law(curve, window)] if window else []
     return QFI_COLUMNS, curve.rows(), fit, list(star.warnings), {}
 
@@ -255,7 +258,7 @@ def _run_free_probe(cfg: _Config) -> ExperimentResult:
     ratio = cfg.float_("omega_min_ratio", 10.0)
     cfg.reject_unknown()
     seq = [start / ratio**k for k in range(count)]
-    limit, samples = clm_mod.free_probe_qfi_limit(star, t, seq, quad_tol=cfg.quad_tol)
+    limit, samples = clm_mod.free_probe_qfi_limit(star, t, seq)
     rows = [[wm, f, 2.0 * t * t * f] for wm, f in samples]
     extra = {"limit_estimate": limit, "two_T_sq_F": 2.0 * t * t * limit, "T": t}
     return ["omega_min", "qfi", "two_T_sq_F"], rows, [], list(star.warnings), extra
@@ -313,17 +316,18 @@ def _star_from_cfg(cfg: _Config) -> spectral_mod.StarSpec:
 
 def _run_star_to_chain(cfg: _Config) -> ExperimentResult:
     star = _star_from_cfg(cfg)
-    fit_lo = cfg.int_("fit_n_lo", 0)
-    fit_hi = cfg.int_("fit_n_hi", 0)
+    window = _window("fit_n", cfg.int_)
+    if window and window[0] < 1:
+        raise ConfigError("fit_n_lo must be >= 1")
     cfg.reject_unknown()
     freqs = mapping_mod.clm_normal_modes(star)
     rec = mapping_mod.star_to_chain(freqs)
     rows = [[float(i + 1), float(g)] for i, g in enumerate(rec.chain.couplings)]
     fit_list = []
-    if fit_hi > fit_lo > 0:
+    if window:
         n_idx = np.arange(1, rec.chain.N + 1, dtype=float)
         g = rec.chain.coupling_array
-        fit_list = [fits_mod.loglog_fit(n_idx[g > 0.0], g[g > 0.0], window=(fit_lo, fit_hi))]
+        fit_list = [fits_mod.loglog_fit(n_idx[g > 0.0], g[g > 0.0], window=window)]
     extra = {
         "omega_sq": rec.chain.omega_sq,
         "Omega": float(np.sqrt(rec.chain.omega_sq)),
@@ -427,7 +431,6 @@ def run_experiment(
     raw_cfg: dict[str, str],
     out: str | None = None,
     fmt: str | None = None,
-    tol: float | None = None,
     slow_ok: bool = False,
 ) -> dict:
     """Validate, compute, and write one experiment; returns the summary."""
@@ -441,7 +444,6 @@ def run_experiment(
     fmt = fmt if fmt is not None else cfg.str_("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    cfg.quad_tol = tol if tol is not None else cfg.float_("quad_tol", 1e-9)
 
     start = time.perf_counter()
     columns, rows, fit_list, warnings, extra = _RUNNERS[experiment](cfg)
@@ -475,7 +477,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to a key = value config file")
     parser.add_argument("--out", default=None, help="output data path (overrides config)")
     parser.add_argument("--format", default=None, choices=("csv", "json"))
-    parser.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
     parser.add_argument("--slow", action="store_true", help="allow slow-marked recipes")
     args = parser.parse_args(argv)
 
@@ -490,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"config declares experiment {cfg['experiment']!r}, "
                 f"command line says {args.experiment!r}"
             )
-        run_experiment(cfg, out=args.out, fmt=args.format, tol=args.tol, slow_ok=args.slow)
+        run_experiment(cfg, out=args.out, fmt=args.format, slow_ok=args.slow)
     except ConfigError as exc:
         return _fail(2, "config-error", str(exc))
     except OSError as exc:

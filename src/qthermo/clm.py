@@ -10,7 +10,9 @@ their temperature derivatives follow by differentiating under the integral
 (d coth(w/2T)/dT = (w/2T^2)/sinh^2(w/2T)), and the QFI is assembled through
 the derivative formula with the finite-difference fidelity route retained
 as a cross-check.  A probe with zero bare frequency needs an infrared
-cutoff wmin > 0; its QFI is defined by the wmin -> 0 limit.
+cutoff wmin > 0; its QFI is defined by the wmin -> 0 limit.  Every integral
+is an adaptive quadrature at the package's one relative tolerance,
+spectral.QUAD_TOL.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .gaussian import (
     qfi_from_derivatives,
     qfi_from_fidelity,
 )
-from .spectral import StarSpec, low_frequency_slope, susceptibility_real
+from .spectral import QUAD_TOL, StarSpec, low_frequency_slope, susceptibility_real
 
 
 def quad(*args, **kwargs):
@@ -53,20 +55,19 @@ def brentq(*args, **kwargs):
 class SteadyStateQuery:
     """One steady-state evaluation point.
 
-    omega_min is the infrared cutoff (0 means none); it must be positive
+    omega_min is the finite infrared cutoff (0 means none); it must be positive
     when the probe has no bare trapping, otherwise s11 diverges.
     """
 
     star: StarSpec
     T: float
     omega_min: float = 0.0
-    quad_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if not 0.0 < self.T < math.inf:
             raise ValueError("temperature must be positive and finite")
-        if self.omega_min < 0.0:
-            raise ValueError("omega_min must be >= 0")
+        if not 0.0 <= self.omega_min < math.inf:
+            raise ValueError("omega_min must be finite and >= 0")
         if self.star.omega0_sq == 0.0 and self.omega_min <= 0.0:
             raise DivergenceError(
                 "a probe with omega_0 = 0 requires an infrared cutoff omega_min > 0 "
@@ -120,13 +121,12 @@ def _breakpoints(q: SteadyStateQuery) -> tuple[float, list[float], float]:
     return lo, sorted(p for p in pts if lo < p < B), B
 
 
-def _integrate(q: SteadyStateQuery, f, lo: float, pts: list[float], B: float) -> float:
-    tol = q.quad_tol
+def _integrate(f, lo: float, pts: list[float], B: float) -> float:
     try:
-        v1, _ = quad(f, lo, B, points=pts, limit=800, epsabs=1e-14, epsrel=tol)
+        v1, _ = quad(f, lo, B, points=pts, limit=800, epsabs=1e-14, epsrel=QUAD_TOL)
         v2 = 0.0
         if abs(f(B)) > 1e-280:
-            v2, _ = quad(f, B, np.inf, limit=200, epsabs=1e-14, epsrel=tol)
+            v2, _ = quad(f, B, np.inf, limit=200, epsabs=1e-14, epsrel=QUAD_TOL)
     except Exception as exc:
         raise IntegrationError(f"steady-state quadrature failed: {exc}") from exc
     total = v1 + v2
@@ -142,11 +142,11 @@ def _weighted_moments(q: SteadyStateQuery, kernel) -> tuple[float, float, float,
 
     def weight(w: float) -> float:
         jw = sd.j(w)
-        re = susceptibility_real(q.star, w, tol=q.quad_tol)
+        re = susceptibility_real(q.star, w)
         return jw / (re * re + jw * jw)
 
-    m0 = _integrate(q, lambda w: weight(w) * kernel(w), lo, pts, B) / np.pi
-    m2 = _integrate(q, lambda w: w * w * weight(w) * kernel(w), lo, pts, B) / np.pi
+    m0 = _integrate(lambda w: weight(w) * kernel(w), lo, pts, B) / np.pi
+    m2 = _integrate(lambda w: w * w * weight(w) * kernel(w), lo, pts, B) / np.pi
     return m0, m2, lo, B
 
 
@@ -159,7 +159,7 @@ def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
         raise IntegrationError(
             f"unphysical steady covariance det={cov.det()!r} < 1/4 "
             f"(s11={s11!r}, s22={s22!r}); quadrature diagnostics: "
-            f"lo={lo!r} B={B!r} tol={q.quad_tol!r}"
+            f"lo={lo!r} B={B!r}"
         )
     return cov
 
@@ -185,12 +185,7 @@ def clm_qfi_fidelity(q: SteadyStateQuery, step_fraction: float = 1e-3) -> float:
     return qfi_from_fidelity(cov_at, q.T, step_fraction=step_fraction)
 
 
-def qfi_curve(
-    star: StarSpec,
-    temperatures,
-    omega_min: float = 0.0,
-    quad_tol: float = 1e-9,
-) -> QfiCurve:
+def qfi_curve(star: StarSpec, temperatures, omega_min: float = 0.0) -> QfiCurve:
     """Sweep the derivative-route QFI over a temperature grid (sorted ascending).
 
     The curve keeps the steady covariance at each temperature.
@@ -198,17 +193,14 @@ def qfi_curve(
     ts = sorted(float(t) for t in temperatures)
 
     def moments(t: float) -> tuple[SingleModeCovariance, CovarianceDerivatives]:
-        q = SteadyStateQuery(star=star, T=t, omega_min=omega_min, quad_tol=quad_tol)
+        q = SteadyStateQuery(star=star, T=t, omega_min=omega_min)
         return steady_covariances(q), covariance_T_derivatives(q)
 
     return QfiCurve.from_moments(ts, (moments(t) for t in ts))
 
 
 def free_probe_qfi_limit(
-    star: StarSpec,
-    T: float,
-    omega_min_sequence=None,
-    quad_tol: float = 1e-9,
+    star: StarSpec, T: float, omega_min_sequence=None
 ) -> tuple[float, list[tuple[float, float]]]:
     """QFI of the omega_0 = 0 probe in the infrared-cutoff limit.
 
@@ -226,7 +218,7 @@ def free_probe_qfi_limit(
         raise ValueError("omega_min_sequence must be decreasing with >= 3 entries")
     samples: list[tuple[float, float]] = []
     for wm in seq:
-        f = clm_qfi(SteadyStateQuery(star=star, T=T, omega_min=wm, quad_tol=quad_tol))
+        f = clm_qfi(SteadyStateQuery(star=star, T=T, omega_min=wm))
         samples.append((wm, f))
     diffs = [abs(b[1] - a[1]) for a, b in zip(samples, samples[1:])]
     if len(diffs) >= 2 and diffs[-1] > 2.0 * diffs[-2] + 1e-12 * abs(samples[-1][1]):

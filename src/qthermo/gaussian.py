@@ -144,8 +144,8 @@ def qfi_from_fidelity(
     second order in d; one Richardson step over d and d/2 removes the
     leading d^2 error as well.
     """
-    if T <= 0.0:
-        raise ValueError("qfi_from_fidelity requires T > 0")
+    if not 0.0 < T < math.inf:
+        raise ValueError("qfi_from_fidelity requires a positive, finite T")
     if not 0.0 < step_fraction <= 0.1:
         raise ValueError("step_fraction must lie in (0, 0.1]")
     delta = step_fraction * T

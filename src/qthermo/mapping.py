@@ -198,8 +198,8 @@ def star_to_chain(normal_freqs_sq) -> ChainReconstruction:
     freqs = np.asarray(list(normal_freqs_sq), dtype=float)
     if freqs.size < 2:
         raise ValueError("need at least 2 frequencies")
-    if np.any(freqs < 0.0):
-        raise ValueError("squared frequencies must be non-negative")
+    if not np.all((0.0 <= freqs) & (freqs < np.inf)):
+        raise ValueError("squared frequencies must be finite and non-negative")
     if np.any(np.diff(freqs) >= 0.0):
         raise ValueError("frequencies must be strictly descending and distinct")
     n_half = freqs.size - 1

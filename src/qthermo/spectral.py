@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError, IntegrationError, PoleError
 
-# Default relative tolerance for all adaptive quadrature in this module.
+# Relative tolerance of every adaptive quadrature in the package.
 QUAD_TOL = 1e-9
 
 
@@ -116,6 +116,8 @@ class DiscreteModes:
         g = np.asarray(self.gs, dtype=float)
         if w.size == 0 or w.size != g.size:
             raise ValueError("DiscreteModes needs equal-length, non-empty lists")
+        if not np.all(np.abs(np.concatenate((w, g))) < math.inf):
+            raise ValueError("mode frequencies and couplings must be finite")
         if w[0] <= 0.0 or np.any(np.diff(w) <= 0.0):
             raise ValueError("mode frequencies must be positive and strictly increasing")
         if np.any(g < 0.0):
@@ -140,7 +142,7 @@ def _tail_start(sd: ContinuousSpectralDensity, omega: float = 0.0) -> float:
     return max(50.0 * sd.omega_c, 10.0 * omega)
 
 
-def renormalization_frequency_sq(sd: SpectralDensityModel, tol: float = QUAD_TOL) -> float:
+def renormalization_frequency_sq(sd: SpectralDensityModel) -> float:
     """omega_R^2 = sum g_n^2 / w_n^2, continuum form (1/pi) int_0^inf J/w dw.
 
     Closed forms: gamma*wc (Lorentz-Drude) and (gamma/2) Gamma(s) wc
@@ -161,9 +163,9 @@ def renormalization_frequency_sq(sd: SpectralDensityModel, tol: float = QUAD_TOL
             points=[sd.omega_c, 10.0 * sd.omega_c],
             limit=400,
             epsabs=1e-14,
-            epsrel=tol,
+            epsrel=QUAD_TOL,
         )
-        v2, _ = quad(lambda w: sd.j(w) / w, b, np.inf, limit=200, epsabs=1e-14, epsrel=tol)
+        v2, _ = quad(lambda w: sd.j(w) / w, b, np.inf, limit=200, epsabs=1e-14, epsrel=QUAD_TOL)
     except Exception as exc:  # pragma: no cover - quadrature misuse
         raise DivergenceError(f"renormalization integral failed: {exc}") from exc
     total = (v1 + v2) / np.pi
@@ -181,9 +183,7 @@ def low_frequency_slope(sd: ContinuousSpectralDensity) -> float:
     return max(float(sd.j(eps)) / eps, 1e-300)
 
 
-def self_energy_pv(
-    sd: ContinuousSpectralDensity, omega: float, tol: float = QUAD_TOL
-) -> float:
+def self_energy_pv(sd: ContinuousSpectralDensity, omega: float) -> float:
     """Numerical PV self-energy via singularity subtraction.
 
     S(w) = (1/pi) [ int_0^B (J(x)x - J(w)w)/(x^2 - w^2) dx
@@ -194,7 +194,7 @@ def self_energy_pv(
     if omega < 0.0:
         raise ValueError("self_energy requires omega >= 0")
     if omega == 0.0:
-        return renormalization_frequency_sq(sd, tol=tol)
+        return renormalization_frequency_sq(sd)
     w = float(omega)
     jw = float(sd.j(w)) * w
 
@@ -208,14 +208,14 @@ def self_energy_pv(
 
     b = _tail_start(sd, w)
     pts = sorted({p for p in (0.5 * w, w, 2.0 * w, sd.omega_c, 10.0 * sd.omega_c) if 0.0 < p < b})
-    v1, _ = quad(subtracted, 0.0, b, points=pts, limit=400, epsabs=1e-14, epsrel=tol)
+    v1, _ = quad(subtracted, 0.0, b, points=pts, limit=400, epsabs=1e-14, epsrel=QUAD_TOL)
     v2, _ = quad(
         lambda x: sd.j(x) * x / ((x - w) * (x + w)),
         b,
         np.inf,
         limit=200,
         epsabs=1e-14,
-        epsrel=tol,
+        epsrel=QUAD_TOL,
     )
     pv_rest = math.log((b - w) / (b + w)) / (2.0 * w)
     total = (v1 + v2 + jw * pv_rest) / np.pi
@@ -224,7 +224,7 @@ def self_energy_pv(
     return total
 
 
-def self_energy(sd: SpectralDensityModel, omega: float, tol: float = QUAD_TOL) -> float:
+def self_energy(sd: SpectralDensityModel, omega: float) -> float:
     """Self-energy S(omega); closed form where known, PV quadrature otherwise.
 
     Discrete reservoirs sum g_n^2/(w_n^2 - w^2) away from the poles.
@@ -238,7 +238,7 @@ def self_energy(sd: SpectralDensityModel, omega: float, tol: float = QUAD_TOL) -
         return float(np.sum(sd.g_array**2 / (w * w - omega * omega)))
     if isinstance(sd, LorentzDrude):
         return sd.gamma * sd.omega_c**3 / (omega * omega + sd.omega_c**2)
-    return self_energy_pv(sd, omega, tol=tol)
+    return self_energy_pv(sd, omega)
 
 
 @dataclass(frozen=True)
@@ -272,18 +272,18 @@ def make_star(sd: SpectralDensityModel, omega0_sq: float) -> StarSpec:
     return StarSpec(omega0_sq=omega0_sq, omega_R_sq=renormalization_frequency_sq(sd), sd=sd)
 
 
-def susceptibility_real(star: StarSpec, omega: float, tol: float = QUAD_TOL) -> float:
+def susceptibility_real(star: StarSpec, omega: float) -> float:
     """Re alpha(omega) = w0^2 + wR^2 - w^2 - S(w); exactly w0^2 at omega = 0."""
-    return star.omega0_sq + star.omega_R_sq - omega * omega - self_energy(star.sd, omega, tol=tol)
+    return star.omega0_sq + star.omega_R_sq - omega * omega - self_energy(star.sd, omega)
 
 
-def susceptibility_abs_sq(star: StarSpec, omega: float, tol: float = QUAD_TOL) -> float:
+def susceptibility_abs_sq(star: StarSpec, omega: float) -> float:
     """|alpha(omega)|^2 = (Re alpha)^2 + J(omega)^2; exactly w0^4 at omega = 0."""
     if omega < 0.0:
         raise ValueError("susceptibility requires omega >= 0")
     if isinstance(star.sd, DiscreteModes):
         raise TypeError("susceptibility_abs_sq needs a continuous spectral density")
-    re = susceptibility_real(star, omega, tol=tol)
+    re = susceptibility_real(star, omega)
     im = float(star.sd.j(omega))
     return re * re + im * im
 

@@ -32,7 +32,7 @@ from qthermo import (
 )
 from qthermo import chain as chain_mod
 from qthermo.chain import gap_error
-from qthermo.gaussian import QfiCurve, qfi_from_derivatives
+from qthermo.gaussian import QfiCurve, qfi_from_derivatives, qfi_from_fidelity
 
 
 def dense_node_covariance(c: ChainSpec, T: float):
@@ -102,6 +102,21 @@ class TestChainSpectrum:
     def test_unstable_chain_rejected(self):
         with pytest.raises(UnstableChainError):
             chain_spectrum(ChainSpec(N=10, omega_sq=-5.0, couplings=(0.1,) * 10))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_chain_is_rejected(self, x):
+        # used to give an all-NaN or all-inf spectrum without error
+        with pytest.raises(ValueError):
+            ChainSpec(N=3, omega_sq=1.0, couplings=(0.1, x, 0.01))
+        with pytest.raises(ValueError):
+            ChainSpec(N=3, omega_sq=x, couplings=(0.1, 0.05, 0.01))
+
+
+def test_exponential_chain_couplings():
+    c = chain_mod.exponential_chain(6, 0.3, G=2.0, c=0.7)
+    assert (c.N, c.omega_sq) == (6, 0.3)
+    n = np.arange(1, 7)
+    assert np.allclose(c.coupling_array, 2.0 * np.exp(-0.7 * n), rtol=1e-15, atol=0.0)
 
 
 class TestGaplessTuning:
@@ -222,6 +237,7 @@ def test_bad_temperature_is_rejected(T):
         lambda: SteadyStateQuery(star=star, T=T),
         lambda: thermal_mode_covariance(1.0, T),
         lambda: thermal_mode_derivatives(1.0, T),
+        lambda: qfi_from_fidelity(lambda t: thermal_mode_covariance(1.0, 1.0), T),
     )
     for call in calls:
         with pytest.raises(ValueError):

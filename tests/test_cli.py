@@ -138,6 +138,19 @@ class TestRunExperiment:
         summary = run_experiment(cfg, out=str(tmp_path / "tihc.csv"))
         assert summary["gap"] == pytest.approx(0.5, rel=1e-6)
 
+    def test_tihc_exponential_couplings(self, tmp_path):
+        cfg = parse_config_text(
+            "experiment = tihc-qfi\nN = 30\ncoupling_family = exponential\nc = 0.8\nG = 1.5\n"
+            "gap = 0.4\nT_min = 0.05\nT_max = 0.2\npoints = 4"
+        )
+        summary = run_experiment(cfg, out=str(tmp_path / "tihc_exp.csv"))
+        couplings = qthermo.chain.exponential_chain(30, 0.0, G=1.5, c=0.8).couplings
+        omega_sq = qthermo.chain.gapless_frequency_sq(30, couplings) + 0.4**2
+        chain = qthermo.chain.ChainSpec(N=30, omega_sq=omega_sq, couplings=couplings)
+        assert summary["omega_sq"] == omega_sq
+        assert summary["gap"] == qthermo.chain.chain_spectrum(chain).gap
+        assert summary["gap"] == pytest.approx(0.4, rel=1e-6)
+
     def test_tihc_couplings_from_csv(self, tmp_path):
         csv_path = tmp_path / "g.csv"
         csv_path.write_text("n,G\n" + "".join(f"{n},{1.0 / n**2.5!r}\n" for n in range(1, 13)))
@@ -250,6 +263,49 @@ class TestMainExitCodes:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "config-error"
         assert payload["message"].startswith("need 0 < T_min < T_max")
+        assert not out.exists()
+
+    def test_tolerance_flag_is_gone(self, tmp_path, capsys):
+        cfg_path = tmp_path / "ok.cfg"
+        cfg_path.write_text(CLM_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["clm-qfi", "--config", str(cfg_path), "--tol", "1e-7"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_tolerance_config_key_is_unknown(self, tmp_path, capsys):
+        cfg_path = tmp_path / "tol.cfg"
+        cfg_path.write_text(CLM_CFG + "quad_tol = 1e-9\n")
+        out = tmp_path / "never.csv"
+        assert main(["clm-qfi", "--config", str(cfg_path), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "config-error"
+        assert payload["message"] == "unknown config keys: ['quad_tol']"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ("fit_n_lo = 40\nfit_n_hi = 5\n", "need fit_n_lo < fit_n_hi"),
+            ("fit_n_lo = 5\nfit_n_hi = 5\n", "need fit_n_lo < fit_n_hi"),
+            ("fit_n_hi = 40\n", "fit_n_lo and fit_n_hi must be given together"),
+            ("fit_n_lo = 5\n", "fit_n_lo and fit_n_hi must be given together"),
+            ("fit_n_lo = 0\nfit_n_hi = 40\n", "fit_n_lo must be >= 1"),
+        ],
+        ids=["reversed", "empty", "hi-only", "lo-only", "zero"],
+    )
+    def test_bad_star_to_chain_fit_window_is_2(self, tmp_path, capsys, window, message):
+        # each of these used to drop the fit silently and exit 0
+        cfg_path = tmp_path / "window.cfg"
+        cfg_path.write_text(
+            "experiment = star-to-chain\ngamma = 0.1\nomega_c = 2.0\nn_modes = 80\n"
+            "omega_max = 20\nomega0_sq = 0.04\n" + window
+        )
+        out = tmp_path / "never.csv"
+        assert main(["star-to-chain", "--config", str(cfg_path), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "config-error"
+        assert payload["message"] == message
         assert not out.exists()
 
     def test_missing_config_is_4(self, tmp_path):

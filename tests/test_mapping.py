@@ -165,6 +165,12 @@ class TestStarToChain:
         with pytest.raises(ValueError):
             star_to_chain([3.0, 2.0, -1.0])  # negative
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_frequency_is_rejected(self, x):
+        # used to return NaN or infinite couplings flagged physical=True
+        with pytest.raises(ValueError):
+            star_to_chain([x, 2.0, 1.0])
+
     def test_desk_scale_lorentz_drude_reconstruction(self):
         # frozen desk-scale variant of the published N=2000 run
         star = discretize_clm(LorentzDrude(0.1, 2.0), 400, 40.0, omega0_sq=0.04)

@@ -261,6 +261,8 @@ def test_non_finite_model_parameter_is_rejected(x):
         lambda: GenericOhmic(gamma=0.1, omega_c=x, cutoff_fn=flat),
         lambda: discretize_clm(ld, 50, x),
         lambda: StarSpec(omega0_sq=x, omega_R_sq=0.2, sd=ld),
+        lambda: DiscreteModes((1.0, x), (0.1, 0.1)),
+        lambda: DiscreteModes((1.0, 2.0), (0.1, x)),
     )
     for call in calls:
         with pytest.raises(ValueError):
