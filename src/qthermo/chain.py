@@ -32,6 +32,9 @@ from .gaussian import (
 # opts into the regularized treatment.
 GAP_FLOOR_SCALE = 1e-8
 
+# Most normal modes whose cosine column chain_spectrum builds at once.
+_SPECTRUM_BLOCK = 256
+
 
 def _coth_vec(x: np.ndarray) -> np.ndarray:
     out = np.ones_like(x)
@@ -120,11 +123,23 @@ class ChainSpectrum:
 
 
 def chain_spectrum(c: ChainSpec) -> ChainSpectrum:
-    """Exact spectrum by trigonometric evaluation (no eigensolver)."""
+    """Exact spectrum by trigonometric evaluation (no eigensolver).
+
+    The N x (N+1) cosine table is built in column blocks of at most
+    _SPECTRUM_BLOCK modes, so memory grows as O(N), not O(N^2).  Each column
+    is summed over k in the same order as the whole table would be, so the
+    values do not depend on the blocking.  np.array_split keeps every block
+    at least two columns wide: numpy sums a one-column block pairwise, not
+    row by row, which would round differently.
+    """
     k = np.arange(1, c.N + 1, dtype=float)
     a = np.arange(0, c.N + 1, dtype=float)
-    cos_table = np.cos(2.0 * np.pi * np.outer(k, a) / (2 * c.N + 1))
-    vals = c.omega_sq + 2.0 * (c.coupling_array[:, None] * cos_table).sum(axis=0)
+    g = c.coupling_array[:, None]
+    sums = [
+        (g * np.cos(2.0 * np.pi * np.outer(k, b) / (2 * c.N + 1))).sum(axis=0)
+        for b in np.array_split(a, -(-a.size // _SPECTRUM_BLOCK))
+    ]
+    vals = c.omega_sq + 2.0 * np.concatenate(sums)
     floor = -1e-12 * max(1.0, float(np.max(np.abs(vals))))
     if np.min(vals) < floor:
         raise UnstableChainError(
@@ -240,9 +255,11 @@ def gap_error_scaling(s: float, G: float, N_list) -> ScalingFit:
     |gap_error(N, s, G)| is fitted against N on log-log axes; expected
     exponents: -2 for s > 2 (log-degraded at s = 2) and -s for 1 < s < 2.
     """
-    if s <= 1.0:
-        raise ValueError("gap_error_scaling requires power-law decay s > 1")
+    if not 1.0 < s < math.inf:
+        raise ValueError(f"gap_error_scaling requires power-law decay 1 < s < inf, got s={s!r}")
     ns = sorted(int(n) for n in N_list)
+    if any(n < 1 for n in ns):
+        raise ValueError(f"N_list entries must be positive chain sizes, got {ns}")
     if len(ns) < 4:
         raise FitError("need at least 4 chain sizes to fit the gap error")
     xi = [abs(gap_error(N, s, G)) for N in ns]

@@ -319,6 +319,9 @@ def _run_star_to_chain(cfg: _Config) -> ExperimentResult:
     window = _window("fit_n", cfg.int_)
     if window and window[0] < 1:
         raise ConfigError("fit_n_lo must be >= 1")
+    n_couplings = len(star.sd.omegas)  # the chain has one coupling per reservoir mode
+    if window and window[1] > n_couplings:
+        raise ConfigError(f"fit_n_hi = {window[1]} exceeds the chain's {n_couplings} couplings")
     cfg.reject_unknown()
     freqs = mapping_mod.clm_normal_modes(star)
     rec = mapping_mod.star_to_chain(freqs)

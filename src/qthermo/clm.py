@@ -13,6 +13,12 @@ as a cross-check.  A probe with zero bare frequency needs an infrared
 cutoff wmin > 0; its QFI is defined by the wmin -> 0 limit.  Every integral
 is an adaptive quadrature at the package's one relative tolerance,
 spectral.QUAD_TOL.
+
+The weight J/|alpha|^2 and the resonance of Re alpha do not depend on T.
+The weight is one closure (spectral._probe_weight) whose constants are
+computed before any node; a Lorentz-Drude reservoir evaluates it in
+closed form at each node.  The resonance is found once per star
+(StarSpec._resonance), not twice per temperature.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .gaussian import (
     qfi_from_derivatives,
     qfi_from_fidelity,
 )
-from .spectral import QUAD_TOL, StarSpec, low_frequency_slope, susceptibility_real
+from .spectral import QUAD_TOL, StarSpec, _probe_weight, low_frequency_slope, susceptibility_real
 
 
 def quad(*args, **kwargs):
@@ -75,8 +81,11 @@ class SteadyStateQuery:
             )
 
 
-def _resonance(star: StarSpec) -> float | None:
-    """Root of Re alpha(w) = 0, located by bracketed root finding."""
+def _find_resonance(star: StarSpec) -> float | None:
+    """Root of Re alpha(w) = 0, located by bracketed root finding.
+
+    Callers read it as StarSpec._resonance, which runs this once per star.
+    """
     re_alpha = partial(susceptibility_real, star)
     lo = 1e-9 * star.sd.omega_c
     hi = 10.0 * math.sqrt(star.omega0_sq + star.omega_R_sq) + 10.0 * star.sd.omega_c
@@ -104,7 +113,7 @@ def _breakpoints(q: SteadyStateQuery) -> tuple[float, list[float], float]:
     if q.star.omega0_sq > 0.0:
         knee = q.star.omega0_sq / slope
         pts.update((0.1 * knee, knee, 10.0 * knee, 100.0 * knee))
-    res = _resonance(q.star)
+    res = q.star._resonance
     B = max(50.0 * wc, 1000.0 * T)
     if res is not None:
         width = max(float(sd.j(res)) / (2.0 * res), 1e-14 * res)
@@ -137,14 +146,8 @@ def _integrate(f, lo: float, pts: list[float], B: float) -> float:
 
 def _weighted_moments(q: SteadyStateQuery, kernel) -> tuple[float, float, float, float]:
     """(1/pi) int J/|alpha|^2 kernel and its w^2-weighted partner, plus (lo, B)."""
-    sd = q.star.sd
     lo, pts, B = _breakpoints(q)
-
-    def weight(w: float) -> float:
-        jw = sd.j(w)
-        re = susceptibility_real(q.star, w)
-        return jw / (re * re + jw * jw)
-
+    weight = _probe_weight(q.star)
     m0 = _integrate(lambda w: weight(w) * kernel(w), lo, pts, B) / np.pi
     m2 = _integrate(lambda w: w * w * weight(w) * kernel(w), lo, pts, B) / np.pi
     return m0, m2, lo, B

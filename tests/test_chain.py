@@ -71,6 +71,21 @@ class TestChainSpectrum:
         assert spec.gap == pytest.approx(math.sqrt(2.0))
         assert spec.max_freq == pytest.approx(math.sqrt(2.0))
 
+    @pytest.mark.parametrize("n_half", [1, 255, 256, 257, 2000])
+    def test_blocked_table_matches_the_one_shot_table(self, n_half):
+        # N = 256 gives 257 columns: a naive split would leave a one-column
+        # block, which numpy sums pairwise and so rounds differently.  The
+        # couplings are sign-mixed because sums of positive, fast-decaying
+        # terms often round alike in either order and would hide that.
+        n = np.arange(1, n_half + 1)
+        g = np.random.default_rng(n_half).standard_normal(n_half) / n**1.5
+        c = ChainSpec(N=n_half, omega_sq=50.0, couplings=tuple(g))
+        k = np.arange(1, n_half + 1, dtype=float)
+        a = np.arange(0, n_half + 1, dtype=float)
+        cos_table = np.cos(2.0 * np.pi * np.outer(k, a) / (2 * n_half + 1))
+        one_shot = c.omega_sq + 2.0 * (c.coupling_array[:, None] * cos_table).sum(axis=0)
+        assert np.array_equal(chain_spectrum(c).array, one_shot)
+
     def test_nearest_neighbor_dispersion(self):
         g = 0.3
         c = ChainSpec(N=40, omega_sq=1.0, couplings=(g,) + (0.0,) * 39)
@@ -310,6 +325,16 @@ class TestGapErrorScaling:
     def test_exponent_table(self, s, lo, hi):
         fit = gap_error_scaling(s, 1.0, [50, 100, 200, 400, 800])
         assert lo <= fit.exponent_or_gap <= hi
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, 1.0, 0.5])
+    def test_bad_decay_exponent_is_rejected(self, s):
+        with pytest.raises(ValueError, match="s="):
+            gap_error_scaling(s, 1.0, [50, 100, 200, 400])
+
+    @pytest.mark.parametrize("n_list", [[-5, 10, 20, 40], [0, 10, 20, 40]])
+    def test_non_positive_chain_size_is_rejected(self, n_list):
+        with pytest.raises(ValueError, match="N_list"):
+            gap_error_scaling(3.0, 1.0, n_list)
 
     def test_needs_four_sizes(self):
         from qthermo import FitError

@@ -291,8 +291,12 @@ class TestMainExitCodes:
             ("fit_n_hi = 40\n", "fit_n_lo and fit_n_hi must be given together"),
             ("fit_n_lo = 5\n", "fit_n_lo and fit_n_hi must be given together"),
             ("fit_n_lo = 0\nfit_n_hi = 40\n", "fit_n_lo must be >= 1"),
+            (
+                "fit_n_lo = 10\nfit_n_hi = 5000\n",
+                "fit_n_hi = 5000 exceeds the chain's 80 couplings",
+            ),
         ],
-        ids=["reversed", "empty", "hi-only", "lo-only", "zero"],
+        ids=["reversed", "empty", "hi-only", "lo-only", "zero", "beyond-chain"],
     )
     def test_bad_star_to_chain_fit_window_is_2(self, tmp_path, capsys, window, message):
         # each of these used to drop the fit silently and exit 0
@@ -306,6 +310,38 @@ class TestMainExitCodes:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "config-error"
         assert payload["message"] == message
+        assert not out.exists()
+
+    def test_fit_window_may_end_at_the_last_coupling(self, tmp_path):
+        cfg = parse_config_text(
+            "experiment = star-to-chain\ngamma = 0.1\nomega_c = 2.0\nn_modes = 80\n"
+            "omega_max = 20\nomega0_sq = 0.04\nfit_n_lo = 10\nfit_n_hi = 80\n"
+        )
+        summary = run_experiment(cfg, out=str(tmp_path / "chain.csv"))
+        assert summary["fits"][0]["window"] == (10.0, 80.0)
+        assert summary["fits"][0]["n_points"] == 71
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("s = nan\nN_list = 50,100,200,400\n", "1 < s < inf, got s=nan"),
+            ("s = inf\nN_list = 50,100,200,400\n", "1 < s < inf, got s=inf"),
+            ("s = 3.0\nN_list = -5,10,20,40\n", "N_list entries must be positive"),
+            ("s = 3.0\nN_list = 0,10,20,40\n", "N_list entries must be positive"),
+        ],
+        ids=["s-nan", "s-inf", "N-negative", "N-zero"],
+    )
+    def test_bad_gap_error_input_is_3(self, tmp_path, capsys, entry, message):
+        # s = nan used to fail as a FitError on r_squared, N = -5 on the
+        # couplings length
+        cfg_path = tmp_path / "xi.cfg"
+        cfg_path.write_text("experiment = gap-error\n" + entry)
+        out = tmp_path / "never.csv"
+        assert main(["gap-error", "--config", str(cfg_path), "--out", str(out)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "computation-error"
+        assert payload["message"].startswith("ValueError: ")
+        assert message in payload["message"]
         assert not out.exists()
 
     def test_missing_config_is_4(self, tmp_path):

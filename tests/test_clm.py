@@ -29,7 +29,7 @@ from qthermo import (
     steady_covariances,
     thermal_mode_covariance,
 )
-from qthermo import clm
+from qthermo import clm, spectral
 from qthermo.cli import parse_config_text, run_experiment
 from qthermo.gaussian import qfi_from_derivatives
 
@@ -229,29 +229,61 @@ class TestCliTable:
 class TestWeightEvaluations:
     @pytest.mark.parametrize("moments", [steady_covariances, covariance_T_derivatives])
     def test_one_j_call_per_integrand_node(self, monkeypatch, moments):
-        # the weight J/|alpha|^2 evaluates J once per node; the two extra
-        # calls are the low-frequency slope and the resonance width
-        calls = {"j": 0, "f": 0}
+        # Lorentz-Drude nodes evaluate J and S in closed form: J runs only for
+        # the low-frequency slope and the resonance width, and the
+        # self-energy never runs at a node
+        calls = {"j": 0, "f": 0, "self_energy": 0, "self_energy_at_nodes": 0}
         real_j = LorentzDrude.j
+        real_self_energy = spectral.self_energy
         real_integrate = clm._integrate
 
         def j(self, w):
             calls["j"] += 1
             return real_j(self, w)
 
+        def self_energy(sd, w):
+            calls["self_energy"] += 1
+            return real_self_energy(sd, w)
+
         def integrate(f, *args):
             # counts quad's nodes and the direct tail probe f(B) alike
             def counted(w):
                 calls["f"] += 1
-                return f(w)
+                before = calls["self_energy"]
+                value = f(w)
+                calls["self_energy_at_nodes"] += calls["self_energy"] - before
+                return value
 
             return real_integrate(counted, *args)
 
         monkeypatch.setattr(LorentzDrude, "j", j)
+        monkeypatch.setattr(spectral, "self_energy", self_energy)
         monkeypatch.setattr(clm, "_integrate", integrate)
         moments(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
         assert calls["f"] > 100
-        assert calls["j"] <= calls["f"] + 2
+        assert calls["j"] <= 2
+        assert calls["self_energy_at_nodes"] == 0
+
+    def test_sweep_finds_the_resonance_once(self, monkeypatch):
+        # the root of Re alpha does not depend on T: one brentq per star,
+        # and the sweep still equals the per-temperature calls exactly
+        roots, real_brentq = [], clm.brentq
+
+        def brentq(*args, **kwargs):
+            roots.append(args)
+            return real_brentq(*args, **kwargs)
+
+        monkeypatch.setattr(clm, "brentq", brentq)
+        star = fig2_star(1.0)
+        ts = np.geomspace(1e-3, 1e-1, 6)
+        curve = qfi_curve(star, ts)
+        assert len(roots) == 1
+        fresh = fig2_star(1.0)
+        for t, f, cov in zip(ts, curve.qfi, curve.covariances):
+            q = SteadyStateQuery(star=fresh, T=float(t))
+            assert cov == steady_covariances(q)
+            assert f == clm_qfi(q)
+        assert len(roots) == 2
 
 
 class TestMpmathOracle:

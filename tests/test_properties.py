@@ -1,7 +1,10 @@
-"""Property-based checks of the chain and star mappings and the node state.
+"""Property-based checks of the chain and star mappings, the node state, and
+the Brownian probe's weight.
 
 Examples are derandomized, so every run draws the same ones.
 """
+
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -10,14 +13,17 @@ from hypothesis import strategies as st
 from qthermo import (
     ChainSpec,
     DiscreteModes,
+    LorentzDrude,
     StarSpec,
     clm_normal_modes,
     gapless_frequency_sq,
+    make_star,
     node_covariances,
     power_law_chain,
     star_to_chain,
 )
 from qthermo.gaussian import PHYSICALITY_TOL
+from qthermo.spectral import _probe_weight, susceptibility_real
 
 FIXED = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -108,3 +114,29 @@ def test_star_normal_modes_match_the_dense_arrowhead(star):
     ev = clm_normal_modes(star)
     assert np.all(np.diff(ev) <= 0.0)
     assert np.max(np.abs(ev - dense)) <= 1e-12 * dense[0]
+
+
+small = st.floats(1e-8, 1e-3)
+order_one = st.floats(0.1, 10.0)
+
+
+@st.composite
+def ld_stars_and_frequencies(draw):
+    """A Lorentz-Drude star and a frequency near 0, near the resonance of
+    Re alpha, or far above the cutoff."""
+    sd = LorentzDrude(draw(st.one_of(small, order_one)), draw(st.one_of(small, order_one)))
+    star = make_star(sd, draw(st.one_of(st.just(0.0), small, order_one)))
+    near_zero = st.floats(1e-12, 1e-6).map(lambda x: x * sd.omega_c)
+    res = star._resonance or math.sqrt(star.omega0_sq + star.omega_R_sq)
+    near_res = st.floats(-1e-3, 1e-3).map(lambda d: res * (1.0 + d))
+    far = st.floats(1.0, 6.0).map(lambda k: sd.omega_c * 10.0**k)
+    return star, draw(st.one_of(near_zero, near_res, far))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ld_stars_and_frequencies())
+def test_fused_lorentz_drude_weight_is_the_composed_one(star_and_omega):
+    star, w = star_and_omega
+    j = star.sd.j(w)
+    re = susceptibility_real(star, w)
+    assert _probe_weight(star)(w) == j / (re * re + j * j)
