@@ -243,6 +243,12 @@ def gap_error(N: int, s: float, G: float = 1.0) -> float:
               = 2 sum_{n<=N} (-1)^(n-1) G_n - gapless_frequency_sq(N, G),
     which is independent of Om^2.
     """
+    if N < 1:
+        raise ValueError(f"gap_error requires a chain size N >= 1, got N={N!r}")
+    if not math.isfinite(s):
+        raise ValueError(f"gap_error requires a finite decay exponent, got s={s!r}")
+    if not math.isfinite(G):
+        raise ValueError(f"gap_error requires a finite coupling scale, got G={G!r}")
     n = np.arange(1, N + 1, dtype=float)
     g = G / n**s
     alt = 2.0 * float(np.sum(np.where(n % 2 == 1, g, -g)))

@@ -15,10 +15,13 @@ is an adaptive quadrature at the package's one relative tolerance,
 spectral.QUAD_TOL.
 
 The weight J/|alpha|^2 and the resonance of Re alpha do not depend on T.
-The weight is one closure (spectral._probe_weight) whose constants are
-computed before any node; a Lorentz-Drude reservoir evaluates it in
-closed form at each node.  The resonance is found once per star
-(StarSpec._resonance), not twice per temperature.
+For a Lorentz-Drude reservoir each moment's integrand is one closure per
+star and temperature (_integrands) that evaluates J, S, Re alpha, the
+weight and the kernel in closed form: one Python frame per quadrature
+node.  Other families compose sd.j, susceptibility_real and coth or
+csch2.  The resonance is found once per star (StarSpec._resonance), not
+twice per temperature.  A quadrature that QUADPACK reports as failed
+raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -40,7 +43,13 @@ from .gaussian import (
     qfi_from_derivatives,
     qfi_from_fidelity,
 )
-from .spectral import QUAD_TOL, StarSpec, _probe_weight, low_frequency_slope, susceptibility_real
+from .spectral import (
+    QUAD_TOL,
+    LorentzDrude,
+    StarSpec,
+    low_frequency_slope,
+    susceptibility_real,
+)
 
 
 def quad(*args, **kwargs):
@@ -130,33 +139,121 @@ def _breakpoints(q: SteadyStateQuery) -> tuple[float, list[float], float]:
     return lo, sorted(p for p in pts if lo < p < B), B
 
 
+def _value(out: tuple) -> float:
+    """quad's value; with full_output, quad appends its message when ier > 0."""
+    if len(out) > 3:
+        raise IntegrationError(f"steady-state quadrature failed: {out[3]}")
+    return out[0]
+
+
 def _integrate(f, lo: float, pts: list[float], B: float) -> float:
+    """int f from lo to inf: [lo, B] with the interior points pts, plus the
+    tail beyond B unless f(B) is negligible.  quad reports a failure
+    (ier > 0) in its full output, not as a warning, and it raises here."""
     try:
-        v1, _ = quad(f, lo, B, points=pts, limit=800, epsabs=1e-14, epsrel=QUAD_TOL)
-        v2 = 0.0
+        head = quad(f, lo, B, points=pts, limit=800, epsabs=1e-14, epsrel=QUAD_TOL, full_output=1)
+        tail = (0.0,)
         if abs(f(B)) > 1e-280:
-            v2, _ = quad(f, B, np.inf, limit=200, epsabs=1e-14, epsrel=QUAD_TOL)
+            tail = quad(f, B, np.inf, limit=200, epsabs=1e-14, epsrel=QUAD_TOL, full_output=1)
     except Exception as exc:
         raise IntegrationError(f"steady-state quadrature failed: {exc}") from exc
-    total = v1 + v2
+    total = _value(head) + _value(tail)
     if not math.isfinite(total):
         raise IntegrationError(f"steady-state quadrature returned {total!r}")
     return total
 
 
-def _weighted_moments(q: SteadyStateQuery, kernel) -> tuple[float, float, float, float]:
-    """(1/pi) int J/|alpha|^2 kernel and its w^2-weighted partner, plus (lo, B)."""
+def _integrands(star: StarSpec, T: float, derivative: bool) -> tuple:
+    """The w^0 and w^2 integrands of (1/pi) int J/|alpha|^2 kernel dw.
+
+    The kernel is coth(w/2T) for s11 and s22, and its T-derivative
+    (w/2T^2) csch^2(w/2T) for a1 and a2 (derivative=True).  |alpha|^2 is
+    (Re alpha)^2 + J^2.  For Lorentz-Drude each integrand is one closure
+    that evaluates J, the closed-form S, Re alpha, the weight and the
+    kernel inline, one Python frame per quadrature node, with the
+    operations and their order of LorentzDrude.j, self_energy,
+    susceptibility_real, coth and csch2: every node value is bit for bit
+    what those functions compose to, as they still do for the other
+    families.  Im alpha enters as J in both branches; the Kramers-Kronig
+    partner of this Re alpha is J/2 (ROADMAP, "damped twice as hard"),
+    and that fix is the factor on J here.
+    """
+    sd = star.sd
+    t2, tt2 = 2.0 * T, 2.0 * T * T
+    if not isinstance(sd, LorentzDrude):
+
+        def weight(w: float) -> float:
+            jw = sd.j(w)
+            re = susceptibility_real(star, w)
+            return jw / (re * re + jw * jw)
+
+        def kernel(w: float) -> float:
+            return (w / tt2) * csch2(w / t2) if derivative else coth(w / t2)
+
+        return (lambda w: weight(w) * kernel(w)), (lambda w: w * w * weight(w) * kernel(w))
+
+    g2, wc2 = 2.0 * sd.gamma, sd.omega_c**2
+    gwc3, trap = sd.gamma * sd.omega_c**3, star.omega0_sq + star.omega_R_sq
+
+    def s11(w: float) -> float:
+        ww = w * w
+        d = ww + wc2
+        jw = g2 * w * wc2 / d
+        re = trap - ww - gwc3 / d
+        x = w / t2
+        k = 1.0 if x > 350.0 else 1.0 + 2.0 / math.expm1(2.0 * x)
+        return jw / (re * re + jw * jw) * k
+
+    def s22(w: float) -> float:
+        ww = w * w
+        d = ww + wc2
+        jw = g2 * w * wc2 / d
+        re = trap - ww - gwc3 / d
+        x = w / t2
+        k = 1.0 if x > 350.0 else 1.0 + 2.0 / math.expm1(2.0 * x)
+        return ww * (jw / (re * re + jw * jw)) * k
+
+    def a1(w: float) -> float:
+        ww = w * w
+        d = ww + wc2
+        jw = g2 * w * wc2 / d
+        re = trap - ww - gwc3 / d
+        x = w / t2
+        if x > 350.0:
+            c = 0.0
+        else:
+            s = math.sinh(x)
+            c = 1.0 / (s * s)
+        return jw / (re * re + jw * jw) * (w / tt2 * c)
+
+    def a2(w: float) -> float:
+        ww = w * w
+        d = ww + wc2
+        jw = g2 * w * wc2 / d
+        re = trap - ww - gwc3 / d
+        x = w / t2
+        if x > 350.0:
+            c = 0.0
+        else:
+            s = math.sinh(x)
+            c = 1.0 / (s * s)
+        return ww * (jw / (re * re + jw * jw)) * (w / tt2 * c)
+
+    return (a1, a2) if derivative else (s11, s22)
+
+
+def _weighted_moments(q: SteadyStateQuery, derivative: bool) -> tuple[float, float, float, float]:
+    """The w^0 and w^2 moments of _integrands, plus (lo, B)."""
     lo, pts, B = _breakpoints(q)
-    weight = _probe_weight(q.star)
-    m0 = _integrate(lambda w: weight(w) * kernel(w), lo, pts, B) / np.pi
-    m2 = _integrate(lambda w: w * w * weight(w) * kernel(w), lo, pts, B) / np.pi
+    f0, f2 = _integrands(q.star, q.T, derivative)
+    m0 = _integrate(f0, lo, pts, B) / np.pi
+    m2 = _integrate(f2, lo, pts, B) / np.pi
     return m0, m2, lo, B
 
 
 def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
     """Stationary probe covariance for the query's reservoir and temperature."""
-    T = q.T
-    s11, s22, lo, B = _weighted_moments(q, lambda w: coth(w / (2.0 * T)))
+    s11, s22, lo, B = _weighted_moments(q, derivative=False)
     cov = SingleModeCovariance(s11=s11, s22=s22)
     if cov.det() < 0.25 - 1e-9:
         raise IntegrationError(
@@ -169,8 +266,7 @@ def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
 
 def covariance_T_derivatives(q: SteadyStateQuery) -> CovarianceDerivatives:
     """d(s11)/dT and d(s22)/dT by differentiating under the integral."""
-    T = q.T
-    a1, a2, _, _ = _weighted_moments(q, lambda w: (w / (2.0 * T * T)) * csch2(w / (2.0 * T)))
+    a1, a2, _, _ = _weighted_moments(q, derivative=True)
     return CovarianceDerivatives(a1=a1, a2=a2)
 
 

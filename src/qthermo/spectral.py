@@ -296,40 +296,6 @@ def susceptibility_abs_sq(star: StarSpec, omega: float) -> float:
     return re * re + im * im
 
 
-def _probe_weight(star: StarSpec) -> Callable[[float], float]:
-    """The Brownian probe's weight w -> J/|alpha|^2 of one star.
-
-    |alpha|^2 = (Re alpha)^2 + J^2, bit for bit the value that
-    sd.j and susceptibility_real compose to at each node.  For Lorentz-Drude
-    the T-independent constants 2 gamma, wc^2, gamma wc^3 and w0^2 + wR^2
-    are computed here, and each node evaluates J, the closed-form S and
-    Re alpha inline, with the operations and their order of
-    LorentzDrude.j, self_energy and susceptibility_real.  Every other
-    family composes those functions.  Im alpha enters as J; the
-    Kramers-Kronig partner of this Re alpha is J/2 (ROADMAP, "damped twice
-    as hard"), and that fix is the factor on J here.
-    """
-    sd = star.sd
-    if isinstance(sd, LorentzDrude):
-        g2, wc2 = 2.0 * sd.gamma, sd.omega_c**2
-        gwc3, trap = sd.gamma * sd.omega_c**3, star.omega0_sq + star.omega_R_sq
-
-        def weight(w: float) -> float:
-            d = w * w + wc2
-            jw = g2 * w * wc2 / d
-            re = trap - w * w - gwc3 / d
-            return jw / (re * re + jw * jw)
-
-    else:
-
-        def weight(w: float) -> float:
-            jw = sd.j(w)
-            re = susceptibility_real(star, w)
-            return jw / (re * re + jw * jw)
-
-    return weight
-
-
 def discretize_clm(
     sd: ContinuousSpectralDensity,
     n_modes: int,

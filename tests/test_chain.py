@@ -336,6 +336,21 @@ class TestGapErrorScaling:
         with pytest.raises(ValueError, match="N_list"):
             gap_error_scaling(3.0, 1.0, n_list)
 
+    @pytest.mark.parametrize(
+        "N,s,G,name",
+        [
+            (0, 3.0, 1.0, "N="),
+            (-5, 3.0, 1.0, "N="),
+            (5, math.nan, 1.0, "s="),
+            (5, math.inf, 1.0, "s="),
+            (5, 3.0, math.nan, "G="),
+            (5, 3.0, -math.inf, "G="),
+        ],
+    )
+    def test_gap_error_rejects_bad_input(self, N, s, G, name):
+        with pytest.raises(ValueError, match=name):
+            gap_error(N, s, G)
+
     def test_needs_four_sizes(self):
         from qthermo import FitError
 

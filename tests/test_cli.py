@@ -328,12 +328,13 @@ class TestMainExitCodes:
             ("s = inf\nN_list = 50,100,200,400\n", "1 < s < inf, got s=inf"),
             ("s = 3.0\nN_list = -5,10,20,40\n", "N_list entries must be positive"),
             ("s = 3.0\nN_list = 0,10,20,40\n", "N_list entries must be positive"),
+            ("s = 3.0\nG = nan\nN_list = 50,100,200,400\n", "got G=nan"),
         ],
-        ids=["s-nan", "s-inf", "N-negative", "N-zero"],
+        ids=["s-nan", "s-inf", "N-negative", "N-zero", "G-nan"],
     )
     def test_bad_gap_error_input_is_3(self, tmp_path, capsys, entry, message):
-        # s = nan used to fail as a FitError on r_squared, N = -5 on the
-        # couplings length
+        # s = nan and G = nan used to fail as a FitError on r_squared,
+        # N = -5 on the couplings length
         cfg_path = tmp_path / "xi.cfg"
         cfg_path.write_text("experiment = gap-error\n" + entry)
         out = tmp_path / "never.csv"

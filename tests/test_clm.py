@@ -29,7 +29,7 @@ from qthermo import (
     steady_covariances,
     thermal_mode_covariance,
 )
-from qthermo import clm, spectral
+from qthermo import clm, gaussian, spectral
 from qthermo.cli import parse_config_text, run_experiment
 from qthermo.gaussian import qfi_from_derivatives
 
@@ -229,40 +229,46 @@ class TestCliTable:
 class TestWeightEvaluations:
     @pytest.mark.parametrize("moments", [steady_covariances, covariance_T_derivatives])
     def test_one_j_call_per_integrand_node(self, monkeypatch, moments):
-        # Lorentz-Drude nodes evaluate J and S in closed form: J runs only for
-        # the low-frequency slope and the resonance width, and the
-        # self-energy never runs at a node
-        calls = {"j": 0, "f": 0, "self_energy": 0, "self_energy_at_nodes": 0}
-        real_j = LorentzDrude.j
-        real_self_energy = spectral.self_energy
+        # a Lorentz-Drude node is one frame: J, S, Re alpha and the kernel
+        # are inline, so J runs only for the low-frequency slope and the
+        # resonance width, and nothing below runs at a node
+        total = dict.fromkeys(("j", "self_energy", "coth", "csch2"), 0)
+        at_nodes = dict.fromkeys(total, 0)
+        nodes = 0
+
+        def counted(name, fn):
+            def wrapper(*args):
+                total[name] += 1
+                return fn(*args)
+
+            return wrapper
+
         real_integrate = clm._integrate
-
-        def j(self, w):
-            calls["j"] += 1
-            return real_j(self, w)
-
-        def self_energy(sd, w):
-            calls["self_energy"] += 1
-            return real_self_energy(sd, w)
 
         def integrate(f, *args):
             # counts quad's nodes and the direct tail probe f(B) alike
-            def counted(w):
-                calls["f"] += 1
-                before = calls["self_energy"]
+            def node(w):
+                nonlocal nodes
+                nodes += 1
+                before = dict(total)
                 value = f(w)
-                calls["self_energy_at_nodes"] += calls["self_energy"] - before
+                for name in total:
+                    at_nodes[name] += total[name] - before[name]
                 return value
 
-            return real_integrate(counted, *args)
+            return real_integrate(node, *args)
 
-        monkeypatch.setattr(LorentzDrude, "j", j)
-        monkeypatch.setattr(spectral, "self_energy", self_energy)
+        monkeypatch.setattr(LorentzDrude, "j", counted("j", LorentzDrude.j))
+        monkeypatch.setattr(spectral, "self_energy", counted("self_energy", spectral.self_energy))
+        coth, csch2 = counted("coth", gaussian.coth), counted("csch2", gaussian.csch2)
+        for module in (clm, gaussian):
+            monkeypatch.setattr(module, "coth", coth)
+            monkeypatch.setattr(module, "csch2", csch2)
         monkeypatch.setattr(clm, "_integrate", integrate)
         moments(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
-        assert calls["f"] > 100
-        assert calls["j"] <= 2
-        assert calls["self_energy_at_nodes"] == 0
+        assert nodes > 100
+        assert total["j"] <= 2
+        assert at_nodes == dict.fromkeys(total, 0)
 
     def test_sweep_finds_the_resonance_once(self, monkeypatch):
         # the root of Re alpha does not depend on T: one brentq per star,
@@ -335,6 +341,13 @@ class TestErrors:
         monkeypatch.setattr(clm, "quad", lambda *args, **kw: (math.nan, 0.0))
         with pytest.raises(IntegrationError, match="returned nan"):
             steady_covariances(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
+
+    def test_quadrature_failure_raises_without_a_warnings_filter(self, recwarn):
+        # quad's ier > 0 is read from its full output, not from a warning
+        q = SteadyStateQuery(star=fig2_star(1e-6), T=1000.0)
+        with pytest.raises(IntegrationError, match="quadrature failed: The integral is probably"):
+            steady_covariances(q)
+        assert not [w for w in recwarn if issubclass(w.category, IntegrationWarning)]
 
     def test_soft_probe_integration_warning_raises_integration_error(self):
         # the soft probe at T = 1000 makes quad warn; as an error it surfaces typed
