@@ -33,7 +33,7 @@ from .gaussian import (
 GAP_FLOOR_SCALE = 1e-8
 
 # Most normal modes whose cosine column chain_spectrum builds at once.
-_SPECTRUM_BLOCK = 256
+_SPECTRUM_BLOCK = 64
 
 
 def _coth_vec(x: np.ndarray) -> np.ndarray:

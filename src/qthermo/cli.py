@@ -240,11 +240,10 @@ ExperimentResult = tuple[Sequence[str], Rows, list[fits_mod.ScalingFit], list[st
 def _run_clm_qfi(cfg: _Config) -> ExperimentResult:
     sd = _spectral_density(cfg)
     star = spectral_mod.make_star(sd, omega0_sq=cfg.float_("omega0_sq", _REQUIRED))
-    omega_min = cfg.float_("omega_min", 0.0)
     ts = _temperature_grid(cfg)
     window = _fit_window(cfg, ts)
     cfg.reject_unknown()
-    curve = clm_mod.qfi_curve(star, ts, omega_min=omega_min)
+    curve = clm_mod.qfi_curve(star, ts)
     fit = [fits_mod.fit_power_law(curve, window)] if window else []
     return QFI_COLUMNS, curve.rows(), fit, list(star.warnings), {}
 

@@ -149,15 +149,18 @@ def _value(out: tuple) -> float:
 def _integrate(f, lo: float, pts: list[float], B: float) -> float:
     """int f from lo to inf: [lo, B] with the interior points pts, plus the
     tail beyond B unless f(B) is negligible.  quad reports a failure
-    (ier > 0) in its full output, not as a warning, and it raises here."""
+    (ier > 0) in its full output, not as a warning, and it raises here
+    unless the failed tail's |value| + abserr is within QUAD_TOL of the head."""
     try:
         head = quad(f, lo, B, points=pts, limit=800, epsabs=1e-14, epsrel=QUAD_TOL, full_output=1)
-        tail = (0.0,)
+        tail = (0.0, 0.0)
         if abs(f(B)) > 1e-280:
             tail = quad(f, B, np.inf, limit=200, epsabs=1e-14, epsrel=QUAD_TOL, full_output=1)
     except Exception as exc:
         raise IntegrationError(f"steady-state quadrature failed: {exc}") from exc
-    total = _value(head) + _value(tail)
+    total = _value(head)
+    negligible = abs(tail[0]) + tail[1] <= QUAD_TOL * abs(total)
+    total += tail[0] if negligible else _value(tail)
     if not math.isfinite(total):
         raise IntegrationError(f"steady-state quadrature returned {total!r}")
     return total
@@ -284,7 +287,7 @@ def clm_qfi_fidelity(q: SteadyStateQuery, step_fraction: float = 1e-3) -> float:
     return qfi_from_fidelity(cov_at, q.T, step_fraction=step_fraction)
 
 
-def qfi_curve(star: StarSpec, temperatures, omega_min: float = 0.0) -> QfiCurve:
+def qfi_curve(star: StarSpec, temperatures) -> QfiCurve:
     """Sweep the derivative-route QFI over a temperature grid (sorted ascending).
 
     The curve keeps the steady covariance at each temperature.
@@ -292,7 +295,7 @@ def qfi_curve(star: StarSpec, temperatures, omega_min: float = 0.0) -> QfiCurve:
     ts = sorted(float(t) for t in temperatures)
 
     def moments(t: float) -> tuple[SingleModeCovariance, CovarianceDerivatives]:
-        q = SteadyStateQuery(star=star, T=t, omega_min=omega_min)
+        q = SteadyStateQuery(star=star, T=t)
         return steady_covariances(q), covariance_T_derivatives(q)
 
     return QfiCurve.from_moments(ts, (moments(t) for t in ts))

@@ -9,13 +9,12 @@ star -> chain: the non-repeated chain frequencies are the cosine half of
 the discrete Fourier transform of the circulant's first row
 (Om^2, G_1, .., G_N, G_N, .., G_1), so a chain matching a given
 (discretized) star is one inverse real DFT of its normal-mode spectrum.
-That spectrum comes from the star's arrowhead potential V = M M^T, whose
-eigenvalues are the squared singular values of the upper-arrow matrix M:
-the secular equation of D^2 + z z^T, solved root by root with LAPACK's
-dlasd4 after setting aside the exact roots of components with z = 0.
-That costs O(N^2) time and O(N) memory, uses no BLAS, and so gives the
-same bits for any BLAS thread count; chain -> star and
-probe_delocalization still use a dense eigh.
+That spectrum is the secular equation of the star's arrowhead potential,
+solved root by root with LAPACK's dlasd4: O(N^2) time, O(N) memory and
+no BLAS, so the same bits for any BLAS thread count.  The probe's entry
+of each normal mode follows from the same roots in closed form, and
+probe_delocalization's profile is one more inverse real DFT.  Only
+chain -> star uses a dense eigh.
 """
 
 from __future__ import annotations
@@ -82,16 +81,13 @@ class EffectiveStar:
         g = self.g_array
         return float(np.sum(g * g / (w * w)))
 
-    def to_discrete(self) -> DiscreteModes:
-        return DiscreteModes(tuple(self.omega_array), tuple(self.g_array))
-
     def to_star_spec(self) -> StarSpec:
         """StarSpec with the bare probe frequency w0^2 = Om^2 - wR^2."""
         wr2 = self.renormalization_sq()
         return StarSpec(
             omega0_sq=max(self.probe_omega_sq - wr2, 0.0),
             omega_R_sq=wr2,
-            sd=self.to_discrete(),
+            sd=DiscreteModes(tuple(self.omega_array), tuple(self.g_array)),
             warnings=self.warnings,
         )
 
@@ -119,17 +115,6 @@ class ChainReconstruction:
     physical: bool
 
 
-def _reduced_block(c: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Toeplitz block of the non-probe nodes and their couplings to the probe."""
-    first_row = np.concatenate(
-        ([c.omega_sq], c.coupling_array, c.coupling_array[::-1])
-    )
-    idx = np.arange(1, 2 * c.N + 1)
-    block = first_row[(idx[:, None] - idx[None, :]) % (2 * c.N + 1)]
-    border = first_row[idx]
-    return block, border
-
-
 def chain_to_star(c: ChainSpec) -> EffectiveStar:
     """Diagonalize the inaccessible part of the chain into effective modes.
 
@@ -139,9 +124,11 @@ def chain_to_star(c: ChainSpec) -> EffectiveStar:
     exact arithmetic).  A (2N+1)-node chain is expected to keep exactly N
     coupled modes.
     """
-    block, border = _reduced_block(c)
-    vals, vecs = eigh(block)
-    g = vecs.T @ border
+    # the Toeplitz block of the non-probe nodes, bordered by their couplings
+    first_row = np.concatenate(([c.omega_sq], c.coupling_array, c.coupling_array[::-1]))
+    idx = np.arange(1, 2 * c.N + 1)
+    vals, vecs = eigh(first_row[(idx[:, None] - idx[None, :]) % (2 * c.N + 1)])
+    g = vecs.T @ first_row[idx]
     gmax = float(np.max(np.abs(g))) if g.size else 0.0
     threshold = DECOUPLED_REL_THRESHOLD * gmax
 
@@ -211,24 +198,17 @@ def star_to_chain(normal_freqs_sq) -> ChainReconstruction:
     return ChainReconstruction(chain=chain, physical=physical)
 
 
-def _discrete_modes(star: StarSpec) -> DiscreteModes:
-    if not isinstance(star.sd, DiscreteModes):
+def _secular_system(star: StarSpec):
+    """d, the mask of z != 0, and dlasd4's (d_live, u, rho) for D^2 + z z^T."""
+    sd = star.sd
+    if not isinstance(sd, DiscreteModes):
         raise TypeError("the star must have discrete modes")
-    return star.sd
-
-
-def _star_potential(star: StarSpec) -> np.ndarray:
-    """Bordered (arrowhead) potential matrix of the discrete star.
-
-    Diagonal w0^2 + wR^2 and w_n^2, border row/column g_n.
-    """
-    sd = _discrete_modes(star)
     w = sd.omega_array
-    g = sd.g_array
-    v = np.diag(np.concatenate(([star.omega0_sq + star.omega_R_sq], w * w)))
-    v[1:, 0] = g
-    v[0, 1:] = g
-    return v
+    d = np.concatenate(([0.0], w))
+    z = np.concatenate(([np.sqrt(star.omega0_sq)], sd.g_array / w))
+    live = z != 0.0
+    rho = float(np.sum(z[live] ** 2))
+    return d, live, d[live], z[live] / np.sqrt(rho), rho
 
 
 def clm_normal_modes(star: StarSpec) -> np.ndarray:
@@ -245,14 +225,7 @@ def clm_normal_modes(star: StarSpec) -> np.ndarray:
     descending order; the output strictly interlaces the coupled reservoir
     frequencies.  ConvergenceError names a root dlasd4 could not find.
     """
-    sd = _discrete_modes(star)
-    w = sd.omega_array
-    d = np.concatenate(([0.0], w))
-    z = np.concatenate(([np.sqrt(star.omega0_sq)], sd.g_array / w))
-    live = z != 0.0
-    d_live = d[live]
-    rho = float(np.sum(z[live] ** 2))
-    u = z[live] / np.sqrt(rho)
+    d, live, d_live, u, rho = _secular_system(star)
     sigma = np.empty(d_live.size)
     for i in range(d_live.size):
         _, sigma[i], _, info = dlasd4(i, d_live, u, rho)
@@ -266,22 +239,49 @@ def _fix_sign(row: np.ndarray) -> np.ndarray:
     return -row if row[k] < 0.0 else row
 
 
+def _probe_entry(y: np.ndarray) -> float:
+    """Probe entry of the unit eigenvector along (1, y), signed by _fix_sign."""
+    x = np.concatenate(([1.0], y))
+    return float(_fix_sign(x)[0]) / float(np.sqrt(np.dot(x, x)))
+
+
+def _probe_column(star: StarSpec) -> tuple[np.ndarray, np.ndarray]:
+    """clm_normal_modes' roots lam, descending, and the probe column c.
+
+    V's eigenvector of root lam is along (1, g_i/(lam - w_i^2)), signed by
+    _fix_sign's rule; lam - w_i^2 = -(d_i - sigma)(d_i + sigma) comes from
+    dlasd4's delta and work, not by subtraction (Gu and Eisenstat, SIAM J.
+    Matrix Anal. Appl. 16, 172 (1995)).  Of the roots set aside, a
+    decoupled mode has c = 0 and the free probe's lam = 0 is (1, -g/w^2).
+    """
+    d, live, d_live, u, rho = _secular_system(star)
+    g_live = star.sd.g_array[live[1:]]
+    skip = int(live[0])  # dlasd4's component of the probe itself, if live
+    lam = np.concatenate((np.empty(d_live.size), d[~live] ** 2))
+    c = np.zeros(lam.size)
+    for i in range(d_live.size):
+        delta, sigma, work, info = dlasd4(i, d_live, u, rho)
+        if info != 0:
+            raise ConvergenceError(f"dlasd4 found no star normal mode {i} (info={info})")
+        lam[i] = sigma * sigma
+        c[i] = _probe_entry(g_live / -(delta[skip:] * work[skip:]))
+    if not live[0]:
+        c[d_live.size] = _probe_entry(-g_live / d_live**2)
+    order = np.argsort(lam)[::-1]
+    return lam[order], c[order]
+
+
 def probe_delocalization(star: StarSpec) -> DelocalizationProfile:
     """Coefficients of the probe position over the matching chain's nodes.
 
-    Diagonalizes the star once, builds the chain with star_to_chain of its
-    normal modes, checks that the chain's non-repeated modes reproduce them
-    to 1e-6 of the largest mode (ModeMatchingError otherwise), and reads
-    the probe row of (O_star^T oplus 1_N) O_chain.  The sum of squared
-    coefficients is exactly 1 (orthogonal factors).
+    Builds the chain with star_to_chain of the star's normal modes, checks
+    that its non-repeated modes reproduce them to 1e-6 of the largest mode
+    (ModeMatchingError otherwise), and reads the probe row of
+    (O_star^T oplus 1_N) O_chain, which sums to 1 in squares.  O(N^2) time
+    and O(N) memory: no dense matrix.
     """
-    vals, vecs = eigh(_star_potential(star))
-    if vals[0] < -1e-12 * max(abs(vals[-1]), 1.0):
-        raise ValueError(f"star potential not positive semidefinite: {vals[0]!r}")
-    ev = np.clip(vals, 0.0, None)[::-1]
-    rec = star_to_chain(ev)
-    chain = rec.chain
-    n_half = chain.N
+    ev, c = _probe_column(star)
+    chain = star_to_chain(ev).chain
     spec = chain_spectrum(chain).array
     # chain_spectrum index a carries ev[a] by construction of star_to_chain;
     # the DFT round trip rounds at the scale of the largest mode, so a
@@ -293,21 +293,13 @@ def probe_delocalization(star: StarSpec) -> DelocalizationProfile:
             f"chain mode {bad} at {spec[bad]!r} does not match star mode {ev[bad]!r}"
         )
 
-    n_nodes = 2 * n_half + 1
-    # rows 0..N: cosine modes ordered like ev; the sine partners carry no
-    # amplitude on the probe node and only pad the orthogonal factor
-    a = np.arange(n_half + 1, dtype=float)[:, None]
-    jj = np.arange(n_nodes, dtype=float)
-    o_chain_top = np.sqrt(2.0 / n_nodes) * np.cos(2.0 * np.pi * a * jj / n_nodes)
-    o_chain_top[0] = 1.0 / np.sqrt(n_nodes)
-
-    o_star = vecs[:, ::-1].T  # rows = eigenvectors, descending eigenvalue
-    o_star = np.array([_fix_sign(row) for row in o_star])
-
-    # probe row of O_star^T @ O_chain_top: d_j = sum_k O_star[k, 0] * O_chain_top[k, j]
-    d = o_star[:, 0] @ o_chain_top
-    d = _fix_sign(d)
-    return DelocalizationProfile(coefficients=tuple(float(x) for x in d))
+    # d_j = c_0/sqrt(n) + sqrt(2/n) sum_a c_a cos(2 pi a j/n), one inverse
+    # real DFT: the sine modes carry no amplitude on the probe node
+    n_nodes = 2 * chain.N + 1
+    spectrum = c * np.sqrt(n_nodes / 2.0)
+    spectrum[0] = c[0] * np.sqrt(n_nodes)
+    profile = _fix_sign(np.fft.irfft(spectrum, n=n_nodes))
+    return DelocalizationProfile(coefficients=tuple(float(x) for x in profile))
 
 
 def star_coupling_scaling(s: float, N_list) -> tuple[ScalingFit, ScalingFit]:

@@ -71,10 +71,11 @@ class TestChainSpectrum:
         assert spec.gap == pytest.approx(math.sqrt(2.0))
         assert spec.max_freq == pytest.approx(math.sqrt(2.0))
 
-    @pytest.mark.parametrize("n_half", [1, 255, 256, 257, 2000])
+    @pytest.mark.parametrize("n_half", [1, 63, 64, 65, 255, 256, 257, 2000])
     def test_blocked_table_matches_the_one_shot_table(self, n_half):
-        # N = 256 gives 257 columns: a naive split would leave a one-column
-        # block, which numpy sums pairwise and so rounds differently.  The
+        # N = 64 and 256 give 65 and 257 columns: a naive split into blocks
+        # of 64 would leave a one-column block, which numpy sums pairwise
+        # and so rounds differently (it shows at N = 256).  The
         # couplings are sign-mixed because sums of positive, fast-decaying
         # terms often round alike in either order and would hide that.
         n = np.arange(1, n_half + 1)

@@ -275,12 +275,13 @@ class TestMainExitCodes:
 
     def test_tolerance_config_key_is_unknown(self, tmp_path, capsys):
         cfg_path = tmp_path / "tol.cfg"
-        cfg_path.write_text(CLM_CFG + "quad_tol = 1e-9\n")
+        # clm-qfi's infrared cutoff went with it: no recipe set it
+        cfg_path.write_text(CLM_CFG + "quad_tol = 1e-9\nomega_min = 1e-3\n")
         out = tmp_path / "never.csv"
         assert main(["clm-qfi", "--config", str(cfg_path), "--out", str(out)]) == 2
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "config-error"
-        assert payload["message"] == "unknown config keys: ['quad_tol']"
+        assert payload["message"] == "unknown config keys: ['omega_min', 'quad_tol']"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -342,17 +342,54 @@ class TestErrors:
         with pytest.raises(IntegrationError, match="returned nan"):
             steady_covariances(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
 
-    def test_quadrature_failure_raises_without_a_warnings_filter(self, recwarn):
+    def test_quadrature_failure_raises_without_a_warnings_filter(self, monkeypatch, recwarn):
         # quad's ier > 0 is read from its full output, not from a warning
+        failing_quad(monkeypatch, "head")
         q = SteadyStateQuery(star=fig2_star(1e-6), T=1000.0)
         with pytest.raises(IntegrationError, match="quadrature failed: The integral is probably"):
             steady_covariances(q)
         assert not [w for w in recwarn if issubclass(w.category, IntegrationWarning)]
 
-    def test_soft_probe_integration_warning_raises_integration_error(self):
-        # the soft probe at T = 1000 makes quad warn; as an error it surfaces typed
+    def test_soft_probe_integration_warning_raises_integration_error(self, monkeypatch):
+        # a failed head surfaces typed, also where quad's warnings are errors
+        failing_quad(monkeypatch, "head")
         q = SteadyStateQuery(star=fig2_star(1e-6), T=1000.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
             with pytest.raises(IntegrationError, match="quadrature failed"):
                 steady_covariances(q)
+
+    def test_failed_tail_that_matters_raises(self, monkeypatch):
+        # a failed tail as large as the head is not negligible
+        failing_quad(monkeypatch, "tail", value=1.0)
+        with pytest.raises(IntegrationError, match="quadrature failed: The integral is probably"):
+            steady_covariances(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
+
+    def test_failed_negligible_tail_is_accepted(self):
+        # QUADPACK reports the tail beyond B as probably divergent (ier = 5),
+        # but |tail| + abserr is ~1e-15 of the head: the state is kept
+        star = make_star(LorentzDrude(0.1882746851775785, 1.0), 0.1882746851775785)
+        q = SteadyStateQuery(star=star, T=1.5426758653295978)
+        assert steady_covariances(q).det() >= 0.25
+        assert covariance_T_derivatives(q).a1 > 0.0
+
+    def test_soft_probe_at_high_temperature_is_classical(self):
+        # its tail beyond B fails (ier = 5) but is negligible; equipartition
+        # gives s22 = T for the unit-mass probe
+        q = SteadyStateQuery(star=fig2_star(1e-6), T=1000.0)
+        assert steady_covariances(q).s22 == pytest.approx(1000.0, rel=1e-2)
+
+
+def failing_quad(monkeypatch, part, value=None):
+    """Patch clm.quad so the head [lo, B] or the tail [B, inf] reports
+    QUADPACK's ier = 5, optionally with a given value."""
+    real = clm.quad
+
+    def quad(f, a, b, **kwargs):
+        out = real(f, a, b, **kwargs)
+        if (b == math.inf) == (part == "tail"):
+            v = out[0] if value is None else value
+            return v, out[1], out[2], "The integral is probably divergent, or slowly convergent."
+        return out
+
+    monkeypatch.setattr(clm, "quad", quad)

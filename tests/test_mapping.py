@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qthermo import (
     ChainSpec,
@@ -325,6 +326,64 @@ class TestProbeDelocalization:
 
         monkeypatch.setattr(mapping, "chain_spectrum", shifted)
         with pytest.raises(ModeMatchingError, match="chain mode 3 "):
+            probe_delocalization(star)
+
+
+def dense_profile(star):
+    """The dense route probe_delocalization replaced, as a reference: eigh
+    of the arrowhead, every eigenvector signed by its largest entry, and
+    the probe row of O_star^T times the chain's cosine modes."""
+    w = star.sd.omega_array
+    g = star.sd.g_array
+    arrowhead = np.diag(np.concatenate(([star.omega0_sq + star.omega_R_sq], w * w)))
+    arrowhead[0, 1:] = arrowhead[1:, 0] = g
+    vals, vecs = scipy.linalg.eigh(arrowhead)
+    vecs = vecs[:, ::-1]
+    top = np.argmax(np.abs(vecs), axis=0)
+    probe = vecs[0] * np.sign(vecs[top, np.arange(vals.size)])
+    n_nodes = 2 * w.size + 1
+    a = np.arange(w.size + 1, dtype=float)[:, None]
+    cosines = np.sqrt(2.0 / n_nodes) * np.cos(2.0 * np.pi * a * np.arange(n_nodes) / n_nodes)
+    cosines[0] = 1.0 / np.sqrt(n_nodes)
+    d = probe @ cosines
+    return -d if d[np.argmax(np.abs(d))] < 0.0 else d
+
+
+class TestProbeDelocalizationSecular:
+    @pytest.mark.parametrize("omega0_sq", [0.04, 0.0])
+    def test_matches_the_dense_route_on_fig5_desk_star(self, omega0_sq):
+        star = discretize_clm(LorentzDrude(0.1, 2.0), 400, 40.0, omega0_sq=omega0_sq)
+        d = probe_delocalization(star).array
+        reference = dense_profile(star)
+        assert np.max(np.abs(d - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+    def test_exact_zero_couplings_match_the_dense_route(self):
+        w = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+        g = np.array([0.2, 0.0, 0.3, 0.0, 0.1])
+        modes = DiscreteModes(tuple(w), tuple(g))
+        for omega0_sq in (0.7, 0.0):
+            star = StarSpec(omega0_sq, float(np.sum(g**2 / w**2)), modes)
+            d = probe_delocalization(star).array
+            assert np.max(np.abs(d - dense_profile(star))) <= 1e-13
+
+    def test_needs_no_dense_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("probe_delocalization called eigh")
+
+        monkeypatch.setattr(mapping, "eigh", refuse)
+        star = discretize_clm(LorentzDrude(0.1, 2.0), 150, 20.0, omega0_sq=0.04)
+        assert probe_delocalization(star).normalization == pytest.approx(1.0, abs=1e-13)
+
+    def test_solver_failure_raises(self, monkeypatch):
+        star = discretize_clm(LorentzDrude(0.1, 2.0), 20, 10.0, omega0_sq=0.04)
+        solve = mapping.dlasd4
+
+        def failing(i, *args):
+            delta, sigma, work, info = solve(i, *args)
+            return delta, sigma, work, 1 if i == 7 else info
+
+        monkeypatch.setattr(mapping, "dlasd4", failing)
+        with pytest.raises(ConvergenceError, match="mode 7 "):
             probe_delocalization(star)
 
 

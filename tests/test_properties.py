@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from qthermo import (
     LorentzDrude,
     StarSpec,
     SteadyStateQuery,
+    chain_to_star,
     clm_qfi,
     clm_qfi_fidelity,
     clm_normal_modes,
@@ -30,6 +32,7 @@ from qthermo import (
 )
 from qthermo.clm import _integrands
 from qthermo.gaussian import PHYSICALITY_TOL, coth, csch2
+from qthermo.mapping import _probe_column
 from qthermo.spectral import susceptibility_real
 
 FIXED = settings(derandomize=True, max_examples=30, deadline=None)
@@ -110,17 +113,53 @@ def sparse_discrete_stars(draw):
     )
 
 
-@FIXED
-@given(sparse_discrete_stars())
-def test_star_normal_modes_match_the_dense_arrowhead(star):
+def dense_arrowhead(star):
     w = star.sd.omega_array
     g = star.sd.g_array
     arrowhead = np.diag(np.concatenate(([star.omega0_sq + star.omega_R_sq], w * w)))
     arrowhead[0, 1:] = arrowhead[1:, 0] = g
-    dense = np.linalg.eigvalsh(arrowhead)[::-1]
+    return arrowhead
+
+
+@FIXED
+@given(sparse_discrete_stars())
+def test_star_normal_modes_match_the_dense_arrowhead(star):
+    dense = np.linalg.eigvalsh(dense_arrowhead(star))[::-1]
     ev = clm_normal_modes(star)
     assert np.all(np.diff(ev) <= 0.0)
     assert np.max(np.abs(ev - dense)) <= 1e-12 * dense[0]
+
+
+@FIXED
+@given(sparse_discrete_stars())
+def test_star_probe_column_matches_the_dense_eigenvectors(star):
+    # columns of the dense eigh, descending, each signed so that its
+    # largest entry is positive: the sign rule probe_delocalization uses
+    vals, vecs = scipy.linalg.eigh(dense_arrowhead(star))
+    vecs = vecs[:, ::-1]
+    top = np.argmax(np.abs(vecs), axis=0)
+    dense = vecs[0] * np.sign(vecs[top, np.arange(vals.size)])
+    ev, c = _probe_column(star)
+    assert np.array_equal(ev, clm_normal_modes(star))
+    assert abs(np.sum(c * c) - 1.0) <= 1e-13
+    assert np.max(np.abs(c - dense)) <= 1e-10 * np.max(np.abs(c))
+
+
+@FIXED
+@given(physical_chains(max_half=100))
+def test_chain_node_is_the_probe_of_its_effective_star(chain):
+    # the paper's mapping: the star of one node against the rest of the
+    # chain has the chain's non-repeated modes, and the probe's weight in
+    # each is the node's circulant weight, 1/(2N+1) for the uniform mode
+    # and 2/(2N+1) for each cosine mode
+    star = chain_to_star(chain).to_star_spec()
+    spec = chain.spectrum.array
+    ev, c = _probe_column(star)
+    # rounding is on the scale of the largest mode, as in any dense eigh
+    assert np.max(np.abs(ev - spec)) <= 1e-12 * spec[0]
+    weights = np.full(spec.size, 2.0 / (2 * chain.N + 1))
+    weights[0] /= 2.0
+    assert np.max(np.abs(c * c - weights)) <= 1e-12
 
 
 small = st.floats(1e-8, 1e-3)
