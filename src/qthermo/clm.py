@@ -19,9 +19,13 @@ For a Lorentz-Drude reservoir each moment's integrand is one closure per
 star and temperature (_integrands) that evaluates J, S, Re alpha, the
 weight and the kernel in closed form: one Python frame per quadrature
 node.  Other families compose sd.j, susceptibility_real and coth or
-csch2.  The resonance is found once per star (StarSpec._resonance), not
-twice per temperature.  A quadrature that QUADPACK reports as failed
-raises IntegrationError.
+csch2.  The T-independent work is done once per star and kept on it: the
+resonance (StarSpec._resonance), the breakpoint skeleton of every scale
+but T and omega_min (StarSpec._skeleton), and the tails of s11 and s22
+beyond the cap B >= 1000 T, where the coth kernel is exactly 1.0
+(StarSpec._tails, one per B).  Beyond B the csch^2 kernel is exactly 0.0,
+so the derivative moments have no tail.  A quadrature that QUADPACK
+reports as failed raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .spectral import (
     QUAD_TOL,
     LorentzDrude,
     StarSpec,
+    _quad_value,
     low_frequency_slope,
     susceptibility_real,
 )
@@ -103,34 +108,45 @@ def _find_resonance(star: StarSpec) -> float | None:
     return None
 
 
+def _skeleton(star: StarSpec) -> tuple[frozenset[float], float]:
+    """The T-independent interior points and cap B0 of _breakpoints.
+
+    Callers read it as StarSpec._skeleton, which runs this once per star.
+    """
+    sd = star.sd
+    if hasattr(sd, "omegas"):
+        raise TypeError("steady-state integrals need a continuous reservoir")
+    wc = sd.omega_c
+    pts = {0.1 * wc, wc, 10.0 * wc}
+    slope = low_frequency_slope(sd)
+    if star.omega0_sq > 0.0:
+        knee = star.omega0_sq / slope
+        pts.update((0.1 * knee, knee, 10.0 * knee, 100.0 * knee))
+    res = star._resonance
+    B0 = 50.0 * wc
+    if res is not None:
+        width = max(float(sd.j(res)) / (2.0 * res), 1e-14 * res)
+        pts.add(res)
+        for k in (1.0, 10.0, 100.0, 1000.0):
+            pts.update((res - k * width, res + k * width))
+        B0 = max(B0, 10.0 * res)
+    return frozenset(pts), B0
+
+
 def _breakpoints(q: SteadyStateQuery) -> tuple[float, list[float], float]:
     """(lower limit, interior quad points, finite cap B) for the integrals.
 
     Seeds every scale the integrand can have: the thermal scale T, the
     cutoff wc, the low-frequency knee w* = w0^2/J'(0) of 1/|alpha|^2, the
     resonance peak with its width, and a geometric ladder above omega_min
-    for the 1/w^2-divergent free-probe integrands.
+    for the 1/w^2-divergent free-probe integrands.  All but T and omega_min
+    come from the star's skeleton; B = max(B0, 1000 T).
     """
-    sd = q.star.sd
-    if hasattr(sd, "omegas"):
-        raise TypeError("steady-state integrals need a continuous reservoir")
-    T, wc = q.T, sd.omega_c
-    pts: set[float] = set()
-    for scale in (T, wc):
-        pts.update((0.1 * scale, scale, 10.0 * scale))
-    slope = low_frequency_slope(sd)
-    if q.star.omega0_sq > 0.0:
-        knee = q.star.omega0_sq / slope
-        pts.update((0.1 * knee, knee, 10.0 * knee, 100.0 * knee))
-    res = q.star._resonance
-    B = max(50.0 * wc, 1000.0 * T)
-    if res is not None:
-        width = max(float(sd.j(res)) / (2.0 * res), 1e-14 * res)
-        pts.add(res)
-        for k in (1.0, 10.0, 100.0, 1000.0):
-            pts.update((res - k * width, res + k * width))
-        B = max(B, 10.0 * res)
-    lo = q.omega_min
+    skeleton, B0 = q.star._skeleton
+    T, lo = q.T, q.omega_min
+    pts = set(skeleton)
+    pts.update((0.1 * T, T, 10.0 * T))
+    B = max(B0, 1000.0 * T)
     if lo > 0.0:
         x = 10.0 * lo
         while x < B:
@@ -139,28 +155,36 @@ def _breakpoints(q: SteadyStateQuery) -> tuple[float, list[float], float]:
     return lo, sorted(p for p in pts if lo < p < B), B
 
 
-def _value(out: tuple) -> float:
-    """quad's value; with full_output, quad appends its message when ier > 0."""
-    if len(out) > 3:
-        raise IntegrationError(f"steady-state quadrature failed: {out[3]}")
-    return out[0]
+def _tail(f, B: float, tails: dict, p: int) -> tuple:
+    """quad's full output for int f from B to inf, or (0.0, 0.0) when f(B)
+    is negligible.  For s11 and s22 only: B >= 1000 T puts w/2T >= 500 on
+    [B, inf), where the coth kernel is exactly 1.0, so the tail of the w^p
+    moment depends on the star and B alone.  It is integrated once and kept
+    in the star's cache tails under (B, p); a quad exception is not kept."""
+    key = (B, p)
+    if key not in tails:
+        out = (0.0, 0.0)
+        if abs(f(B)) > 1e-280:
+            out = quad(f, B, np.inf, limit=200, epsabs=1e-14, epsrel=QUAD_TOL, full_output=1)
+        tails[key] = out
+    return tails[key]
 
 
-def _integrate(f, lo: float, pts: list[float], B: float) -> float:
+def _integrate(f, lo: float, pts: list[float], B: float, tails: dict | None, p: int) -> float:
     """int f from lo to inf: [lo, B] with the interior points pts, plus the
-    tail beyond B unless f(B) is negligible.  quad reports a failure
-    (ier > 0) in its full output, not as a warning, and it raises here
-    unless the failed tail's |value| + abserr is within QUAD_TOL of the head."""
+    w^p moment's tail beyond B from _tail, or none when tails is None (the
+    derivative moments: beyond B the csch^2 kernel is exactly 0.0).  quad
+    reports a failure (ier > 0) in its full output, not as a warning, and it
+    raises here unless the failed tail's |value| + abserr is within QUAD_TOL
+    of the head."""
     try:
         head = quad(f, lo, B, points=pts, limit=800, epsabs=1e-14, epsrel=QUAD_TOL, full_output=1)
-        tail = (0.0, 0.0)
-        if abs(f(B)) > 1e-280:
-            tail = quad(f, B, np.inf, limit=200, epsabs=1e-14, epsrel=QUAD_TOL, full_output=1)
+        tail = (0.0, 0.0) if tails is None else _tail(f, B, tails, p)
     except Exception as exc:
         raise IntegrationError(f"steady-state quadrature failed: {exc}") from exc
-    total = _value(head)
+    total = _quad_value(head, "steady-state")
     negligible = abs(tail[0]) + tail[1] <= QUAD_TOL * abs(total)
-    total += tail[0] if negligible else _value(tail)
+    total += tail[0] if negligible else _quad_value(tail, "steady-state")
     if not math.isfinite(total):
         raise IntegrationError(f"steady-state quadrature returned {total!r}")
     return total
@@ -217,30 +241,26 @@ def _integrands(star: StarSpec, T: float, derivative: bool) -> tuple:
         return ww * (jw / (re * re + jw * jw)) * k
 
     def a1(w: float) -> float:
+        x = w / t2
+        if x > 350.0:
+            return 0.0
         ww = w * w
         d = ww + wc2
         jw = g2 * w * wc2 / d
         re = trap - ww - gwc3 / d
-        x = w / t2
-        if x > 350.0:
-            c = 0.0
-        else:
-            s = math.sinh(x)
-            c = 1.0 / (s * s)
-        return jw / (re * re + jw * jw) * (w / tt2 * c)
+        s = math.sinh(x)
+        return jw / (re * re + jw * jw) * (w / tt2 * (1.0 / (s * s)))
 
     def a2(w: float) -> float:
+        x = w / t2
+        if x > 350.0:
+            return 0.0
         ww = w * w
         d = ww + wc2
         jw = g2 * w * wc2 / d
         re = trap - ww - gwc3 / d
-        x = w / t2
-        if x > 350.0:
-            c = 0.0
-        else:
-            s = math.sinh(x)
-            c = 1.0 / (s * s)
-        return ww * (jw / (re * re + jw * jw)) * (w / tt2 * c)
+        s = math.sinh(x)
+        return ww * (jw / (re * re + jw * jw)) * (w / tt2 * (1.0 / (s * s)))
 
     return (a1, a2) if derivative else (s11, s22)
 
@@ -249,8 +269,9 @@ def _weighted_moments(q: SteadyStateQuery, derivative: bool) -> tuple[float, flo
     """The w^0 and w^2 moments of _integrands, plus (lo, B)."""
     lo, pts, B = _breakpoints(q)
     f0, f2 = _integrands(q.star, q.T, derivative)
-    m0 = _integrate(f0, lo, pts, B) / np.pi
-    m2 = _integrate(f2, lo, pts, B) / np.pi
+    tails = None if derivative else q.star._tails
+    m0 = _integrate(f0, lo, pts, B, tails, 0) / np.pi
+    m2 = _integrate(f2, lo, pts, B, tails, 2) / np.pi
     return m0, m2, lo, B
 
 

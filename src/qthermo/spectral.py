@@ -34,6 +34,18 @@ def quad(*args, **kwargs):
     return quad(*args, **kwargs)
 
 
+def _quad_value(out: tuple, what: str) -> float:
+    """quad's value; with full_output, quad appends its message when ier > 0."""
+    if len(out) > 3:
+        raise IntegrationError(f"{what} quadrature failed: {out[3]}")
+    return out[0]
+
+
+def _integral(f, a: float, b: float, what: str, **kwargs) -> float:
+    """quad's value at QUAD_TOL, raising IntegrationError when ier > 0."""
+    return _quad_value(quad(f, a, b, epsabs=1e-14, epsrel=QUAD_TOL, full_output=1, **kwargs), what)
+
+
 @dataclass(frozen=True)
 class LorentzDrude:
     """Ohmic spectral density with Lorentz-Drude cutoff.
@@ -157,7 +169,7 @@ def renormalization_frequency_sq(sd: SpectralDensityModel) -> float:
         return 0.5 * sd.gamma * math.gamma(sd.s) * sd.omega_c
     b = _tail_start(sd)
     try:
-        v1, _ = quad(
+        head = quad(
             lambda w: sd.j(w) / w,
             0.0,
             b,
@@ -165,10 +177,20 @@ def renormalization_frequency_sq(sd: SpectralDensityModel) -> float:
             limit=400,
             epsabs=1e-14,
             epsrel=QUAD_TOL,
+            full_output=1,
         )
-        v2, _ = quad(lambda w: sd.j(w) / w, b, np.inf, limit=200, epsabs=1e-14, epsrel=QUAD_TOL)
+        tail = quad(
+            lambda w: sd.j(w) / w,
+            b,
+            np.inf,
+            limit=200,
+            epsabs=1e-14,
+            epsrel=QUAD_TOL,
+            full_output=1,
+        )
     except Exception as exc:  # pragma: no cover - quadrature misuse
         raise DivergenceError(f"renormalization integral failed: {exc}") from exc
+    v1, v2 = _quad_value(head, "renormalization"), _quad_value(tail, "renormalization")
     total = (v1 + v2) / np.pi
     if not math.isfinite(total):
         raise DivergenceError("renormalization integral diverged")
@@ -209,14 +231,9 @@ def self_energy_pv(sd: ContinuousSpectralDensity, omega: float) -> float:
 
     b = _tail_start(sd, w)
     pts = sorted({p for p in (0.5 * w, w, 2.0 * w, sd.omega_c, 10.0 * sd.omega_c) if 0.0 < p < b})
-    v1, _ = quad(subtracted, 0.0, b, points=pts, limit=400, epsabs=1e-14, epsrel=QUAD_TOL)
-    v2, _ = quad(
-        lambda x: sd.j(x) * x / ((x - w) * (x + w)),
-        b,
-        np.inf,
-        limit=200,
-        epsabs=1e-14,
-        epsrel=QUAD_TOL,
+    v1 = _integral(subtracted, 0.0, b, "PV self-energy", points=pts, limit=400)
+    v2 = _integral(
+        lambda x: sd.j(x) * x / ((x - w) * (x + w)), b, np.inf, "PV self-energy", limit=200
     )
     pv_rest = math.log((b - w) / (b + w)) / (2.0 * w)
     total = (v1 + v2 + jw * pv_rest) / np.pi
@@ -274,6 +291,18 @@ class StarSpec:
 
         return _find_resonance(self)
 
+    @cached_property
+    def _skeleton(self) -> tuple[frozenset[float], float]:
+        """clm's T-independent breakpoints and cap B0, built once per star."""
+        from .clm import _skeleton
+
+        return _skeleton(self)
+
+    @cached_property
+    def _tails(self) -> dict:
+        """clm's quadrature tails beyond B, by (B, moment): they do not depend on T."""
+        return {}
+
 
 def make_star(sd: SpectralDensityModel, omega0_sq: float) -> StarSpec:
     """Build a StarSpec with omega_R^2 computed from the spectral density."""
@@ -322,7 +351,7 @@ def discretize_clm(
         bin_int = sd.gamma * wc2 * np.log((hi * hi + wc2) / (lo * lo + wc2))
     else:
         bin_int = np.array(
-            [quad(sd.j, l, h, limit=100, epsabs=1e-14, epsrel=QUAD_TOL)[0] for l, h in zip(lo, hi)]
+            [_integral(sd.j, l, h, "discretization bin", limit=100) for l, h in zip(lo, hi)]
         )
     g2 = wn / np.pi * bin_int
     modes = DiscreteModes(tuple(wn), tuple(np.sqrt(g2)))

@@ -16,6 +16,7 @@ from scipy.integrate import IntegrationWarning
 from qthermo import (
     ConvergenceError,
     DivergenceError,
+    ExponentialCutoff,
     IntegrationError,
     LorentzDrude,
     SteadyStateQuery,
@@ -290,6 +291,86 @@ class TestWeightEvaluations:
             assert cov == steady_covariances(q)
             assert f == clm_qfi(q)
         assert len(roots) == 2
+
+
+class TestOncePerReservoir:
+    """The tails beyond B and the breakpoint skeleton do not depend on T:
+    a star integrates each tail once per B and builds its skeleton once."""
+
+    @staticmethod
+    def count_tails(monkeypatch):
+        tails, real_quad = [], clm.quad
+
+        def quad(f, a, b, **kwargs):
+            if b == math.inf:
+                tails.append(a)
+            return real_quad(f, a, b, **kwargs)
+
+        monkeypatch.setattr(clm, "quad", quad)
+        return tails
+
+    def test_sweep_integrates_each_tail_once(self, monkeypatch):
+        # B = 50 wc at every temperature of the grid: one tail for s11, one
+        # for s22, and none for the derivative moments
+        tails = self.count_tails(monkeypatch)
+        star = fig2_star(1.0)
+        qfi_curve(star, np.geomspace(1e-3, 1e-1, 6))
+        assert tails == [5000.0, 5000.0]
+
+    def test_derivative_moments_integrate_no_tail(self, monkeypatch):
+        tails = self.count_tails(monkeypatch)
+        covariance_T_derivatives(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
+        assert tails == []
+
+    def test_sweep_builds_the_skeleton_once(self, monkeypatch):
+        # J runs for the low-frequency slope and the resonance width only
+        calls, real_j = [], LorentzDrude.j
+
+        def j(sd, w):
+            calls.append(w)
+            return real_j(sd, w)
+
+        monkeypatch.setattr(LorentzDrude, "j", j)
+        qfi_curve(fig2_star(1.0), np.geomspace(1e-3, 1e-1, 6))
+        assert len(calls) == 2
+
+    def test_failed_quad_is_not_kept(self, monkeypatch):
+        # a tail quad that raises is retried by the next query on the star
+        real_quad = clm.quad
+
+        def quad(f, a, b, **kwargs):
+            if b == math.inf:
+                raise ValueError("no tail today")
+            return real_quad(f, a, b, **kwargs)
+
+        star = fig2_star(1.0)
+        q = SteadyStateQuery(star=star, T=1e-2)
+        monkeypatch.setattr(clm, "quad", quad)
+        with pytest.raises(IntegrationError, match="no tail today"):
+            steady_covariances(q)
+        monkeypatch.setattr(clm, "quad", real_quad)
+        assert steady_covariances(q) == steady_covariances(replace(q, star=fig2_star(1.0)))
+
+    def test_kept_failed_tail_is_judged_at_every_temperature(self, monkeypatch):
+        # the kept output of a failed tail is still refused where it matters;
+        # s11 raises first, so only its tail is ever integrated
+        failing_quad(monkeypatch, "tail", value=1.0)
+        tails = self.count_tails(monkeypatch)
+        star = fig2_star(1.0)
+        for t in (1e-2, 2e-2):
+            with pytest.raises(IntegrationError, match="failed: The integral is probably"):
+                steady_covariances(SteadyStateQuery(star=star, T=t))
+        assert tails == [5000.0]
+
+    def test_exponential_cutoff_reuses_its_tails(self, monkeypatch):
+        # the composed integrands of the other families share the tails too
+        tails = self.count_tails(monkeypatch)
+        sd = ExponentialCutoff(0.1, 2.0, 1.0)
+        star = make_star(sd, 1.0)
+        steady_covariances(SteadyStateQuery(star=star, T=0.05))
+        cov = steady_covariances(SteadyStateQuery(star=star, T=0.08))
+        assert tails == [100.0, 100.0]
+        assert cov == steady_covariances(SteadyStateQuery(star=make_star(sd, 1.0), T=0.08))
 
 
 class TestMpmathOracle:

@@ -17,16 +17,21 @@ from qthermo import (
     DiscreteModes,
     IntegrationError,
     LorentzDrude,
+    QfiCurve,
     StarSpec,
     SteadyStateQuery,
     chain_to_star,
     clm_qfi,
     clm_qfi_fidelity,
     clm_normal_modes,
+    covariance_T_derivatives,
+    fit_exponential_gap,
     gapless_frequency_sq,
+    loglog_fit,
     make_star,
     node_covariances,
     power_law_chain,
+    qfi_curve,
     star_to_chain,
     steady_covariances,
 )
@@ -242,3 +247,85 @@ def test_derivative_and_fidelity_routes_agree(q):
     # fidelity for the finite difference to resolve F
     assume(f_d * (1e-2 * q.T) ** 2 > 1e-10)
     assert f_f == pytest.approx(f_d, rel=1e-3)
+
+
+@st.composite
+def ld_sweeps(draw):
+    """A Lorentz-Drude reservoir and probe frequency, an infrared cutoff
+    (0 when the probe is trapped), and temperatures from 0.03 to 100, so
+    that B = max(B0, 1000 T) is shared by some and not by others; the first
+    temperature comes again at the end."""
+    sd = LorentzDrude(draw(st.floats(0.01, 0.5)), draw(st.floats(1.0, 100.0)))
+    omega0_sq = draw(st.one_of(st.just(0.0), st.floats(0.1, 10.0)))
+    omega_min = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)))
+    assume(omega0_sq > 0.0 or omega_min > 0.0)
+    ts = draw(st.lists(st.floats(-1.5, 2.0).map(lambda x: 10.0**x), min_size=1, max_size=4))
+    return sd, omega0_sq, omega_min, ts + ts[:1]
+
+
+def moments_or_refusal(star, T, omega_min):
+    q = SteadyStateQuery(star=star, T=T, omega_min=omega_min)
+    out = []
+    for moments in (steady_covariances, covariance_T_derivatives):
+        try:
+            out.append(moments(q))
+        except IntegrationError as exc:
+            out.append(str(exc))
+    return out
+
+
+@FIXED
+@given(ld_sweeps())
+def test_reservoir_work_kept_on_the_star_changes_no_result(sweep):
+    # the tails beyond B and the breakpoint skeleton kept on one star give,
+    # bit for bit, what a fresh star computes for each query
+    sd, omega0_sq, omega_min, ts = sweep
+    star = make_star(sd, omega0_sq)
+    for t in ts:
+        fresh = moments_or_refusal(make_star(sd, omega0_sq), t, omega_min)
+        assert moments_or_refusal(star, t, omega_min) == fresh
+    if omega_min > 0.0:
+        return
+    grid = sorted(set(ts))
+    try:
+        curve = qfi_curve(star, grid)
+    except IntegrationError:
+        return
+    fresh = [qfi_curve(make_star(sd, omega0_sq), [t]) for t in grid]
+    assert list(curve.qfi) == [c.qfi[0] for c in fresh]
+    assert list(curve.covariances) == [c.covariances[0] for c in fresh]
+
+
+@FIXED
+@given(
+    st.floats(-4.0, 4.0),
+    st.floats(-3.0, 3.0),
+    st.floats(-4.0, 1.0),
+    st.floats(0.5, 3.0),
+    st.integers(4, 40),
+)
+def test_loglog_fit_recovers_a_power_law(p, log10_a, log10_lo, decades, n):
+    x = np.geomspace(10.0**log10_lo, 10.0 ** (log10_lo + decades), n)
+    fit = loglog_fit(x, 10.0**log10_a * x**p)
+    assert fit.exponent_or_gap == pytest.approx(p, abs=1e-9)
+    assert fit.prefactor == pytest.approx(10.0**log10_a, rel=1e-9)
+    assert fit.r_squared >= 1.0 - 1e-12
+
+
+@FIXED
+@given(
+    st.floats(-2.0, 1.0),
+    st.floats(-3.0, 3.0),
+    st.floats(1.0, 50.0),
+    st.floats(0.3, 2.0),
+    st.integers(4, 40),
+)
+def test_exponential_gap_fit_recovers_the_gap(log10_gap, log10_a, gap_over_t, decades, n):
+    # gap / T runs from gap_over_t down by 10^decades, so F >= a e^-50
+    gap = 10.0**log10_gap
+    ts = np.geomspace(gap / gap_over_t, gap / gap_over_t * 10.0**decades, n)
+    curve = QfiCurve(tuple(ts), tuple(10.0**log10_a * np.exp(-gap / ts)))
+    fit = fit_exponential_gap(curve)
+    assert fit.exponent_or_gap == pytest.approx(gap, rel=1e-9)
+    assert fit.prefactor == pytest.approx(10.0**log10_a, rel=1e-9)
+    assert fit.r_squared >= 1.0 - 1e-12

@@ -10,6 +10,7 @@ from qthermo import (
     DiscreteModes,
     ExponentialCutoff,
     GenericOhmic,
+    IntegrationError,
     LorentzDrude,
     PoleError,
     StarSpec,
@@ -21,6 +22,7 @@ from qthermo import (
     self_energy_pv,
     susceptibility_abs_sq,
 )
+from qthermo import spectral
 
 
 def ld_self_energy_closed(gamma, wc, w):
@@ -135,6 +137,32 @@ class TestSelfEnergy:
         tail = quad(lambda x: sd.j(x) * x / (x * x - w * w), 20.0, np.inf, limit=200)[0]
         oracle = (inner + tail) / np.pi
         assert self_energy_pv(sd, w) == pytest.approx(oracle, rel=1e-7)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.3])
+    def test_exponential_cutoff_against_mpmath(self, s):
+        # s = 1 has a closed form in Ei and E1; otherwise a 30-digit PV
+        # integral, folded about the pole: PV int_0^2w h(x)/(x - w) dx is
+        # int_0^w (h(w + u) - h(w - u))/u du, with h = J x/(x + w)
+        mp = pytest.importorskip("mpmath")
+        gamma, wc = 0.3, 2.0
+        sd = ExponentialCutoff(gamma, wc, s)
+        for w in (0.05, 0.7, 2.0, 9.0):
+            with mp.workdps(30):
+                g, c, sm, wm = mp.mpf(gamma), mp.mpf(wc), mp.mpf(s), mp.mpf(w)
+                if s == 1.0:
+                    x = wm / c
+                    pv = mp.exp(-x) * mp.ei(x) + mp.exp(x) * mp.e1(x)
+                    oracle = g / 2 * (c - wm / 2 * pv)
+                else:
+
+                    def h(x):
+                        j = g * mp.pi / 2 * x**sm / c ** (sm - 1) * mp.exp(-x / c)
+                        return j * x / (x + wm)
+
+                    near = mp.quad(lambda u: (h(wm + u) - h(wm - u)) / u, [0, wm])
+                    far = mp.quad(lambda x: h(x) / (x - wm), [2 * wm, mp.inf])
+                    oracle = (near + far) / mp.pi
+            assert self_energy(sd, w) == pytest.approx(float(oracle), rel=1e-8), w
 
     def test_discrete_single_mode(self):
         modes = DiscreteModes((2.0,), (1.0,))
@@ -266,4 +294,26 @@ def test_non_finite_model_parameter_is_rejected(x):
     )
     for call in calls:
         with pytest.raises(ValueError):
+            call()
+
+
+class TestQuadratureFailures:
+    """QUADPACK's ier > 0 raises IntegrationError with quad's message."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: renormalization_frequency_sq(GenericOhmic(0.3, 2.0, lambda x: math.exp(-x))),
+            lambda: self_energy_pv(ExponentialCutoff(0.2, 2.0, 1.0), 1.0),
+            lambda: discretize_clm(ExponentialCutoff(0.2, 2.0, 1.0), 4, 8.0),
+        ],
+        ids=["renormalization", "self-energy", "discretization"],
+    )
+    def test_failure_raises(self, monkeypatch, call):
+        def quad(f, a, b, **kwargs):
+            assert kwargs["full_output"]
+            return 1.0, 1.0, {}, "The maximum number of subdivisions has been achieved."
+
+        monkeypatch.setattr(spectral, "quad", quad)
+        with pytest.raises(IntegrationError, match="quadrature failed: The maximum number"):
             call()
