@@ -79,12 +79,10 @@ from .mapping import (
 from .spectral import (
     DiscreteModes,
     ExponentialCutoff,
-    GenericOhmic,
     LorentzDrude,
     StarSpec,
     discretization_residual,
     discretize_clm,
-    low_frequency_slope,
     make_star,
     renormalization_frequency_sq,
     self_energy,

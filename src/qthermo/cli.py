@@ -2,13 +2,13 @@
 
 Configs are flat key = value text files with an `experiment` discriminator;
 see configs/ in the repository for the figure-reproduction recipes.  Every
-run writes a data table (CSV by default, JSON on request) plus a JSON
-summary holding the fitted scaling laws, warnings, wall time, and the
-versions behind the run.  Outputs are deterministic for a fixed BLAS thread
-count (chain-to-star's dense eigh rounds per thread count; star-to-chain
-tables are the same for any count): rows sorted by the sweep variable,
-floats as repr.  The omega,g mode tables and n,G coupling tables the CLI
-writes are also the inputs it reads (modes_csv, couplings_csv).
+run writes a CSV data table plus a JSON summary holding the fitted scaling
+laws, warnings, wall time, and the versions behind the run.  Outputs are
+deterministic for a fixed BLAS thread count (chain-to-star's dense eigh
+rounds per thread count; star-to-chain tables are the same for any count):
+rows sorted by the sweep variable, floats as repr.  The omega,g mode tables
+and n,G coupling tables the CLI writes are also the inputs it reads
+(modes_csv, couplings_csv).
 
 Exit codes: 0 success, 2 config validation (including a malformed input
 table), 3 computation, 4 I/O (the config, an input file it names, or an
@@ -77,7 +77,7 @@ class _Config:
 
     def __init__(self, raw: dict[str, str]):
         self.raw = raw
-        self._used = {"experiment", "out", "format", "requires_slow"}
+        self._used = {"experiment", "out", "requires_slow"}
 
     def _fetch(self, key: str, default):
         self._used.add(key)
@@ -252,12 +252,8 @@ def _run_free_probe(cfg: _Config) -> ExperimentResult:
     sd = _spectral_density(cfg)
     star = spectral_mod.make_star(sd, omega0_sq=0.0)
     t = cfg.float_("T", _REQUIRED)
-    start = cfg.float_("omega_min_start", 1e-4)
-    count = cfg.int_("omega_min_count", 4)
-    ratio = cfg.float_("omega_min_ratio", 10.0)
     cfg.reject_unknown()
-    seq = [start / ratio**k for k in range(count)]
-    limit, samples = clm_mod.free_probe_qfi_limit(star, t, seq)
+    limit, samples = clm_mod.free_probe_qfi_limit(star, t)
     rows = [[wm, f, 2.0 * t * t * f] for wm, f in samples]
     extra = {"limit_estimate": limit, "two_T_sq_F": 2.0 * t * t * limit, "T": t}
     return ["omega_min", "qfi", "two_T_sq_F"], rows, [], list(star.warnings), extra
@@ -397,22 +393,10 @@ _RUNNERS: dict[str, Callable[[_Config], ExperimentResult]] = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
-def _write_outputs(
-    out_path: Path,
-    fmt: str,
-    columns: Sequence[str],
-    rows: Rows,
-    summary: dict,
-) -> None:
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(repr(float(v)) for v in row) for row in rows]
-        out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        out_path.write_text(
-            json.dumps({"columns": columns, "rows": rows}, indent=1) + "\n",
-            encoding="utf-8",
-        )
+def _write_outputs(out_path: Path, columns: Sequence[str], rows: Rows, summary: dict) -> None:
+    lines = [",".join(columns)]
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     summary_path = out_path.with_suffix(".summary.json")
     summary_path.write_text(json.dumps(summary, indent=1, default=str) + "\n", encoding="utf-8")
 
@@ -432,7 +416,6 @@ def _environment() -> dict[str, str | None]:
 def run_experiment(
     raw_cfg: dict[str, str],
     out: str | None = None,
-    fmt: str | None = None,
     slow_ok: bool = False,
 ) -> dict:
     """Validate, compute, and write one experiment; returns the summary."""
@@ -443,9 +426,6 @@ def run_experiment(
             f"experiment {experiment!r} is marked slow; re-run with --slow to confirm"
         )
     out_path = Path(out if out is not None else cfg.str_("out", f"{experiment}.csv"))
-    fmt = fmt if fmt is not None else cfg.str_("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
 
     start = time.perf_counter()
     columns, rows, fit_list, warnings, extra = _RUNNERS[experiment](cfg)
@@ -460,7 +440,7 @@ def run_experiment(
         **extra,
         "env": _environment(),
     }
-    _write_outputs(out_path, fmt, columns, rows, summary)
+    _write_outputs(out_path, columns, rows, summary)
     return summary
 
 
@@ -478,7 +458,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="path to a key = value config file")
     parser.add_argument("--out", default=None, help="output data path (overrides config)")
-    parser.add_argument("--format", default=None, choices=("csv", "json"))
     parser.add_argument("--slow", action="store_true", help="allow slow-marked recipes")
     args = parser.parse_args(argv)
 
@@ -493,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"config declares experiment {cfg['experiment']!r}, "
                 f"command line says {args.experiment!r}"
             )
-        run_experiment(cfg, out=args.out, fmt=args.format, slow_ok=args.slow)
+        run_experiment(cfg, out=args.out, slow_ok=args.slow)
     except ConfigError as exc:
         return _fail(2, "config-error", str(exc))
     except OSError as exc:

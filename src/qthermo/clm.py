@@ -52,7 +52,6 @@ from .spectral import (
     LorentzDrude,
     StarSpec,
     _quad_value,
-    low_frequency_slope,
     susceptibility_real,
 )
 
@@ -118,7 +117,8 @@ def _skeleton(star: StarSpec) -> tuple[frozenset[float], float]:
         raise TypeError("steady-state integrals need a continuous reservoir")
     wc = sd.omega_c
     pts = {0.1 * wc, wc, 10.0 * wc}
-    slope = low_frequency_slope(sd)
+    eps = 1e-8 * wc
+    slope = max(float(sd.j(eps)) / eps, 1e-300)
     if star.omega0_sq > 0.0:
         knee = star.omega0_sq / slope
         pts.update((0.1 * knee, knee, 10.0 * knee, 100.0 * knee))
@@ -335,7 +335,7 @@ def free_probe_qfi_limit(
     if star.omega0_sq != 0.0:
         raise ValueError("free_probe_qfi_limit requires omega0_sq = 0")
     if omega_min_sequence is None:
-        omega_min_sequence = [1e-4, 1e-5, 1e-6, 1e-7]
+        omega_min_sequence = [1e-4 / 10.0**k for k in range(4)]
     seq = [float(w) for w in omega_min_sequence]
     if len(seq) < 3 or any(b >= a for a, b in zip(seq, seq[1:])):
         raise ValueError("omega_min_sequence must be decreasing with >= 3 entries")
@@ -344,7 +344,7 @@ def free_probe_qfi_limit(
         f = clm_qfi(SteadyStateQuery(star=star, T=T, omega_min=wm))
         samples.append((wm, f))
     diffs = [abs(b[1] - a[1]) for a, b in zip(samples, samples[1:])]
-    if len(diffs) >= 2 and diffs[-1] > 2.0 * diffs[-2] + 1e-12 * abs(samples[-1][1]):
+    if diffs[-1] > 2.0 * diffs[-2] + 1e-12 * abs(samples[-1][1]):
         raise ConvergenceError(
             f"non-Cauchy tail in omega_min sequence: |dF| = {diffs!r}"
         )

@@ -1,9 +1,9 @@
 """Reservoir spectral densities, self-energy, and discretization.
 
 Continuous Ohmic families (Lorentz-Drude, exponential cutoff with variable
-Ohmicity s, generic cutoff function) plus discrete mode lists {(omega_n,
-g_n)}.  The renormalization frequency and the principal-value self-energy
-follow the Hamiltonian-grounded normalization
+Ohmicity s) plus discrete mode lists {(omega_n, g_n)}.  The renormalization
+frequency and the principal-value self-energy follow the Hamiltonian-grounded
+normalization
 
     omega_R^2 = (1/pi) int_0^inf J(w)/w dw,
     S(w)      = (1/pi) PV int_0^inf J(w') w' / (w'^2 - w^2) dw',
@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import DivergenceError, IntegrationError, PoleError
+from .errors import IntegrationError, PoleError
 
 # Relative tolerance of every adaptive quadrature in the package.
 QUAD_TOL = 1e-9
@@ -94,30 +94,6 @@ class ExponentialCutoff:
 
 
 @dataclass(frozen=True)
-class GenericOhmic:
-    """J(w) = gamma w f(w/wc) with a dimensionless cutoff function f, f(0) = 1."""
-
-    gamma: float
-    omega_c: float
-    cutoff_fn: Callable[[float], float]
-
-    def __post_init__(self) -> None:
-        if not all(0.0 < x < math.inf for x in (self.gamma, self.omega_c)):
-            raise ValueError("GenericOhmic requires finite gamma > 0 and omega_c > 0")
-        f0 = float(self.cutoff_fn(0.0))
-        if abs(f0 - 1.0) > 1e-9:
-            raise ValueError(f"cutoff function must satisfy f(0) = 1, got {f0!r}")
-
-    def j(self, omega):
-        """J at a scalar omega >= 0 or an ndarray, one cutoff_fn call per entry."""
-        if np.isscalar(omega):
-            return self.gamma * float(omega) * float(self.cutoff_fn(omega / self.omega_c))
-        w = np.asarray(omega, dtype=float)
-        f = np.array([float(self.cutoff_fn(x)) for x in w / self.omega_c])
-        return self.gamma * w * f
-
-
-@dataclass(frozen=True)
 class DiscreteModes:
     """Finite reservoir: strictly increasing frequencies and couplings >= 0."""
 
@@ -147,12 +123,8 @@ class DiscreteModes:
         return np.asarray(self.gs, dtype=float)
 
 
-ContinuousSpectralDensity = Union[LorentzDrude, ExponentialCutoff, GenericOhmic]
+ContinuousSpectralDensity = Union[LorentzDrude, ExponentialCutoff]
 SpectralDensityModel = Union[ContinuousSpectralDensity, DiscreteModes]
-
-
-def _tail_start(sd: ContinuousSpectralDensity, omega: float = 0.0) -> float:
-    return max(50.0 * sd.omega_c, 10.0 * omega)
 
 
 def renormalization_frequency_sq(sd: SpectralDensityModel) -> float:
@@ -165,45 +137,7 @@ def renormalization_frequency_sq(sd: SpectralDensityModel) -> float:
         return float(np.sum(sd.g_array**2 / sd.omega_array**2))
     if isinstance(sd, LorentzDrude):
         return sd.gamma * sd.omega_c
-    if isinstance(sd, ExponentialCutoff):
-        return 0.5 * sd.gamma * math.gamma(sd.s) * sd.omega_c
-    b = _tail_start(sd)
-    try:
-        head = quad(
-            lambda w: sd.j(w) / w,
-            0.0,
-            b,
-            points=[sd.omega_c, 10.0 * sd.omega_c],
-            limit=400,
-            epsabs=1e-14,
-            epsrel=QUAD_TOL,
-            full_output=1,
-        )
-        tail = quad(
-            lambda w: sd.j(w) / w,
-            b,
-            np.inf,
-            limit=200,
-            epsabs=1e-14,
-            epsrel=QUAD_TOL,
-            full_output=1,
-        )
-    except Exception as exc:  # pragma: no cover - quadrature misuse
-        raise DivergenceError(f"renormalization integral failed: {exc}") from exc
-    v1, v2 = _quad_value(head, "renormalization"), _quad_value(tail, "renormalization")
-    total = (v1 + v2) / np.pi
-    if not math.isfinite(total):
-        raise DivergenceError("renormalization integral diverged")
-    return total
-
-
-def low_frequency_slope(sd: ContinuousSpectralDensity) -> float:
-    """Effective dissipation rate dJ/dw at w -> 0+ (2*gamma for Lorentz-Drude).
-
-    Evaluated as J(eps)/eps with eps = 1e-8 wc; robust for any cutoff shape.
-    """
-    eps = 1e-8 * sd.omega_c
-    return max(float(sd.j(eps)) / eps, 1e-300)
+    return 0.5 * sd.gamma * math.gamma(sd.s) * sd.omega_c
 
 
 def self_energy_pv(sd: ContinuousSpectralDensity, omega: float) -> float:
@@ -229,7 +163,7 @@ def self_energy_pv(sd: ContinuousSpectralDensity, omega: float) -> float:
             return (sd.j(w + h) * (w + h) - sd.j(w - h) * (w - h)) / (2.0 * h) / (2.0 * w)
         return (sd.j(x) * x - jw) / d
 
-    b = _tail_start(sd, w)
+    b = max(50.0 * sd.omega_c, 10.0 * w)
     pts = sorted({p for p in (0.5 * w, w, 2.0 * w, sd.omega_c, 10.0 * sd.omega_c) if 0.0 < p < b})
     v1 = _integral(subtracted, 0.0, b, "PV self-energy", points=pts, limit=400)
     v2 = _integral(

@@ -91,14 +91,6 @@ class TestRunExperiment:
         sb.pop("wall_time_s")
         assert sa == sb
 
-    def test_json_format(self, tmp_path):
-        cfg = parse_config_text(CLM_CFG)
-        out = tmp_path / "fig2a.json"
-        run_experiment(cfg, out=str(out), fmt="json")
-        data = json.loads(out.read_text())
-        assert data["columns"][0] == "T"
-        assert len(data["rows"]) == 6
-
     def test_gap_error_experiment(self, tmp_path):
         cfg = parse_config_text(
             "experiment = gap-error\ns = 3.0\nG = 1.0\nN_list = 50,100,200,400"
@@ -266,23 +258,37 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_tolerance_flag_is_gone(self, tmp_path, capsys):
+        # tables are always CSV: --format is as unknown as --tol
         cfg_path = tmp_path / "ok.cfg"
         cfg_path.write_text(CLM_CFG)
-        with pytest.raises(SystemExit) as exc:
-            main(["clm-qfi", "--config", str(cfg_path), "--tol", "1e-7"])
-        assert exc.value.code == 2
-        assert "--tol" in capsys.readouterr().err
+        for flag, value in (("--tol", "1e-7"), ("--format", "json")):
+            with pytest.raises(SystemExit) as exc:
+                main(["clm-qfi", "--config", str(cfg_path), flag, value])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_tolerance_config_key_is_unknown(self, tmp_path, capsys):
-        cfg_path = tmp_path / "tol.cfg"
-        # clm-qfi's infrared cutoff went with it: no recipe set it
-        cfg_path.write_text(CLM_CFG + "quad_tol = 1e-9\nomega_min = 1e-3\n")
-        out = tmp_path / "never.csv"
-        assert main(["clm-qfi", "--config", str(cfg_path), "--out", str(out)]) == 2
-        payload = json.loads(capsys.readouterr().err.strip())
-        assert payload["error"] == "config-error"
-        assert payload["message"] == "unknown config keys: ['omega_min', 'quad_tol']"
-        assert not out.exists()
+        # no recipe set these keys, so none is read: clm-qfi's infrared
+        # cutoff, the table format and free-probe-limit's omega_min ladder
+        free_cfg = "experiment = free-probe-limit\ngamma = 0.1\nomega_c = 100\nT = 1e-3\n"
+        cases = (
+            ("clm-qfi", CLM_CFG, ("quad_tol = 1e-9", "omega_min = 1e-3", "format = json")),
+            (
+                "free-probe-limit",
+                free_cfg,
+                ("omega_min_start = 1e-4", "omega_min_count = 4", "omega_min_ratio = 10"),
+            ),
+        )
+        for experiment, text, lines in cases:
+            cfg_path = tmp_path / "tol.cfg"
+            cfg_path.write_text(text + "".join(line + "\n" for line in lines))
+            out = tmp_path / "never.csv"
+            assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 2
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "config-error"
+            keys = sorted(line.split(" = ")[0] for line in lines)
+            assert payload["message"] == f"unknown config keys: {keys}"
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "window, message",

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from qthermo import (
     DiscreteModes,
     ExponentialCutoff,
-    GenericOhmic,
     IntegrationError,
     LorentzDrude,
     PoleError,
@@ -65,15 +64,6 @@ class TestEvaluate:
         assert isinstance(out, np.ndarray) and out.shape == w.shape
         assert out.tobytes() == np.array([sd.j(float(x)) for x in w]).tobytes()
 
-    def test_generic_ohmic_low_frequency_linearity(self):
-        sd = GenericOhmic(gamma=0.3, omega_c=2.0, cutoff_fn=lambda x: 1.0 / (1.0 + x * x))
-        for w in (1e-6, 1e-4, 1e-3):
-            assert sd.j(w) / w == pytest.approx(0.3, rel=1e-5)
-
-    def test_generic_rejects_bad_cutoff(self):
-        with pytest.raises(ValueError):
-            GenericOhmic(gamma=1.0, omega_c=1.0, cutoff_fn=lambda x: 2.0)
-
     def test_discrete_estimate_recovers_continuum(self):
         sd = LorentzDrude(gamma=0.1, omega_c=2.0)
         star = discretize_clm(sd, 500, 40.0)
@@ -95,11 +85,6 @@ class TestRenormalizationFrequency:
         oracle = quad(lambda w: sd.j(w) / w, 0.0, np.inf, limit=200)[0] / np.pi
         assert renormalization_frequency_sq(sd) == pytest.approx(oracle, rel=1e-9)
 
-    def test_generic_ohmic_lorentzian_cutoff(self):
-        # f = 1/(1+x^2): integral gamma*wc/pi * int dx/(1+x^2) = gamma*wc/2
-        sd = GenericOhmic(gamma=0.3, omega_c=2.0, cutoff_fn=lambda x: 1.0 / (1.0 + x * x))
-        assert renormalization_frequency_sq(sd) == pytest.approx(0.3, rel=1e-8)
-
     def test_discrete_single_mode(self):
         modes = DiscreteModes((2.0,), (1.0,))
         assert renormalization_frequency_sq(modes) == pytest.approx(0.25, rel=1e-14)
@@ -118,11 +103,7 @@ class TestSelfEnergy:
             assert self_energy(sd, w) == pytest.approx(closed, rel=1e-12)
 
     def test_zero_frequency_is_renormalization(self):
-        for sd in (
-            LorentzDrude(0.1, 2.0),
-            ExponentialCutoff(0.5, 1.5, 1.0),
-            GenericOhmic(0.3, 2.0, lambda x: math.exp(-x * x)),
-        ):
+        for sd in (LorentzDrude(0.1, 2.0), ExponentialCutoff(0.5, 1.5, 1.0)):
             assert self_energy(sd, 0.0) == pytest.approx(
                 renormalization_frequency_sq(sd), rel=1e-10
             )
@@ -176,12 +157,7 @@ class TestSelfEnergy:
 
 class TestSusceptibility:
     @pytest.mark.parametrize(
-        "sd",
-        [
-            LorentzDrude(0.1, 100.0),
-            ExponentialCutoff(0.5, 1.5, 1.0),
-            GenericOhmic(0.3, 2.0, lambda x: 1.0 / (1.0 + x * x) ** 2),
-        ],
+        "sd", [LorentzDrude(0.1, 100.0), ExponentialCutoff(0.5, 1.5, 1.0)]
     )
     def test_static_cancellation(self, sd):
         star = make_star(sd, omega0_sq=1.0)
@@ -278,15 +254,12 @@ def test_non_finite_model_parameter_is_rejected(x):
     # these used to pass the positivity checks (nan <= 0 and inf <= 0 are
     # False) and give NaN couplings or infinite modes downstream
     ld = LorentzDrude(0.1, 2.0)
-    flat = lambda w: 1.0
     calls = (
         lambda: LorentzDrude(gamma=x, omega_c=2.0),
         lambda: LorentzDrude(gamma=0.1, omega_c=x),
         lambda: ExponentialCutoff(gamma=x, omega_c=2.0),
         lambda: ExponentialCutoff(gamma=0.1, omega_c=x),
         lambda: ExponentialCutoff(gamma=0.1, omega_c=2.0, s=x),
-        lambda: GenericOhmic(gamma=x, omega_c=2.0, cutoff_fn=flat),
-        lambda: GenericOhmic(gamma=0.1, omega_c=x, cutoff_fn=flat),
         lambda: discretize_clm(ld, 50, x),
         lambda: StarSpec(omega0_sq=x, omega_R_sq=0.2, sd=ld),
         lambda: DiscreteModes((1.0, x), (0.1, 0.1)),
@@ -303,11 +276,10 @@ class TestQuadratureFailures:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: renormalization_frequency_sq(GenericOhmic(0.3, 2.0, lambda x: math.exp(-x))),
             lambda: self_energy_pv(ExponentialCutoff(0.2, 2.0, 1.0), 1.0),
             lambda: discretize_clm(ExponentialCutoff(0.2, 2.0, 1.0), 4, 8.0),
         ],
-        ids=["renormalization", "self-energy", "discretization"],
+        ids=["self-energy", "discretization"],
     )
     def test_failure_raises(self, monkeypatch, call):
         def quad(f, a, b, **kwargs):
