@@ -9,6 +9,10 @@ with a = 1..N doubly degenerate.  Single-node covariances use the analytic
 circulant weights (1/(2N+1) for a = 0, 2/(2N+1) otherwise; the sine
 partner of each degenerate pair has no amplitude on the probe node), which
 is exact, with no eigensolver: the spectrum once per sweep, O(N) per temperature.
+The cosine table is symmetric in k and a, so chain_spectrum computes each
+cosine once, in row tiles, and still sums every mode over k in increasing
+order (one-column updates by cumsum, since numpy sums a single column
+pairwise): the values are those of the one-shot table, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .gaussian import (
 # opts into the regularized treatment.
 GAP_FLOOR_SCALE = 1e-8
 
-# Most normal modes whose cosine column chain_spectrum builds at once.
-_SPECTRUM_BLOCK = 64
+# Rows k of the cosine table in one chain_spectrum tile.
+_SPECTRUM_BLOCK = 32
 
 
 def _coth_vec(x: np.ndarray) -> np.ndarray:
@@ -122,30 +126,50 @@ class ChainSpectrum:
         return np.sqrt(np.clip(self.array, 0.0, None))
 
 
+def _add_rows(head: np.ndarray, g: np.ndarray, cos_rows: np.ndarray) -> np.ndarray:
+    """head + g[0] cos_rows[0] + g[1] cos_rows[1] + ..., added in that order.
+
+    The rows go into one C-contiguous buffer, which numpy reduces over axis 0
+    row by row; a single column it would sum pairwise, so cumsum takes it.
+    """
+    buf = np.empty((g.size + 1, head.size))
+    buf[0] = head
+    np.multiply(g[:, None], cos_rows, out=buf[1:])
+    return np.cumsum(buf)[-1:] if head.size == 1 else buf.sum(axis=0)
+
+
 def chain_spectrum(c: ChainSpec) -> ChainSpectrum:
     """Exact spectrum by trigonometric evaluation (no eigensolver).
 
-    The N x (N+1) cosine table is built in column blocks of at most
-    _SPECTRUM_BLOCK modes, so memory grows as O(N), not O(N^2).  Each column
-    is summed over k in the same order as the whole table would be, so the
-    values do not depend on the blocking.  np.array_split keeps every block
-    at least two columns wide: numpy sums a one-column block pairwise, not
-    row by row, which would round differently.
+    Each Om_a^2 sums g_k cos(2 pi k a / (2N+1)) over k = 1..N in increasing
+    order, bit for bit as a one-shot N x (N+1) table would.  The table is
+    symmetric in k and a >= 1, so only its upper triangle is computed, in
+    tiles of _SPECTRUM_BLOCK rows (memory O(N)).  A tile of rows k0..k1 and
+    modes a >= k0 is used twice: its rows extend the running sums of the
+    modes a > k1, and its transpose adds rows k >= k0 to the modes k0..k1,
+    which completes them.  Running sums start at -0.0, which adds to any
+    first term exactly; mode 0 (cos 0 = 1) is the running sum of g.
     """
-    k = np.arange(1, c.N + 1, dtype=float)
-    a = np.arange(0, c.N + 1, dtype=float)
-    g = c.coupling_array[:, None]
-    sums = [
-        (g * np.cos(2.0 * np.pi * np.outer(k, b) / (2 * c.N + 1))).sum(axis=0)
-        for b in np.array_split(a, -(-a.size // _SPECTRUM_BLOCK))
-    ]
-    vals = c.omega_sq + 2.0 * np.concatenate(sums)
+    N = c.N
+    k = np.arange(1, N + 1, dtype=float)
+    g = c.coupling_array
+    sums = np.full(N + 1, -0.0)
+    sums[0] = np.cumsum(g)[-1]
+    for r0 in range(0, N, _SPECTRUM_BLOCK):
+        r1 = min(r0 + _SPECTRUM_BLOCK, N)
+        t = np.outer(k[r0:r1], k[r0:])
+        np.multiply(2.0 * np.pi, t, out=t)
+        np.divide(t, 2 * N + 1, out=t)
+        np.cos(t, out=t)
+        sums[r1 + 1 :] = _add_rows(sums[r1 + 1 :], g[r0:r1], t[:, r1 - r0 :])
+        sums[r0 + 1 : r1 + 1] = _add_rows(sums[r0 + 1 : r1 + 1], g[r0:], t.T)
+    vals = c.omega_sq + 2.0 * sums
     floor = -1e-12 * max(1.0, float(np.max(np.abs(vals))))
     if np.min(vals) < floor:
         raise UnstableChainError(
             f"spectrum not bounded below: min Om_a^2 = {float(np.min(vals))!r}"
         )
-    return ChainSpectrum(tuple(float(v) for v in np.maximum(vals, 0.0)))
+    return ChainSpectrum(tuple(np.maximum(vals, 0.0).tolist()))
 
 
 def gapless_frequency_sq(N: int, couplings) -> float:

@@ -395,7 +395,7 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 def _write_outputs(out_path: Path, columns: Sequence[str], rows: Rows, summary: dict) -> None:
     lines = [",".join(columns)]
-    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    lines += [",".join(map(repr, map(float, row))) for row in rows]
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     summary_path = out_path.with_suffix(".summary.json")
     summary_path.write_text(json.dumps(summary, indent=1, default=str) + "\n", encoding="utf-8")

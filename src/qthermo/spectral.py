@@ -111,8 +111,8 @@ class DiscreteModes:
             raise ValueError("mode frequencies must be positive and strictly increasing")
         if np.any(g < 0.0):
             raise ValueError("couplings must be non-negative")
-        object.__setattr__(self, "omegas", tuple(float(x) for x in w))
-        object.__setattr__(self, "gs", tuple(float(x) for x in g))
+        object.__setattr__(self, "omegas", tuple(w.tolist()))
+        object.__setattr__(self, "gs", tuple(g.tolist()))
 
     @property
     def omega_array(self) -> np.ndarray:

@@ -6,6 +6,7 @@ the analytic cosine weights used by the implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,13 +72,23 @@ class TestChainSpectrum:
         assert spec.gap == pytest.approx(math.sqrt(2.0))
         assert spec.max_freq == pytest.approx(math.sqrt(2.0))
 
-    @pytest.mark.parametrize("n_half", [1, 63, 64, 65, 255, 256, 257, 2000])
+    _B = chain_mod._SPECTRUM_BLOCK
+
+    @pytest.mark.parametrize(
+        "n_half",
+        sorted({1, 63, 64, 65, 255, 256, 257, 641, 2000}
+               | {_B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B + 1}),
+    )
     def test_blocked_table_matches_the_one_shot_table(self, n_half):
-        # N = 64 and 256 give 65 and 257 columns: a naive split into blocks
-        # of 64 would leave a one-column block, which numpy sums pairwise
-        # and so rounds differently (it shows at N = 256).  The
-        # couplings are sign-mixed because sums of positive, fast-decaying
-        # terms often round alike in either order and would hide that.
+        # Sizes sit around the tile of _B rows.  N = m * _B + 1 leaves the
+        # running sums a one-column update, which numpy would sum pairwise,
+        # not row by row; a transposed tile written F-ordered would be
+        # summed pairwise too.  Either rounds differently, but a one-column
+        # update adds only _B small late terms to a large head: with _B = 32
+        # and these couplings, of the sizes m * _B + 1 up to 2000 only 641, 705
+        # and 833 show it.  The couplings are sign-mixed because sums of
+        # positive, fast-decaying terms often round alike in either order
+        # and would hide that.
         n = np.arange(1, n_half + 1)
         g = np.random.default_rng(n_half).standard_normal(n_half) / n**1.5
         c = ChainSpec(N=n_half, omega_sq=50.0, couplings=tuple(g))
@@ -86,6 +97,18 @@ class TestChainSpectrum:
         cos_table = np.cos(2.0 * np.pi * np.outer(k, a) / (2 * n_half + 1))
         one_shot = c.omega_sq + 2.0 * (c.coupling_array[:, None] * cos_table).sum(axis=0)
         assert np.array_equal(chain_spectrum(c).array, one_shot)
+
+    def test_memory_grows_as_O_of_N(self):
+        # Column blocks of 64 modes, the route before the row tiles, peaked
+        # at 2.15 MB at N = 2000; storing the cosine triangle would take 16 MB.
+        c = power_law_chain(2000, 2.0)
+        tracemalloc.start()
+        try:
+            chain_spectrum(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2e6
 
     def test_nearest_neighbor_dispersion(self):
         g = 0.3
