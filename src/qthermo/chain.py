@@ -5,10 +5,10 @@ frequencies are exact cosine sums,
 
     Om_a^2 = Om^2 + 2 sum_k G_k cos(2 pi k a / (2N+1)),  a = 0..N,
 
-with a = 1..N doubly degenerate.  Single-node covariances use the analytic
-circulant weights (1/(2N+1) for a = 0, 2/(2N+1) otherwise; the sine
-partner of each degenerate pair has no amplitude on the probe node), which
-is exact, with no eigensolver: the spectrum once per sweep, O(N) per temperature.
+with a = 1..N doubly degenerate.  A node's state is gaussian's mode sum
+over them with the circulant weights (1/(2N+1) for a = 0, 2/(2N+1) else;
+the sine partner of a degenerate pair has no amplitude on the node): exact,
+with no eigensolver, the spectrum once per sweep, O(N) per temperature.
 The cosine table is symmetric in k and a, so chain_spectrum computes each
 cosine once, in row tiles, and still sums every mode over k in increasing
 order (one-column updates by cumsum, since numpy sums a single column
@@ -23,35 +23,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FitError, UnstableChainError, ZeroModeError
+from .errors import FitError, UnstableChainError
 from .fits import ScalingFit, loglog_fit
 from .gaussian import (
     CovarianceDerivatives,
     SingleModeCovariance,
+    _mode_frequencies,
+    _mode_sums,
     qfi_from_derivatives,
 )
 
-# Smallest mode kept in a "gapless" finite chain, as a fraction of Om_max.
-# coth(0) is singular, so exact zero modes are clamped here when the caller
-# opts into the regularized treatment.
-GAP_FLOOR_SCALE = 1e-8
-
 # Rows k of the cosine table in one chain_spectrum tile.
 _SPECTRUM_BLOCK = 32
-
-
-def _coth_vec(x: np.ndarray) -> np.ndarray:
-    out = np.ones_like(x)
-    small = x <= 350.0
-    out[small] = 1.0 + 2.0 / np.expm1(2.0 * x[small])
-    return out
-
-
-def _csch2_vec(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    small = x <= 350.0
-    out[small] = 1.0 / np.sinh(x[small]) ** 2
-    return out
 
 
 @dataclass(frozen=True)
@@ -117,14 +100,6 @@ class ChainSpectrum:
         """Lowest normal-mode frequency Delta."""
         return float(np.sqrt(max(min(self.non_repeated), 0.0)))
 
-    @property
-    def max_freq(self) -> float:
-        return float(np.sqrt(max(self.non_repeated)))
-
-    def frequencies(self) -> np.ndarray:
-        """Non-repeated frequencies (not squared), same ordering."""
-        return np.sqrt(np.clip(self.array, 0.0, None))
-
 
 def _add_rows(head: np.ndarray, g: np.ndarray, cos_rows: np.ndarray) -> np.ndarray:
     """head + g[0] cos_rows[0] + g[1] cos_rows[1] + ..., added in that order.
@@ -187,23 +162,9 @@ def gapless_frequency_sq(N: int, couplings) -> float:
 
 
 def _node_mode_data(c: ChainSpec, regularize_gapless: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(frequencies, probe-node weights) with optional zero-mode clamping.
-
-    A squared frequency below the cosine-sum rounding scale counts as an
-    exact zero mode: coth(0) is singular, so it is either an error or, when
-    the caller opts in, clamped up to the gap floor.
-    """
-    spec = c.spectrum
-    om = spec.frequencies()
-    zero_tol_sq = 1e-12 * max(1.0, spec.max_freq**2)
-    floor = GAP_FLOOR_SCALE * spec.max_freq
-    if float(np.min(spec.array)) < zero_tol_sq:
-        if not regularize_gapless:
-            raise ZeroModeError(
-                f"chain has a zero mode (min Om^2 = {float(np.min(spec.array))!r}); "
-                "pass regularize_gapless=True to clamp it to the gap floor"
-            )
-        om = np.maximum(om, floor)
+    """(frequencies, probe-node weights), by gaussian's zero-mode rule."""
+    hint = "pass regularize_gapless=True to clamp it to the gap floor"
+    om = _mode_frequencies(c.spectrum.array, regularize_gapless, hint)
     w = np.full(c.N + 1, 2.0 / (2 * c.N + 1))
     w[0] = 1.0 / (2 * c.N + 1)
     return om, w
@@ -221,16 +182,7 @@ def node_moments(
     ts = [float(t) for t in temperatures]
     if not all(0.0 < t < math.inf for t in ts):
         raise ValueError("temperature must be positive and finite")
-    om, w = _node_mode_data(c, regularize_gapless)
-    out = []
-    for T in ts:
-        x = om / (2.0 * T)
-        nu = _coth_vec(x)
-        dnu = (om / (2.0 * T * T)) * _csch2_vec(x)
-        s11, s22 = float(np.sum(w * nu / (2.0 * om))), float(np.sum(w * om * nu / 2.0))
-        a1, a2 = float(np.sum(w * dnu / (2.0 * om))), float(np.sum(w * om * dnu / 2.0))
-        out.append((SingleModeCovariance(s11, s22), CovarianceDerivatives(a1, a2)))
-    return out
+    return _mode_sums(*_node_mode_data(c, regularize_gapless), ts)
 
 
 def node_covariances(

@@ -288,7 +288,7 @@ def _run_chain_to_star(cfg: _Config) -> ExperimentResult:
     extra = {
         "probe_omega_sq": star.probe_omega_sq,
         "decoupled_count": star.decoupled_count,
-        "renormalization_sq": star.renormalization_sq(),
+        "renormalization_sq": star.to_star_spec().omega_R_sq if star.coupled_modes else 0.0,
     }
     return MODES_COLUMNS, rows, [], list(star.warnings), extra
 

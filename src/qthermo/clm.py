@@ -14,6 +14,10 @@ cutoff wmin > 0; its QFI is defined by the wmin -> 0 limit.  Every integral
 is an adaptive quadrature at the package's one relative tolerance,
 spectral.QUAD_TOL.
 
+A discrete star needs no integral: its probe's state is gaussian's mode sum
+over the normal modes sqrt(lam_j) with weights c_j^2 from
+mapping._probe_column, solved once per qfi_curve sweep.
+
 The weight J/|alpha|^2 and the resonance of Re alpha do not depend on T.
 For a Lorentz-Drude reservoir each moment's integrand is one closure per
 star and temperature (_integrands) that evaluates J, S, Re alpha, the
@@ -42,13 +46,17 @@ from .gaussian import (
     CovarianceDerivatives,
     QfiCurve,
     SingleModeCovariance,
+    _mode_frequencies,
+    _mode_sums,
     coth,
     csch2,
     qfi_from_derivatives,
     qfi_from_fidelity,
 )
+from .mapping import _probe_column
 from .spectral import (
     QUAD_TOL,
+    DiscreteModes,
     LorentzDrude,
     StarSpec,
     _quad_value,
@@ -75,7 +83,8 @@ class SteadyStateQuery:
     """One steady-state evaluation point.
 
     omega_min is the finite infrared cutoff (0 means none); it must be positive
-    when the probe has no bare trapping, otherwise s11 diverges.
+    when the probe of a continuous reservoir has no bare trapping, otherwise
+    s11 diverges.  A discrete star takes no cutoff.
     """
 
     star: StarSpec
@@ -87,7 +96,10 @@ class SteadyStateQuery:
             raise ValueError("temperature must be positive and finite")
         if not 0.0 <= self.omega_min < math.inf:
             raise ValueError("omega_min must be finite and >= 0")
-        if self.star.omega0_sq == 0.0 and self.omega_min <= 0.0:
+        if isinstance(self.star.sd, DiscreteModes):
+            if self.omega_min > 0.0:
+                raise ValueError("a discrete star takes no infrared cutoff omega_min")
+        elif self.star.omega0_sq == 0.0 and self.omega_min <= 0.0:
             raise DivergenceError(
                 "a probe with omega_0 = 0 requires an infrared cutoff omega_min > 0 "
                 "(s11 diverges otherwise)"
@@ -113,8 +125,6 @@ def _skeleton(star: StarSpec) -> tuple[frozenset[float], float]:
     Callers read it as StarSpec._skeleton, which runs this once per star.
     """
     sd = star.sd
-    if hasattr(sd, "omegas"):
-        raise TypeError("steady-state integrals need a continuous reservoir")
     wc = sd.omega_c
     pts = {0.1 * wc, wc, 10.0 * wc}
     eps = 1e-8 * wc
@@ -275,8 +285,17 @@ def _weighted_moments(q: SteadyStateQuery, derivative: bool) -> tuple[float, flo
     return m0, m2, lo, B
 
 
+def _normal_mode_moments(star: StarSpec, temperatures) -> list[tuple]:
+    """A discrete star's probe moments: the mode sum over (sqrt(lam), c^2)."""
+    lam, c = _probe_column(star)
+    om = _mode_frequencies(lam, False, "the probe is free or nearly so")
+    return _mode_sums(om, c * c, temperatures)
+
+
 def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
     """Stationary probe covariance for the query's reservoir and temperature."""
+    if isinstance(q.star.sd, DiscreteModes):
+        return _normal_mode_moments(q.star, [q.T])[0][0]
     s11, s22, lo, B = _weighted_moments(q, derivative=False)
     cov = SingleModeCovariance(s11=s11, s22=s22)
     if cov.det() < 0.25 - 1e-9:
@@ -290,6 +309,8 @@ def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
 
 def covariance_T_derivatives(q: SteadyStateQuery) -> CovarianceDerivatives:
     """d(s11)/dT and d(s22)/dT by differentiating under the integral."""
+    if isinstance(q.star.sd, DiscreteModes):
+        return _normal_mode_moments(q.star, [q.T])[0][1]
     a1, a2, _, _ = _weighted_moments(q, derivative=True)
     return CovarianceDerivatives(a1=a1, a2=a2)
 
@@ -314,12 +335,11 @@ def qfi_curve(star: StarSpec, temperatures) -> QfiCurve:
     The curve keeps the steady covariance at each temperature.
     """
     ts = sorted(float(t) for t in temperatures)
-
-    def moments(t: float) -> tuple[SingleModeCovariance, CovarianceDerivatives]:
-        q = SteadyStateQuery(star=star, T=t)
-        return steady_covariances(q), covariance_T_derivatives(q)
-
-    return QfiCurve.from_moments(ts, (moments(t) for t in ts))
+    qs = [SteadyStateQuery(star=star, T=t) for t in ts]  # checks every T first
+    if isinstance(star.sd, DiscreteModes):
+        return QfiCurve.from_moments(ts, _normal_mode_moments(star, ts))
+    moments = ((steady_covariances(q), covariance_T_derivatives(q)) for q in qs)
+    return QfiCurve.from_moments(ts, moments)
 
 
 def free_probe_qfi_limit(

@@ -2,10 +2,12 @@
 
 A zero-mean single-mode Gaussian state is fully described by its 2x2
 covariance matrix; every state here (thermal modes, chain nodes, the
-Brownian probe) is diagonal by construction.  This module provides the
-Uhlmann fidelity between two such states and the quantum Fisher
-information (QFI) for temperature estimation through two independent
-routes:
+Brownian probe) is diagonal by construction.  A mode of a harmonic system
+is one thermal sum over its normal modes Om_a, weighted by its squared
+amplitude w_a in each (_mode_sums; one zero-mode rule, _mode_frequencies).
+This module also provides the Uhlmann fidelity between two such states
+and the quantum Fisher information (QFI) for temperature estimation
+through two independent routes:
 
 * a central finite difference of the fidelity,
       F_T = 4 (1 - F(rho_T, rho_{T+d})) / d^2   as d -> 0,
@@ -23,7 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateStateError, InvalidStateError, StepTooSmallError
+from .errors import DegenerateStateError, InvalidStateError, StepTooSmallError, ZeroModeError
+
+# Floor of a clamped zero mode, as a fraction of Om_max (_mode_frequencies).
+GAP_FLOOR_SCALE = 1e-8
 
 # Tolerance on det(sigma) >= 1/4; loose enough that quadrature noise on
 # near-vacuum states does not spuriously reject them.
@@ -39,7 +44,7 @@ def coth(x: float) -> float:
     exact (1.0) once expm1 overflows, which covers beta*Delta up to ~1e3
     and far beyond.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"coth requires x > 0, got {x}")
     if x > 350.0:
         return 1.0
@@ -48,7 +53,7 @@ def coth(x: float) -> float:
 
 def csch2(x: float) -> float:
     """1/sinh(x)^2 for x > 0, underflowing gracefully to 0 at large x."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"csch2 requires x > 0, got {x}")
     if x > 350.0:
         return 0.0
@@ -87,15 +92,50 @@ class CovarianceDerivatives:
     a2: float
 
 
+def _mode_frequencies(om_sq: np.ndarray, regularize_gapless: bool, hint: str) -> np.ndarray:
+    """Frequencies Om_a from their squares.  A square below 1e-12 max(1, max
+    Om^2), the rounding scale of the sums that produce it, is an exact zero
+    mode: ZeroModeError (ending with hint) or, with regularize_gapless, every
+    frequency is raised to the floor GAP_FLOOR_SCALE Om_max."""
+    om = np.sqrt(om_sq)
+    low = float(np.min(om_sq))
+    if low < 1e-12 * max(1.0, float(np.max(om_sq))):
+        if not regularize_gapless:
+            raise ZeroModeError(f"zero mode (min Om^2 = {low!r}): {hint}")
+        om = np.maximum(om, GAP_FLOOR_SCALE * float(np.max(om)))
+    return om
+
+
+def _mode_sums(om: np.ndarray, w: np.ndarray, temperatures) -> list[tuple]:
+    """(s11, s22) and (a1, a2) of the mode sum over om > 0 with weights w, one
+    pass per T; coth and csch^2 are exactly 1.0 and 0.0 beyond x = 350."""
+    out = []
+    for T in temperatures:
+        x = om / (2.0 * T)
+        small = x <= 350.0
+        nu = np.ones_like(x)
+        nu[small] = 1.0 + 2.0 / np.expm1(2.0 * x[small])
+        dnu = np.zeros_like(x)
+        dnu[small] = 1.0 / np.sinh(x[small]) ** 2
+        dnu = (om / (2.0 * T * T)) * dnu
+        s11, s22 = float(np.sum(w * nu / (2.0 * om))), float(np.sum(w * om * nu / 2.0))
+        a1, a2 = float(np.sum(w * dnu / (2.0 * om))), float(np.sum(w * om * dnu / 2.0))
+        out.append((SingleModeCovariance(s11, s22), CovarianceDerivatives(a1, a2)))
+    return out
+
+
+def _thermal_mode(omega: float, T: float) -> tuple[SingleModeCovariance, CovarianceDerivatives]:
+    if not (0.0 < omega < math.inf and 0.0 < T < math.inf):
+        raise ValueError("a thermal mode requires finite omega > 0 and finite T > 0")
+    return _mode_sums(np.array([float(omega)]), np.ones(1), [float(T)])[0]
+
+
 def thermal_mode_covariance(omega: float, T: float) -> SingleModeCovariance:
     """Covariance of a harmonic mode of frequency omega at temperature T.
 
     s11 = coth(omega/2T)/(2 omega), s22 = omega coth(omega/2T)/2.
     """
-    if omega <= 0.0 or not 0.0 < T < math.inf:
-        raise ValueError("thermal_mode_covariance requires omega > 0 and finite T > 0")
-    nu = coth(omega / (2.0 * T))
-    return SingleModeCovariance(s11=nu / (2.0 * omega), s22=nu * omega / 2.0)
+    return _thermal_mode(omega, T)[0]
 
 
 def thermal_mode_derivatives(omega: float, T: float) -> CovarianceDerivatives:
@@ -103,10 +143,7 @@ def thermal_mode_derivatives(omega: float, T: float) -> CovarianceDerivatives:
 
     d coth(omega/2T)/dT = (omega/2T^2) csch^2(omega/2T).
     """
-    if omega <= 0.0 or not 0.0 < T < math.inf:
-        raise ValueError("thermal_mode_derivatives requires omega > 0 and finite T > 0")
-    dnu = (omega / (2.0 * T * T)) * csch2(omega / (2.0 * T))
-    return CovarianceDerivatives(a1=dnu / (2.0 * omega), a2=dnu * omega / 2.0)
+    return _thermal_mode(omega, T)[1]
 
 
 def uhlmann_fidelity(a: SingleModeCovariance, b: SingleModeCovariance) -> float:

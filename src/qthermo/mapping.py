@@ -26,7 +26,7 @@ import numpy as np
 from .chain import ChainSpec, chain_spectrum, gapless_frequency_sq, power_law_chain
 from .errors import ConvergenceError, ModeMatchingError
 from .fits import ScalingFit, _r_squared
-from .spectral import DiscreteModes, StarSpec
+from .spectral import DiscreteModes, StarSpec, renormalization_frequency_sq
 
 # Eigenvalue clusters narrower than this relative width are treated as
 # degenerate: eigensolvers rotate freely inside them, so only the summed
@@ -75,21 +75,12 @@ class EffectiveStar:
     def g_array(self) -> np.ndarray:
         return np.array([g for _, g in self.coupled_modes])
 
-    def renormalization_sq(self) -> float:
-        """sum g_i^2 / w_i^2 over the coupled modes."""
-        w = self.omega_array
-        g = self.g_array
-        return float(np.sum(g * g / (w * w)))
-
     def to_star_spec(self) -> StarSpec:
         """StarSpec with the bare probe frequency w0^2 = Om^2 - wR^2."""
-        wr2 = self.renormalization_sq()
-        return StarSpec(
-            omega0_sq=max(self.probe_omega_sq - wr2, 0.0),
-            omega_R_sq=wr2,
-            sd=DiscreteModes(tuple(self.omega_array), tuple(self.g_array)),
-            warnings=self.warnings,
-        )
+        sd = DiscreteModes(tuple(self.omega_array), tuple(self.g_array))
+        wr2 = renormalization_frequency_sq(sd)
+        omega0_sq = max(self.probe_omega_sq - wr2, 0.0)
+        return StarSpec(omega0_sq=omega0_sq, omega_R_sq=wr2, sd=sd, warnings=self.warnings)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from qthermo import (
 )
 from qthermo import chain as chain_mod
 from qthermo.chain import gap_error
-from qthermo.gaussian import QfiCurve, qfi_from_derivatives, qfi_from_fidelity
+from qthermo.gaussian import QfiCurve, coth, csch2, qfi_from_derivatives, qfi_from_fidelity
 
 
 def dense_node_covariance(c: ChainSpec, T: float):
@@ -70,7 +70,7 @@ class TestChainSpectrum:
         spec = chain_spectrum(c)
         assert np.allclose(spec.array, 2.0)
         assert spec.gap == pytest.approx(math.sqrt(2.0))
-        assert spec.max_freq == pytest.approx(math.sqrt(2.0))
+        assert math.sqrt(np.max(spec.array)) == pytest.approx(math.sqrt(2.0))
 
     _B = chain_mod._SPECTRUM_BLOCK
 
@@ -129,7 +129,7 @@ class TestChainSpectrum:
         v = first_row[(idx[:, None] - idx[None, :]) % (2 * c.N + 1)]
         dense = np.linalg.eigvalsh(v)
         mine = np.sort(np.concatenate([spec.array, spec.array[1:]]))
-        assert np.max(np.abs(np.sort(dense) - mine)) < 1e-10 * spec.max_freq**2
+        assert np.max(np.abs(np.sort(dense) - mine)) < 1e-10 * np.max(spec.array)
 
     def test_max_frequency_identity(self):
         c = gapped_fig3_chain(N=80)
@@ -196,7 +196,7 @@ class TestNodeCovariances:
         cov = node_covariances(c, 1e-8)
         w = np.full(51, 2.0 / 101)
         w[0] = 1.0 / 101
-        assert cov.s22 == pytest.approx(float(np.sum(w * spec.frequencies() / 2.0)), rel=1e-12)
+        assert cov.s22 == pytest.approx(float(np.sum(w * np.sqrt(spec.array) / 2.0)), rel=1e-12)
 
     def test_matches_dense_eigensolver_oracle(self):
         c = gapped_fig3_chain(N=100)
@@ -265,7 +265,9 @@ class TestNodeMoments:
 def test_bad_temperature_is_rejected(T):
     # a NaN used to pass as "large x" in coth and return the T = 0 state;
     # the gapless chain shows the temperature check comes before the
-    # zero-mode check
+    # zero-mode check.  A thermal mode's omega takes the same bad values
+    # (NaN and inf used to give NaN or inf moments); coth and csch2 reject
+    # the same x but inf, where they take their limits 1 and 0.
     c = gapless_fig3_chain(N=10)
     star = make_star(LorentzDrude(0.1, 100.0), omega0_sq=1.0)
     calls = (
@@ -276,8 +278,14 @@ def test_bad_temperature_is_rejected(T):
         lambda: SteadyStateQuery(star=star, T=T),
         lambda: thermal_mode_covariance(1.0, T),
         lambda: thermal_mode_derivatives(1.0, T),
+        lambda: thermal_mode_covariance(T, 1.0),
+        lambda: thermal_mode_derivatives(T, 1.0),
         lambda: qfi_from_fidelity(lambda t: thermal_mode_covariance(1.0, 1.0), T),
     )
+    if T != math.inf:
+        calls += (lambda: coth(T), lambda: csch2(T))
+    else:
+        assert (coth(T), csch2(T)) == (1.0, 0.0)
     for call in calls:
         with pytest.raises(ValueError):
             call()

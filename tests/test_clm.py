@@ -15,14 +15,17 @@ from scipy.integrate import IntegrationWarning
 
 from qthermo import (
     ConvergenceError,
+    DiscreteModes,
     DivergenceError,
     ExponentialCutoff,
     IntegrationError,
     LorentzDrude,
     SteadyStateQuery,
+    ZeroModeError,
     clm_qfi,
     clm_qfi_fidelity,
     covariance_T_derivatives,
+    discretize_clm,
     fit_power_law,
     free_probe_qfi_limit,
     make_star,
@@ -30,7 +33,7 @@ from qthermo import (
     steady_covariances,
     thermal_mode_covariance,
 )
-from qthermo import clm, gaussian, spectral
+from qthermo import clm, gaussian, mapping, spectral
 from qthermo.cli import parse_config_text, run_experiment
 from qthermo.gaussian import qfi_from_derivatives
 
@@ -409,6 +412,63 @@ class TestMpmathOracle:
         assert cov.s22 == pytest.approx(s22, rel=1e-9)
         assert der.a1 == pytest.approx(a1, rel=1e-9)
         assert der.a2 == pytest.approx(a2, rel=1e-9)
+
+
+class TestDiscreteStar:
+    """A discrete star's probe is the mode sum over the star's normal modes."""
+
+    def test_qfi_curve_solves_the_secular_equation_once(self, monkeypatch):
+        # the normal modes do not depend on T: one dlasd4 call per live root
+        # (w0 and the three coupled modes; the decoupled mode is exact)
+        calls, real_dlasd4 = [], mapping.dlasd4
+
+        def dlasd4(*args):
+            calls.append(args[0])
+            return real_dlasd4(*args)
+
+        monkeypatch.setattr(mapping, "dlasd4", dlasd4)
+        modes = DiscreteModes((0.5, 1.0, 1.5, 2.0), (0.1, 0.0, 0.2, 0.3))
+        star = make_star(modes, omega0_sq=1.0)
+        ts = np.geomspace(0.01, 10.0, 80)
+        curve = qfi_curve(star, ts)
+        assert sorted(calls) == [0, 1, 2, 3]
+        assert len(curve.qfi) == 80
+        for t, cov, f in zip(ts[::20], curve.covariances[::20], curve.qfi[::20]):
+            q = SteadyStateQuery(star=star, T=float(t))
+            assert cov == steady_covariances(q)
+            assert f == clm_qfi(q)
+
+    def test_infrared_cutoff_is_rejected(self):
+        star = make_star(DiscreteModes((1.0,), (0.5,)), omega0_sq=1.0)
+        with pytest.raises(ValueError):
+            SteadyStateQuery(star=star, T=0.1, omega_min=1e-3)
+
+    @pytest.mark.parametrize("omega0_sq", [0.0, 1e-14])
+    def test_free_probe_is_a_zero_mode(self, omega0_sq):
+        # the one zero-mode rule: lam = 0, or below the rounding scale of the
+        # secular solve, has no thermal state
+        star = make_star(DiscreteModes((1.0, 2.0), (0.5, 0.5)), omega0_sq=omega0_sq)
+        q = SteadyStateQuery(star=star, T=0.1)
+        for call in (steady_covariances, covariance_T_derivatives, clm_qfi):
+            with pytest.raises(ZeroModeError):
+                call(q)
+        with pytest.raises(ZeroModeError):
+            qfi_curve(star, [0.1, 1.0])
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_continuum_limit_of_discretized_stars(self):
+        # the Gibbs state of the discretized reservoir, extrapolated in 1/N
+        # from N = 2000 and 4000, is the probe state of the continuous one;
+        # this oracle shares no formula with clm's quadrature
+        sd = LorentzDrude(0.1, 2.0)
+        q2000, q4000 = (
+            SteadyStateQuery(star=discretize_clm(sd, n, 100.0, omega0_sq=0.04), T=0.05)
+            for n in (2000, 4000)
+        )
+        c2000, c4000 = steady_covariances(q2000), steady_covariances(q4000)
+        cov = steady_covariances(SteadyStateQuery(star=make_star(sd, 0.04), T=0.05))
+        assert cov.s11 == pytest.approx(2.0 * c4000.s11 - c2000.s11, rel=1e-4)
+        assert cov.s22 == pytest.approx(2.0 * c4000.s22 - c2000.s22, rel=1e-4)
 
 
 class TestErrors:

@@ -69,7 +69,7 @@ class TestChainToStar:
     def test_gapless_renormalization_saturates_probe_frequency(self):
         c = gapless_chain()
         star = chain_to_star(c)
-        assert star.renormalization_sq() == pytest.approx(c.omega_sq, rel=1e-6)
+        assert star.to_star_spec().omega_R_sq == pytest.approx(c.omega_sq, rel=1e-6)
         # the star-picture bare probe frequency vanishes with the gap
         assert star.to_star_spec().omega0_sq <= 1e-6 * c.omega_sq
 
@@ -82,7 +82,7 @@ class TestChainToStar:
                 continue
             found += 1
             star = chain_to_star(c)
-            assert star.renormalization_sq() <= c.omega_sq + 1e-9
+            assert star.to_star_spec().omega_R_sq <= c.omega_sq + 1e-9
 
     def test_gapless_lowest_mode_closes_with_size(self):
         lo_50 = chain_to_star(gapless_chain(N=50)).coupled_modes[0][0]

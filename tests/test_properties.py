@@ -20,6 +20,7 @@ from qthermo import (
     QfiCurve,
     StarSpec,
     SteadyStateQuery,
+    ZeroModeError,
     chain_to_star,
     clm_qfi,
     clm_qfi_fidelity,
@@ -30,6 +31,7 @@ from qthermo import (
     loglog_fit,
     make_star,
     node_covariances,
+    node_moments,
     power_law_chain,
     qfi_curve,
     star_to_chain,
@@ -150,6 +152,45 @@ def test_star_probe_column_matches_the_dense_eigenvectors(star):
     assert np.max(np.abs(c - dense)) <= 1e-10 * np.max(np.abs(c))
 
 
+def dense_gibbs_state(star, T):
+    """The probe's (s11, s22) in the Gibbs state of a trapped discrete star.
+
+    V = M M^T with M = [[w0, g/w], [0, diag(w)]], so the normal modes are
+    the singular values s_j of M and the probe's amplitudes the first row
+    of its left singular vectors.  A dense eigh of [[0, M], [M^T, 0]]
+    (eigenvalues +-s_j) finds s_j to eps * max s, not eps * max s^2 as an
+    eigh of V would find s_j^2: a well-conditioned oracle for the lowest
+    mode, which carries s11.
+    """
+    w, g = star.sd.omega_array, star.sd.g_array
+    n = w.size + 1
+    m = np.diag(np.concatenate(([math.sqrt(star.omega0_sq)], w)))
+    m[0, 1:] = g / w
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, n:], block[n:, :n] = m, m.T
+    vals, vecs = scipy.linalg.eigh(block)
+    om, c2 = vals[n:], 2.0 * vecs[0, n:] ** 2
+    nu = 1.0 / np.tanh(om / (2.0 * T))
+    return float(np.sum(c2 * nu / (2.0 * om))), float(np.sum(c2 * om * nu / 2.0))
+
+
+@FIXED
+@given(sparse_discrete_stars(), st.floats(-1.5, 1.0))
+def test_discrete_star_probe_is_its_gibbs_state(star, log10_t):
+    assume(star.omega0_sq > 0.0)
+    q = SteadyStateQuery(star=star, T=10.0**log10_t)
+    cov = steady_covariances(q)
+    s11, s22 = dense_gibbs_state(star, q.T)
+    assert cov.s11 == pytest.approx(s11, rel=1e-12)
+    assert cov.s22 == pytest.approx(s22, rel=1e-12)
+    assert cov.det() >= 0.25 - PHYSICALITY_TOL
+    f_d = clm_qfi(q)
+    # as in test_derivative_and_fidelity_routes_agree: the fidelity drop must
+    # clear binary64 rounding for the finite difference to resolve F
+    if f_d * (1e-2 * q.T) ** 2 > 1e-10:
+        assert clm_qfi_fidelity(q, step_fraction=1e-2) == pytest.approx(f_d, rel=1e-3)
+
+
 @FIXED
 @given(physical_chains(max_half=100))
 def test_chain_node_is_the_probe_of_its_effective_star(chain):
@@ -165,6 +206,23 @@ def test_chain_node_is_the_probe_of_its_effective_star(chain):
     weights = np.full(spec.size, 2.0 / (2 * chain.N + 1))
     weights[0] /= 2.0
     assert np.max(np.abs(c * c - weights)) <= 1e-12
+    # so the node's state is the probe's steady state; a mode's rounding of
+    # 1e-12 * spec[0] is relative 1e-12 * spec[0] / spec[-1] on the lowest
+    ts = [0.01, 0.1, 1.0]
+    rel = 1e-12 * spec[0] / spec[-1]
+    for t, (cov, der) in zip(ts, node_moments(chain, ts)):
+        q = SteadyStateQuery(star=star, T=t)
+        probe = steady_covariances(q), covariance_T_derivatives(q)
+        assert (cov.s11, cov.s22) == pytest.approx((probe[0].s11, probe[0].s22), rel=rel)
+        assert (der.a1, der.a2) == pytest.approx((probe[1].a1, probe[1].a2), rel=rel)
+    # and the gapless chain's zero mode is the nearly free probe's: the one
+    # zero-mode rule refuses both
+    gapless = ChainSpec(chain.N, gapless_frequency_sq(chain.N, chain.couplings), chain.couplings)
+    free = SteadyStateQuery(star=chain_to_star(gapless).to_star_spec(), T=0.1)
+    with pytest.raises(ZeroModeError):
+        node_moments(gapless, [0.1])
+    with pytest.raises(ZeroModeError):
+        steady_covariances(free)
 
 
 small = st.floats(1e-8, 1e-3)

@@ -1,12 +1,13 @@
-"""The public surface of qthermo does not grow.
+"""The public surface and the size of qthermo do not grow.
 
-Two AST counts measure it: the names that ``__init__`` imports with
-``from ... import`` (the exported API), and the default values of the
+Two AST counts measure the surface: the names that ``__init__`` imports
+with ``from ... import`` (the exported API), and the default values of the
 functions and methods in ``src/qthermo`` whose names do not start with
 ``_`` (the defaulted public parameters).  A parameter that no caller
 outside the tests sets is a constant, and a public function that only its
 own unit tests call is deleted, so either count may fall but never rise.
-When a change lowers one, lower its ceiling here with it.
+The size is the source line count of ``src/qthermo/*.py`` as ``wc -l``
+gives it.  When a change lowers a count, lower its ceiling here with it.
 """
 
 import ast
@@ -18,6 +19,7 @@ SRC = Path(qthermo.__file__).resolve().parent
 
 MAX_EXPORTS = 71
 MAX_PUBLIC_DEFAULTS = 25
+MAX_SOURCE_LINES = 2496
 
 
 def _exports() -> list[str]:
@@ -63,3 +65,10 @@ def test_public_defaults_do_not_grow():
     assert total <= MAX_PUBLIC_DEFAULTS, (
         f"{total} defaulted public parameters > {MAX_PUBLIC_DEFAULTS}: {counts}"
     )
+
+
+def test_source_lines_do_not_grow():
+    # wc -l counts newline characters
+    counts = {path.name: path.read_bytes().count(b"\n") for path in sorted(SRC.glob("*.py"))}
+    total = sum(counts.values())
+    assert total <= MAX_SOURCE_LINES, f"{total} source lines > {MAX_SOURCE_LINES}: {counts}"
