@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -401,15 +402,21 @@ def _write_outputs(out_path: Path, columns: Sequence[str], rows: Rows, summary: 
     summary_path.write_text(json.dumps(summary, indent=1, default=str) + "\n", encoding="utf-8")
 
 
+@functools.cache
 def _environment() -> dict[str, str | None]:
-    """Versions behind a run, read without importing anything; scipy is
-    None unless this process has loaded it (chain experiments never do)."""
-    scipy = sys.modules.get("scipy")
+    """Versions behind a run, once per process; scipy's from its metadata (None
+    without scipy): most runs never import it, and sys.modules tells what ran."""
+    from importlib import metadata
+
+    try:
+        scipy = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy = None
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "qthermo": __version__,
-        "scipy": scipy.__version__ if scipy is not None else None,
+        "scipy": scipy,
     }
 
 
@@ -438,7 +445,7 @@ def run_experiment(
         "warnings": list(warnings),
         "wall_time_s": wall,
         **extra,
-        "env": _environment(),
+        "env": dict(_environment()),
     }
     _write_outputs(out_path, columns, rows, summary)
     return summary

@@ -7,29 +7,22 @@ the susceptibility,
     s22 = (1/pi) int_{wmin}^inf  w^2 J(w)/|alpha(w)|^2 coth(w/2T) dw,
 
 their temperature derivatives follow by differentiating under the integral
-(d coth(w/2T)/dT = (w/2T^2)/sinh^2(w/2T)), and the QFI is assembled through
-the derivative formula with the finite-difference fidelity route retained
-as a cross-check.  A probe with zero bare frequency needs an infrared
-cutoff wmin > 0; its QFI is defined by the wmin -> 0 limit.  Every integral
-is an adaptive quadrature at the package's one relative tolerance,
-spectral.QUAD_TOL.
+(d coth(w/2T)/dT = (w/2T^2)/sinh^2(w/2T)), and the QFI follows from the
+derivative formula, the fidelity route being a cross-check.  A free probe
+(omega_0 = 0) needs an infrared cutoff wmin > 0, and its QFI is the wmin -> 0
+limit.  Three routes give the moments, each doing its T-independent work
+once per star and refusing an unphysical state, det < 1/4, in _physical:
 
-A discrete star needs no integral: its probe's state is gaussian's mode sum
-over the normal modes sqrt(lam_j) with weights c_j^2 from
-mapping._probe_column, solved once per qfi_curve sweep.
-
-The weight J/|alpha|^2 and the resonance of Re alpha do not depend on T.
-For a Lorentz-Drude reservoir each moment's integrand is one closure per
-star and temperature (_integrands) that evaluates J, S, Re alpha, the
-weight and the kernel in closed form: one Python frame per quadrature
-node.  Other families compose sd.j, susceptibility_real and coth or
-csch2.  The T-independent work is done once per star and kept on it: the
-resonance (StarSpec._resonance), the breakpoint skeleton of every scale
-but T and omega_min (StarSpec._skeleton), and the tails of s11 and s22
-beyond the cap B >= 1000 T, where the coth kernel is exactly 1.0
-(StarSpec._tails, one per B).  Beyond B the csch^2 kernel is exactly 0.0,
-so the derivative moments have no tail.  A quadrature that QUADPACK
-reports as failed raises IntegrationError.
+* poles (Lorentz-Drude, wmin = 0): the weight is rational in w^2, so each
+  moment is a digamma sum over a quartic's roots (Grabert, Weiss and
+  Talkner, Z. Phys. B 55, 87 (1984)), every T of a sweep in one numpy pass;
+* normal modes (a discrete star): gaussian's mode sum over sqrt(lam_j) with
+  weights c_j^2 from mapping._probe_column;
+* the real axis (ExponentialCutoff, or wmin > 0): adaptive quadrature at
+  spectral.QUAD_TOL of sd.j, susceptibility_real and coth or csch2, with the
+  breakpoints but T and omega_min (StarSpec._skeleton) and the s11 and s22
+  tails beyond B >= 1000 T (StarSpec._tails; coth is 1.0 and csch^2 0.0
+  there) kept on the star; a failed QUADPACK call raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -54,14 +47,14 @@ from .gaussian import (
     qfi_from_fidelity,
 )
 from .mapping import _probe_column
-from .spectral import (
-    QUAD_TOL,
-    DiscreteModes,
-    LorentzDrude,
-    StarSpec,
-    _quad_value,
-    susceptibility_real,
-)
+from .spectral import QUAD_TOL, DiscreteModes, LorentzDrude, StarSpec, _quad_value, susceptibility_real
+
+# B_2j, j = 1..12, of the asymptotic series of psi and psi' (DLMF 5.11.2,
+# 5.15.8): from |x| = 10 on, 12 terms leave < 1e-17 of the first
+_B2J = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+                 43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730])
+_SERIES_FROM = 10.0
+_EXACT = (DiscreteModes, LorentzDrude)  # no quadrature at omega_min = 0
 
 
 def quad(*args, **kwargs):
@@ -106,35 +99,22 @@ class SteadyStateQuery:
             )
 
 
-def _find_resonance(star: StarSpec) -> float | None:
-    """Root of Re alpha(w) = 0, located by bracketed root finding.
-
-    Callers read it as StarSpec._resonance, which runs this once per star.
-    """
-    re_alpha = partial(susceptibility_real, star)
-    lo = 1e-9 * star.sd.omega_c
-    hi = 10.0 * math.sqrt(star.omega0_sq + star.omega_R_sq) + 10.0 * star.sd.omega_c
-    if re_alpha(lo) > 0.0 > re_alpha(hi):
-        return float(brentq(re_alpha, lo, hi, rtol=1e-14))
-    return None
-
-
 def _skeleton(star: StarSpec) -> tuple[frozenset[float], float]:
-    """The T-independent interior points and cap B0 of _breakpoints.
-
-    Callers read it as StarSpec._skeleton, which runs this once per star.
-    """
-    sd = star.sd
-    wc = sd.omega_c
+    """The T-independent interior points and cap B0 of _breakpoints, with the
+    root of Re alpha found by bracketed root finding.  Callers read it as
+    StarSpec._skeleton, which runs this once per star."""
+    sd, wc = star.sd, star.sd.omega_c
     pts = {0.1 * wc, wc, 10.0 * wc}
     eps = 1e-8 * wc
     slope = max(float(sd.j(eps)) / eps, 1e-300)
     if star.omega0_sq > 0.0:
         knee = star.omega0_sq / slope
         pts.update((0.1 * knee, knee, 10.0 * knee, 100.0 * knee))
-    res = star._resonance
+    re_alpha = partial(susceptibility_real, star)
+    lo, hi = 1e-9 * wc, 10.0 * math.sqrt(star.omega0_sq + star.omega_R_sq) + 10.0 * wc
     B0 = 50.0 * wc
-    if res is not None:
+    if re_alpha(lo) > 0.0 > re_alpha(hi):
+        res = float(brentq(re_alpha, lo, hi, rtol=1e-14))
         width = max(float(sd.j(res)) / (2.0 * res), 1e-14 * res)
         pts.add(res)
         for k in (1.0, 10.0, 100.0, 1000.0):
@@ -200,117 +180,129 @@ def _integrate(f, lo: float, pts: list[float], B: float, tails: dict | None, p: 
     return total
 
 
-def _integrands(star: StarSpec, T: float, derivative: bool) -> tuple:
-    """The w^0 and w^2 integrands of (1/pi) int J/|alpha|^2 kernel dw.
-
-    The kernel is coth(w/2T) for s11 and s22, and its T-derivative
-    (w/2T^2) csch^2(w/2T) for a1 and a2 (derivative=True).  |alpha|^2 is
-    (Re alpha)^2 + J^2.  For Lorentz-Drude each integrand is one closure
-    that evaluates J, the closed-form S, Re alpha, the weight and the
-    kernel inline, one Python frame per quadrature node, with the
-    operations and their order of LorentzDrude.j, self_energy,
-    susceptibility_real, coth and csch2: every node value is bit for bit
-    what those functions compose to, as they still do for the other
-    families.  Im alpha enters as J in both branches; the Kramers-Kronig
-    partner of this Re alpha is J/2 (ROADMAP, "damped twice as hard"),
-    and that fix is the factor on J here.
-    """
-    sd = star.sd
-    t2, tt2 = 2.0 * T, 2.0 * T * T
-    if not isinstance(sd, LorentzDrude):
-
-        def weight(w: float) -> float:
-            jw = sd.j(w)
-            re = susceptibility_real(star, w)
-            return jw / (re * re + jw * jw)
-
-        def kernel(w: float) -> float:
-            return (w / tt2) * csch2(w / t2) if derivative else coth(w / t2)
-
-        return (lambda w: weight(w) * kernel(w)), (lambda w: w * w * weight(w) * kernel(w))
-
-    g2, wc2 = 2.0 * sd.gamma, sd.omega_c**2
-    gwc3, trap = sd.gamma * sd.omega_c**3, star.omega0_sq + star.omega_R_sq
-
-    def s11(w: float) -> float:
-        ww = w * w
-        d = ww + wc2
-        jw = g2 * w * wc2 / d
-        re = trap - ww - gwc3 / d
-        x = w / t2
-        k = 1.0 if x > 350.0 else 1.0 + 2.0 / math.expm1(2.0 * x)
-        return jw / (re * re + jw * jw) * k
-
-    def s22(w: float) -> float:
-        ww = w * w
-        d = ww + wc2
-        jw = g2 * w * wc2 / d
-        re = trap - ww - gwc3 / d
-        x = w / t2
-        k = 1.0 if x > 350.0 else 1.0 + 2.0 / math.expm1(2.0 * x)
-        return ww * (jw / (re * re + jw * jw)) * k
-
-    def a1(w: float) -> float:
-        x = w / t2
-        if x > 350.0:
-            return 0.0
-        ww = w * w
-        d = ww + wc2
-        jw = g2 * w * wc2 / d
-        re = trap - ww - gwc3 / d
-        s = math.sinh(x)
-        return jw / (re * re + jw * jw) * (w / tt2 * (1.0 / (s * s)))
-
-    def a2(w: float) -> float:
-        x = w / t2
-        if x > 350.0:
-            return 0.0
-        ww = w * w
-        d = ww + wc2
-        jw = g2 * w * wc2 / d
-        re = trap - ww - gwc3 / d
-        s = math.sinh(x)
-        return ww * (jw / (re * re + jw * jw)) * (w / tt2 * (1.0 / (s * s)))
-
-    return (a1, a2) if derivative else (s11, s22)
-
-
 def _weighted_moments(q: SteadyStateQuery, derivative: bool) -> tuple[float, float, float, float]:
-    """The w^0 and w^2 moments of _integrands, plus (lo, B)."""
+    """(1/pi) int w^p J/|alpha|^2 kernel dw for p = 0 and 2, plus (lo, B).
+
+    The kernel is coth(w/2T), or its T-derivative (w/2T^2) csch^2(w/2T) when
+    derivative.  |alpha|^2 = (Re alpha)^2 + J^2 takes Im alpha = J, but this Re
+    alpha's Kramers-Kronig partner is J/2 (ROADMAP item 1; _poles' P as well).
+    """
+    star, t2, tt2 = q.star, 2.0 * q.T, 2.0 * q.T * q.T
+
+    def weight(w: float) -> float:
+        jw = star.sd.j(w)
+        re = susceptibility_real(star, w)
+        return jw / (re * re + jw * jw)
+
+    def kernel(w: float) -> float:
+        return (w / tt2) * csch2(w / t2) if derivative else coth(w / t2)
+
     lo, pts, B = _breakpoints(q)
-    f0, f2 = _integrands(q.star, q.T, derivative)
-    tails = None if derivative else q.star._tails
-    m0 = _integrate(f0, lo, pts, B, tails, 0) / np.pi
-    m2 = _integrate(f2, lo, pts, B, tails, 2) / np.pi
+    tails = None if derivative else star._tails
+    m0 = _integrate(lambda w: weight(w) * kernel(w), lo, pts, B, tails, 0) / np.pi
+    m2 = _integrate(lambda w: w * w * weight(w) * kernel(w), lo, pts, B, tails, 2) / np.pi
     return m0, m2, lo, B
 
 
-def _normal_mode_moments(star: StarSpec, temperatures) -> list[tuple]:
-    """A discrete star's probe moments: the mode sum over (sqrt(lam), c^2)."""
+def _poles(star: StarSpec) -> tuple:
+    """A Lorentz-Drude star's T-independent data for _pole_moments.
+
+    J/|alpha|^2 = 2 gamma wc^2 w N(u)/P(u) in u = w^2, P = R^2 + 4 gamma^2 wc^4 u,
+    R = (k - u)(u + wc^2) + gamma wc u, k = Re alpha(0), N = u + wc^2 (w^0
+    moments) or u (u + wc^2) (w^2).  Gives P's roots u_k (np.roots, then Newton),
+    A_k = (2 gamma wc^2/pi) N(u_k)/P'(u_k), sigma = min |u_k| and the derivative
+    series' 4 pi^2 |B_2j| M_j sigma^(j-1): M_j = sum_k A_k (-u_k)^-j is a Taylor
+    coefficient of N/P at 0, found exactly by series division.
+    """
+    sd = star.sd
+    wc2, g4 = sd.omega_c**2, (2.0 * sd.gamma * sd.omega_c**2) ** 2
+    k = star.omega0_sq + (star.omega_R_sq - sd.gamma * sd.omega_c)
+    r = np.array([-1.0, k - wc2 + sd.gamma * sd.omega_c, k * wc2])
+    dr, p = np.polyder(r), np.polyadd(np.polymul(r, r), [g4, 0.0])
+    u = np.roots(p).astype(complex)
+    for _ in range(3):  # Newton on P = R^2 + g4 u, evaluated through R
+        ru = np.polyval(r, u)
+        u = u - (ru * ru + g4 * u) / (2.0 * ru * np.polyval(dr, u) + g4)
+    c = 2.0 * sd.gamma * wc2 / np.pi
+    dp = 2.0 * np.polyval(r, u) * np.polyval(dr, u) + g4  # P' through R: 1e-12 better in s22
+    amps = c * np.stack((u + wc2, u * (u + wc2))) / dp
+    sigma = float(np.min(np.abs(u)))
+    scale = sigma ** np.arange(_B2J.size)
+    n_up = np.pad(c * np.array([[wc2, 1.0, 0.0], [0.0, wc2, 1.0]]), ((0, 0), (0, _B2J.size - 3)))
+    p_up, taylor = p[::-1] * scale[:5], np.zeros((2, _B2J.size + 4))  # 4 leading zeros
+    for m in range(_B2J.size):
+        taylor[:, m + 4] = (n_up[:, m] * scale[m] - taylor[:, m : m + 4] @ p_up[4:0:-1]) / p_up[0]
+    return u, amps, [(4.0 * np.pi**2 * np.abs(_B2J) * row[4:])[::-1] for row in taylor], sigma
+
+
+def _pole_moments(u, amps, series, sigma, temperatures) -> list[tuple]:
+    """A Lorentz-Drude probe's moments from _poles, one numpy pass over every T.
+
+    With lam_k = sqrt(-u_k) (principal branch) and x_k = lam_k/2 pi T, a moment
+    is -sum_k A_k [ln lam_k + Q(x_k)] and its T-derivative sum_k A_k R(x_k)/T,
+    with Q(x) = psi(1 + x) - ln x - 1/2x and R(x) = x psi'(1 + x) - 1 + 1/2x:
+    sum_k A_k = 0 cancels the ln x and 1/2x.  Q and R are their series from
+    |x| = 10 on; the psi recurrence shifts a smaller x by 10.  Where every |x_k|
+    is large, the sum over R cancels between poles, so the derivatives sum R's
+    series over all poles at once, sum_j B_2j (2 pi T)^2j M_j: a1 ~ T, a2 ~ T^3.
+    """
+    lam, t = np.sqrt(-u), np.asarray(temperatures, dtype=float)
+    x = lam / (2.0 * np.pi * t[:, None])
+    big = np.abs(x) >= _SERIES_FROM
+    z = np.where(big, x, x + _SERIES_FROM)
+    q = np.polyval(np.append((-_B2J / np.arange(2, 25, 2))[::-1], 0.0), z**-2)
+    r = np.polyval(np.append(_B2J[::-1], 0.0), z**-2)
+    shifted = x[..., None] + np.arange(1.0, _SERIES_FROM + 1.0)
+    psi = np.log(2.0 * np.pi * t[:, None] * z) + 0.5 / z + q - np.sum(1.0 / shifted, axis=-1)
+    dpsi = (1.0 - 0.5 / z + r) / z + np.sum(shifted**-2, axis=-1)
+    lq = np.where(big, np.log(lam) + q, psi - 0.5 / x)
+    rx = np.where(big, r, x * dpsi - 1.0 + 0.5 / x)
+    s11, s22 = (-np.sum(lq * a, axis=1).real for a in amps)
+    a1, a2 = (np.sum(rx * a, axis=1).real / t for a in amps)
+    every = np.all(big, axis=1)
+    y = np.where(every, (2.0 * np.pi * t) ** 2 / sigma, 0.0)
+    a1, a2 = (np.where(every, t * np.polyval(c, y), a) for c, a in zip(series, (a1, a2)))
+    covs = [SingleModeCovariance(float(v), float(w)) for v, w in zip(s11, s22)]
+    return list(zip(covs, [CovarianceDerivatives(float(v), float(w)) for v, w in zip(a1, a2)]))
+
+
+def _exact_data(star: StarSpec) -> tuple:
+    """StarSpec._exact: a discrete star's normal modes and weights, or _poles."""
+    if isinstance(star.sd, LorentzDrude):
+        return _poles(star)
     lam, c = _probe_column(star)
-    om = _mode_frequencies(lam, False, "the probe is free or nearly so")
-    return _mode_sums(om, c * c, temperatures)
+    return _mode_frequencies(lam, False, "the probe is free or nearly so"), c * c
 
 
-def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
-    """Stationary probe covariance for the query's reservoir and temperature."""
-    if isinstance(q.star.sd, DiscreteModes):
-        return _normal_mode_moments(q.star, [q.T])[0][0]
-    s11, s22, lo, B = _weighted_moments(q, derivative=False)
-    cov = SingleModeCovariance(s11=s11, s22=s22)
+def _exact_moments(star: StarSpec, temperatures) -> list[tuple]:
+    """Per T, the physical (covariance, derivatives) of a quadrature-free star."""
+    kernel = _pole_moments if isinstance(star.sd, LorentzDrude) else _mode_sums
+    moments = kernel(*star._exact, temperatures)
+    return [(_physical(c, f"exact at T={t!r}"), d) for t, (c, d) in zip(temperatures, moments)]
+
+
+def _physical(cov: SingleModeCovariance, diagnostics: str) -> SingleModeCovariance:
+    """cov, refused with IntegrationError when det < 1/4 on either route."""
     if cov.det() < 0.25 - 1e-9:
         raise IntegrationError(
             f"unphysical steady covariance det={cov.det()!r} < 1/4 "
-            f"(s11={s11!r}, s22={s22!r}); quadrature diagnostics: "
-            f"lo={lo!r} B={B!r}"
+            f"(s11={cov.s11!r}, s22={cov.s22!r}); {diagnostics}"
         )
     return cov
 
 
+def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
+    """Stationary probe covariance for the query's reservoir and temperature."""
+    if q.omega_min == 0.0 and isinstance(q.star.sd, _EXACT):
+        return _exact_moments(q.star, [q.T])[0][0]
+    s11, s22, lo, B = _weighted_moments(q, derivative=False)
+    return _physical(SingleModeCovariance(s11, s22), f"quadrature diagnostics: lo={lo!r} B={B!r}")
+
+
 def covariance_T_derivatives(q: SteadyStateQuery) -> CovarianceDerivatives:
     """d(s11)/dT and d(s22)/dT by differentiating under the integral."""
-    if isinstance(q.star.sd, DiscreteModes):
-        return _normal_mode_moments(q.star, [q.T])[0][1]
+    if q.omega_min == 0.0 and isinstance(q.star.sd, _EXACT):
+        return _exact_moments(q.star, [q.T])[0][1]
     a1, a2, _, _ = _weighted_moments(q, derivative=True)
     return CovarianceDerivatives(a1=a1, a2=a2)
 
@@ -336,9 +328,10 @@ def qfi_curve(star: StarSpec, temperatures) -> QfiCurve:
     """
     ts = sorted(float(t) for t in temperatures)
     qs = [SteadyStateQuery(star=star, T=t) for t in ts]  # checks every T first
-    if isinstance(star.sd, DiscreteModes):
-        return QfiCurve.from_moments(ts, _normal_mode_moments(star, ts))
-    moments = ((steady_covariances(q), covariance_T_derivatives(q)) for q in qs)
+    if isinstance(star.sd, _EXACT):
+        moments = _exact_moments(star, ts)
+    else:
+        moments = ((steady_covariances(q), covariance_T_derivatives(q)) for q in qs)
     return QfiCurve.from_moments(ts, moments)
 
 

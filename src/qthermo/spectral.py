@@ -219,18 +219,18 @@ class StarSpec:
                 )
 
     @cached_property
-    def _resonance(self) -> float | None:
-        """clm's root of Re alpha(w) = 0, found once: it does not depend on T."""
-        from .clm import _find_resonance
-
-        return _find_resonance(self)
-
-    @cached_property
     def _skeleton(self) -> tuple[frozenset[float], float]:
         """clm's T-independent breakpoints and cap B0, built once per star."""
         from .clm import _skeleton
 
         return _skeleton(self)
+
+    @cached_property
+    def _exact(self) -> tuple:
+        """clm's T-independent data of the quadrature-free routes, found once."""
+        from .clm import _exact_data
+
+        return _exact_data(self)
 
     @cached_property
     def _tails(self) -> dict:

@@ -463,7 +463,11 @@ def test_chain_to_star_table_maps_back_through_star_to_chain(tmp_path):
 
 # Recipe tables committed with the benchmark (perfbench/reference, seed 0).
 # fig5/fig5_desk are left out: they sit ~1e-13 off their tables since the
-# DFT chain reconstruction.  fig2a and fig2b take about 1 s together.
+# DFT chain reconstruction.  fig2a and fig2b take the Lorentz-Drude pole sums,
+# which moved their last digits: their bytes are pinned to tests/reference,
+# within the benchmark's own tolerance of perfbench/reference, until the
+# benchmark's tables are regenerated.
+POLE_SUM_RECIPES = ("fig2a", "fig2b")
 REFERENCE_RECIPES = {
     name: REPO / "configs" / f"{name}.cfg"
     for name in (
@@ -512,8 +516,17 @@ def recipe_tables(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_RECIPES))
 def test_recipe_table_matches_reference(recipe_tables, name):
-    expected = (REPO / "perfbench" / "reference" / f"{name}.csv").read_bytes()
+    tables = REPO / ("tests" if name in POLE_SUM_RECIPES else "perfbench") / "reference"
+    expected = (tables / f"{name}.csv").read_bytes()
     assert (recipe_tables / f"{name}.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("name", POLE_SUM_RECIPES)
+def test_pole_sum_tables_stay_within_the_benchmark_tolerance(recipe_tables, name):
+    got = np.loadtxt(recipe_tables / f"{name}.csv", delimiter=",", skiprows=1)
+    ref = np.loadtxt(REPO / "perfbench" / "reference" / f"{name}.csv", delimiter=",", skiprows=1)
+    assert got.shape == ref.shape
+    assert _scaled_deviation(got, ref) <= 1e-8
 
 
 _RUN_SLOW_RECIPES = """

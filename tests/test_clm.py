@@ -230,53 +230,66 @@ class TestCliTable:
             assert f == clm_qfi(q)
 
 
+def real_axis(star, T, omega_min=1e-3):
+    """A query that takes the real axis: a Lorentz-Drude star takes it only
+    with an infrared cutoff (its pole sums need omega_min = 0)."""
+    return SteadyStateQuery(star=star, T=float(T), omega_min=omega_min)
+
+
+def count_weight_calls(monkeypatch):
+    """Count J, S, coth and csch2 calls in total and at quadrature nodes."""
+    total = dict.fromkeys(("j", "self_energy", "coth", "csch2"), 0)
+    at_nodes = dict.fromkeys(total, 0)
+    nodes = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            total[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    real_integrate = clm._integrate
+
+    def integrate(f, *args):
+        # counts quad's nodes and the direct tail probe f(B) alike
+        def node(w):
+            nodes.append(w)
+            before = dict(total)
+            value = f(w)
+            for name in total:
+                at_nodes[name] += total[name] - before[name]
+            return value
+
+        return real_integrate(node, *args)
+
+    monkeypatch.setattr(LorentzDrude, "j", counted("j", LorentzDrude.j))
+    monkeypatch.setattr(spectral, "self_energy", counted("self_energy", spectral.self_energy))
+    coth, csch2 = counted("coth", gaussian.coth), counted("csch2", gaussian.csch2)
+    for module in (clm, gaussian):
+        monkeypatch.setattr(module, "coth", coth)
+        monkeypatch.setattr(module, "csch2", csch2)
+    monkeypatch.setattr(clm, "_integrate", integrate)
+    return total, at_nodes, nodes
+
+
 class TestWeightEvaluations:
     @pytest.mark.parametrize("moments", [steady_covariances, covariance_T_derivatives])
     def test_one_j_call_per_integrand_node(self, monkeypatch, moments):
-        # a Lorentz-Drude node is one frame: J, S, Re alpha and the kernel
-        # are inline, so J runs only for the low-frequency slope and the
-        # resonance width, and nothing below runs at a node
-        total = dict.fromkeys(("j", "self_energy", "coth", "csch2"), 0)
-        at_nodes = dict.fromkeys(total, 0)
-        nodes = 0
-
-        def counted(name, fn):
-            def wrapper(*args):
-                total[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        real_integrate = clm._integrate
-
-        def integrate(f, *args):
-            # counts quad's nodes and the direct tail probe f(B) alike
-            def node(w):
-                nonlocal nodes
-                nodes += 1
-                before = dict(total)
-                value = f(w)
-                for name in total:
-                    at_nodes[name] += total[name] - before[name]
-                return value
-
-            return real_integrate(node, *args)
-
-        monkeypatch.setattr(LorentzDrude, "j", counted("j", LorentzDrude.j))
-        monkeypatch.setattr(spectral, "self_energy", counted("self_energy", spectral.self_energy))
-        coth, csch2 = counted("coth", gaussian.coth), counted("csch2", gaussian.csch2)
-        for module in (clm, gaussian):
-            monkeypatch.setattr(module, "coth", coth)
-            monkeypatch.setattr(module, "csch2", csch2)
-        monkeypatch.setattr(clm, "_integrate", integrate)
-        moments(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
-        assert nodes > 100
-        assert total["j"] <= 2
-        assert at_nodes == dict.fromkeys(total, 0)
+        # a node composes J, S (through Re alpha) and one kernel once each;
+        # off the nodes J runs only for the low-frequency slope and the
+        # resonance width
+        total, at_nodes, nodes = count_weight_calls(monkeypatch)
+        moments(real_axis(fig2_star(1.0), 1e-2))
+        assert len(nodes) > 100
+        assert total["j"] - at_nodes["j"] <= 2
+        expected = dict.fromkeys(at_nodes, len(nodes))
+        expected["csch2" if moments is steady_covariances else "coth"] = 0
+        assert at_nodes == expected
 
     def test_sweep_finds_the_resonance_once(self, monkeypatch):
         # the root of Re alpha does not depend on T: one brentq per star,
-        # and the sweep still equals the per-temperature calls exactly
+        # and the kept star still gives the fresh star's result exactly
         roots, real_brentq = [], clm.brentq
 
         def brentq(*args, **kwargs):
@@ -286,11 +299,11 @@ class TestWeightEvaluations:
         monkeypatch.setattr(clm, "brentq", brentq)
         star = fig2_star(1.0)
         ts = np.geomspace(1e-3, 1e-1, 6)
-        curve = qfi_curve(star, ts)
+        sweep = [(steady_covariances(real_axis(star, t)), clm_qfi(real_axis(star, t))) for t in ts]
         assert len(roots) == 1
         fresh = fig2_star(1.0)
-        for t, f, cov in zip(ts, curve.qfi, curve.covariances):
-            q = SteadyStateQuery(star=fresh, T=float(t))
+        for t, (cov, f) in zip(ts, sweep):
+            q = real_axis(fresh, t)
             assert cov == steady_covariances(q)
             assert f == clm_qfi(q)
         assert len(roots) == 2
@@ -317,25 +330,23 @@ class TestOncePerReservoir:
         # for s22, and none for the derivative moments
         tails = self.count_tails(monkeypatch)
         star = fig2_star(1.0)
-        qfi_curve(star, np.geomspace(1e-3, 1e-1, 6))
+        for t in np.geomspace(1e-3, 1e-1, 6):
+            clm_qfi(real_axis(star, t))
         assert tails == [5000.0, 5000.0]
 
     def test_derivative_moments_integrate_no_tail(self, monkeypatch):
         tails = self.count_tails(monkeypatch)
-        covariance_T_derivatives(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
+        covariance_T_derivatives(real_axis(fig2_star(1.0), 1e-2))
         assert tails == []
 
     def test_sweep_builds_the_skeleton_once(self, monkeypatch):
-        # J runs for the low-frequency slope and the resonance width only
-        calls, real_j = [], LorentzDrude.j
-
-        def j(sd, w):
-            calls.append(w)
-            return real_j(sd, w)
-
-        monkeypatch.setattr(LorentzDrude, "j", j)
-        qfi_curve(fig2_star(1.0), np.geomspace(1e-3, 1e-1, 6))
-        assert len(calls) == 2
+        # off the integrand nodes, J runs for the low-frequency slope and the
+        # resonance width only
+        total, at_nodes, _ = count_weight_calls(monkeypatch)
+        star = fig2_star(1.0)
+        for t in np.geomspace(1e-3, 1e-1, 6):
+            clm_qfi(real_axis(star, t))
+        assert total["j"] - at_nodes["j"] == 2
 
     def test_failed_quad_is_not_kept(self, monkeypatch):
         # a tail quad that raises is retried by the next query on the star
@@ -347,7 +358,7 @@ class TestOncePerReservoir:
             return real_quad(f, a, b, **kwargs)
 
         star = fig2_star(1.0)
-        q = SteadyStateQuery(star=star, T=1e-2)
+        q = real_axis(star, 1e-2)
         monkeypatch.setattr(clm, "quad", quad)
         with pytest.raises(IntegrationError, match="no tail today"):
             steady_covariances(q)
@@ -362,7 +373,7 @@ class TestOncePerReservoir:
         star = fig2_star(1.0)
         for t in (1e-2, 2e-2):
             with pytest.raises(IntegrationError, match="failed: The integral is probably"):
-                steady_covariances(SteadyStateQuery(star=star, T=t))
+                steady_covariances(real_axis(star, t))
         assert tails == [5000.0]
 
     def test_exponential_cutoff_reuses_its_tails(self, monkeypatch):
@@ -376,50 +387,110 @@ class TestOncePerReservoir:
         assert cov == steady_covariances(SteadyStateQuery(star=make_star(sd, 1.0), T=0.08))
 
 
+class TestPoleSums:
+    """A Lorentz-Drude star with omega_min = 0 takes the pole sums: no
+    quadrature, every temperature of a sweep in one pass."""
+
+    def test_sweep_equals_per_temperature_calls(self):
+        star = fig2_star(1e-6)
+        ts = np.geomspace(1e-5, 1e3, 41)
+        curve = qfi_curve(star, ts)
+        fresh = fig2_star(1e-6)
+        for t, cov, f in zip(ts, curve.covariances, curve.qfi):
+            q = SteadyStateQuery(star=fresh, T=float(t))
+            assert cov == steady_covariances(q)
+            assert f == qfi_from_derivatives(cov, covariance_T_derivatives(q)) == clm_qfi(q)
+
+    def test_clm_qfi_sweep_makes_no_quadrature(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no quadrature or root-find on the pole route")
+
+        monkeypatch.setattr(clm, "quad", refuse)
+        monkeypatch.setattr(clm, "brentq", refuse)
+        cfg = parse_config_text(
+            "experiment = clm-qfi\ngamma = 0.1\nomega_c = 100\nomega0_sq = 1e-6\n"
+            "T_min = 1e-3\nT_max = 1e-1\n"
+        )
+        run_experiment(cfg, out=str(tmp_path / "fig2b.csv"))
+        clm_qfi_fidelity(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
+
+    def test_unphysical_state_is_refused(self):
+        # ROADMAP item 1's factor makes this weakly damped star's state
+        # unphysical, det - 1/4 = -3.3e-4; both entry points refuse it
+        star = make_star(LorentzDrude(0.01, 1.0), 1.0)
+        with pytest.raises(IntegrationError, match="unphysical steady covariance"):
+            steady_covariances(SteadyStateQuery(star=star, T=0.03255))
+        with pytest.raises(IntegrationError, match="unphysical steady covariance"):
+            qfi_curve(star, [0.03, 0.03255])
+
+
 class TestMpmathOracle:
-    """fig2a's star against 30-digit mpmath quadrature of the four moments."""
+    """The four moments against mpmath quadrature of the same integrals."""
 
     @staticmethod
-    def moments(T, gamma=0.1, wc=100.0, w0sq=1.0):
+    def moments(q, dps=30):
         mp = pytest.importorskip("mpmath")
-        with mp.workdps(30):
-            g, c, w0, T = mp.mpf(gamma), mp.mpf(wc), mp.mpf(w0sq), mp.mpf(T)
+        sd, star = q.star.sd, q.star
+        with mp.workdps(dps):
+            g, c, w0, T = (mp.mpf(x) for x in (sd.gamma, sd.omega_c, star.omega0_sq, q.T))
+            memo = {}
 
             def re_alpha(w):
                 return w0 + g * c - w**2 - g * c**3 / (w**2 + c**2)
 
-            def weight(w):
-                jw = 2 * g * w * c**2 / (w**2 + c**2)
-                return jw / (re_alpha(w) ** 2 + jw**2)
+            def terms(w):
+                # weight x (coth kernel, T-derivative kernel), shared by the
+                # four quadratures, which visit the same nodes
+                if w not in memo:
+                    jw = 2 * g * w * c**2 / (w**2 + c**2)
+                    weight, x = jw / (re_alpha(w) ** 2 + jw**2), w / (2 * T)
+                    sh = mp.sinh(x)
+                    memo[w] = (weight * mp.cosh(x) / sh, weight * w / (2 * T**2) / sh**2)
+                return memo[w]
 
-            pts = [0, T, 10 * T, mp.findroot(re_alpha, 1), c, mp.inf]
-            kernels = (
-                lambda w: mp.coth(w / (2 * T)),
-                lambda w: w / (2 * T**2) / mp.sinh(w / (2 * T)) ** 2,
-            )
+            # the thermal scale, the knee w0^2/J'(0), the resonance, the cutoff
+            knee, res = w0 / (2 * g), mp.findroot(re_alpha, 1)
+            pts = sorted({mp.mpf(0), T, 10 * T, 100 * T, knee, res, c, mp.inf})
             return [
-                float(mp.quad(lambda w: w**p * weight(w) * k(w), pts) / mp.pi)
-                for k in kernels
+                float(mp.quad(lambda w: w**p * terms(w)[k], pts) / mp.pi)
+                for k in (0, 1)
                 for p in (0, 2)
             ]
 
+    def check(self, q, dps):
+        # abs=0: approx's default abs=1e-12 would pass any a2 below 1e-12
+        cov, der = steady_covariances(q), covariance_T_derivatives(q)
+        s11, s22, a1, a2 = self.moments(q, dps)
+        assert cov.s11 == pytest.approx(s11, rel=1e-9, abs=0.0)
+        assert cov.s22 == pytest.approx(s22, rel=1e-9, abs=0.0)
+        assert der.a1 == pytest.approx(a1, rel=1e-9, abs=0.0)
+        assert der.a2 == pytest.approx(a2, rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("t", [1e-3, 1e-2])
     def test_fig2a_moments(self, t):
-        q = SteadyStateQuery(star=fig2_star(1.0), T=t)
-        cov, der = steady_covariances(q), covariance_T_derivatives(q)
-        s11, s22, a1, a2 = self.moments(t)
-        assert cov.s11 == pytest.approx(s11, rel=1e-9)
-        assert cov.s22 == pytest.approx(s22, rel=1e-9)
-        assert der.a1 == pytest.approx(a1, rel=1e-9)
-        assert der.a2 == pytest.approx(a2, rel=1e-9)
+        self.check(SteadyStateQuery(star=fig2_star(1.0), T=t), dps=30)
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 1000.0])
+    @pytest.mark.parametrize("omega0_sq", [1.0, 1e-6], ids=["fig2a", "fig2b"])
+    def test_pole_sums_at_40_digits(self, omega0_sq, t):
+        # where every lam_k/2 pi T is large the derivative moments are the
+        # summed series: the per-pole sums lost 4.2e-7 in a2 at T = 1e-5
+        self.check(SteadyStateQuery(star=fig2_star(omega0_sq), T=t), dps=40)
+
+    def test_pole_sums_below_the_real_axis_floor(self):
+        # a2 = 7.198e-13 lies far below the real axis's absolute floor
+        # epsabs/QUAD_TOL = 1e-5, where the quadrature reads 7.008e-13 (2.6% off)
+        star = make_star(LorentzDrude(0.1383589461461454, 48.98309055123789), 3.726171153296188)
+        self.check(SteadyStateQuery(star=star, T=1.2974440670251866e-4), dps=40)
 
 
 class TestDiscreteStar:
     """A discrete star's probe is the mode sum over the star's normal modes."""
 
-    def test_qfi_curve_solves_the_secular_equation_once(self, monkeypatch):
-        # the normal modes do not depend on T: one dlasd4 call per live root
-        # (w0 and the three coupled modes; the decoupled mode is exact)
+    modes = DiscreteModes((0.5, 1.0, 1.5, 2.0), (0.1, 0.0, 0.2, 0.3))
+
+    @staticmethod
+    def count_dlasd4(monkeypatch):
         calls, real_dlasd4 = [], mapping.dlasd4
 
         def dlasd4(*args):
@@ -427,8 +498,13 @@ class TestDiscreteStar:
             return real_dlasd4(*args)
 
         monkeypatch.setattr(mapping, "dlasd4", dlasd4)
-        modes = DiscreteModes((0.5, 1.0, 1.5, 2.0), (0.1, 0.0, 0.2, 0.3))
-        star = make_star(modes, omega0_sq=1.0)
+        return calls
+
+    def test_qfi_curve_solves_the_secular_equation_once(self, monkeypatch):
+        # the normal modes do not depend on T: one dlasd4 call per live root
+        # (w0 and the three coupled modes; the decoupled mode is exact)
+        calls = self.count_dlasd4(monkeypatch)
+        star = make_star(self.modes, omega0_sq=1.0)
         ts = np.geomspace(0.01, 10.0, 80)
         curve = qfi_curve(star, ts)
         assert sorted(calls) == [0, 1, 2, 3]
@@ -437,6 +513,15 @@ class TestDiscreteStar:
             q = SteadyStateQuery(star=star, T=float(t))
             assert cov == steady_covariances(q)
             assert f == clm_qfi(q)
+
+    def test_star_keeps_its_normal_modes(self, monkeypatch):
+        # the fidelity route takes four steady states and clm_qfi two calls;
+        # the star solves its secular equation for the first of them only
+        calls = self.count_dlasd4(monkeypatch)
+        q = SteadyStateQuery(star=make_star(self.modes, omega0_sq=1.0), T=0.5)
+        clm_qfi_fidelity(q)
+        clm_qfi(q)
+        assert sorted(calls) == [0, 1, 2, 3]
 
     def test_infrared_cutoff_is_rejected(self):
         star = make_star(DiscreteModes((1.0,), (0.5,)), omega0_sq=1.0)
@@ -481,12 +566,12 @@ class TestErrors:
     def test_non_finite_quadrature_raises_integration_error(self, monkeypatch):
         monkeypatch.setattr(clm, "quad", lambda *args, **kw: (math.nan, 0.0))
         with pytest.raises(IntegrationError, match="returned nan"):
-            steady_covariances(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
+            steady_covariances(real_axis(fig2_star(1.0), 1e-2))
 
     def test_quadrature_failure_raises_without_a_warnings_filter(self, monkeypatch, recwarn):
         # quad's ier > 0 is read from its full output, not from a warning
         failing_quad(monkeypatch, "head")
-        q = SteadyStateQuery(star=fig2_star(1e-6), T=1000.0)
+        q = real_axis(fig2_star(1e-6), 1000.0)
         with pytest.raises(IntegrationError, match="quadrature failed: The integral is probably"):
             steady_covariances(q)
         assert not [w for w in recwarn if issubclass(w.category, IntegrationWarning)]
@@ -494,7 +579,7 @@ class TestErrors:
     def test_soft_probe_integration_warning_raises_integration_error(self, monkeypatch):
         # a failed head surfaces typed, also where quad's warnings are errors
         failing_quad(monkeypatch, "head")
-        q = SteadyStateQuery(star=fig2_star(1e-6), T=1000.0)
+        q = real_axis(fig2_star(1e-6), 1000.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
             with pytest.raises(IntegrationError, match="quadrature failed"):
@@ -504,20 +589,20 @@ class TestErrors:
         # a failed tail as large as the head is not negligible
         failing_quad(monkeypatch, "tail", value=1.0)
         with pytest.raises(IntegrationError, match="quadrature failed: The integral is probably"):
-            steady_covariances(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
+            steady_covariances(real_axis(fig2_star(1.0), 1e-2))
 
     def test_failed_negligible_tail_is_accepted(self):
         # QUADPACK reports the tail beyond B as probably divergent (ier = 5),
         # but |tail| + abserr is ~1e-15 of the head: the state is kept
         star = make_star(LorentzDrude(0.1882746851775785, 1.0), 0.1882746851775785)
-        q = SteadyStateQuery(star=star, T=1.5426758653295978)
+        q = real_axis(star, 1.5426758653295978)
         assert steady_covariances(q).det() >= 0.25
         assert covariance_T_derivatives(q).a1 > 0.0
 
     def test_soft_probe_at_high_temperature_is_classical(self):
         # its tail beyond B fails (ier = 5) but is negligible; equipartition
         # gives s22 = T for the unit-mass probe
-        q = SteadyStateQuery(star=fig2_star(1e-6), T=1000.0)
+        q = real_axis(fig2_star(1e-6), 1000.0)
         assert steady_covariances(q).s22 == pytest.approx(1000.0, rel=1e-2)
 
 
