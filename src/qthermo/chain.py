@@ -96,6 +96,14 @@ class ChainSpectrum:
         return np.asarray(self.non_repeated, dtype=float)
 
     @property
+    def node_weights(self) -> np.ndarray:
+        """Each mode's weight on one node: 1/(2N+1) for a = 0, 2/(2N+1) else."""
+        n_nodes = 2 * len(self.non_repeated) - 1
+        w = np.full(len(self.non_repeated), 2.0 / n_nodes)
+        w[0] = 1.0 / n_nodes
+        return w
+
+    @property
     def gap(self) -> float:
         """Lowest normal-mode frequency Delta."""
         return float(np.sqrt(max(min(self.non_repeated), 0.0)))
@@ -165,9 +173,7 @@ def _node_mode_data(c: ChainSpec, regularize_gapless: bool) -> tuple[np.ndarray,
     """(frequencies, probe-node weights), by gaussian's zero-mode rule."""
     hint = "pass regularize_gapless=True to clamp it to the gap floor"
     om = _mode_frequencies(c.spectrum.array, regularize_gapless, hint)
-    w = np.full(c.N + 1, 2.0 / (2 * c.N + 1))
-    w[0] = 1.0 / (2 * c.N + 1)
-    return om, w
+    return om, c.spectrum.node_weights
 
 
 def node_moments(

@@ -5,7 +5,8 @@ see configs/ in the repository for the figure-reproduction recipes.  Every
 run writes a CSV data table plus a JSON summary holding the fitted scaling
 laws, warnings, wall time, and the versions behind the run.  Outputs are
 deterministic for a fixed BLAS thread count (chain-to-star's dense eigh
-rounds per thread count; star-to-chain tables are the same for any count):
+may round per thread count, though fig4's 100-mode half block does not;
+star-to-chain tables are the same for any count):
 rows sorted by the sweep variable, floats as repr.  The omega,g mode tables
 and n,G coupling tables the CLI writes are also the inputs it reads
 (modes_csv, couplings_csv).
@@ -291,7 +292,7 @@ def _run_chain_to_star(cfg: _Config) -> ExperimentResult:
         "decoupled_count": star.decoupled_count,
         "renormalization_sq": star.to_star_spec().omega_R_sq if star.coupled_modes else 0.0,
     }
-    return MODES_COLUMNS, rows, [], list(star.warnings), extra
+    return MODES_COLUMNS, rows, [], [], extra
 
 
 def _star_from_cfg(cfg: _Config) -> spectral_mod.StarSpec:

@@ -1,9 +1,10 @@
 """Mappings between harmonic chains and star (open-system) models.
 
-chain -> star: remove the probe node from the circulant interaction matrix,
-diagonalize the remaining symmetric Toeplitz block, and read off effective
-mode frequencies and couplings g_i = sum_j [O]_{ji} G_{1j}.  Reflection
-symmetry decouples exactly half of the modes.
+chain -> star: remove the probe node from the circulant interaction matrix.
+The rest is centrosymmetric, so reflection splits it exactly into a
+mirror-antisymmetric half that never couples to the probe and an N x N
+mirror-symmetric half bordered by sqrt(2) G; one eigh of that half gives
+the effective mode frequencies and couplings.
 
 star -> chain: the non-repeated chain frequencies are the cosine half of
 the discrete Fourier transform of the circulant's first row
@@ -14,7 +15,7 @@ solved root by root with LAPACK's dlasd4: O(N^2) time, O(N) memory and
 no BLAS, so the same bits for any BLAS thread count.  The probe's entry
 of each normal mode follows from the same roots in closed form, and
 probe_delocalization's profile is one more inverse real DFT.  Only
-chain -> star uses a dense eigh.
+chain -> star uses a dense eigh, of the N x N half.
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ import numpy as np
 from .chain import ChainSpec, chain_spectrum, gapless_frequency_sq, power_law_chain
 from .errors import ConvergenceError, ModeMatchingError
 from .fits import ScalingFit, _r_squared
-from .spectral import DiscreteModes, StarSpec, renormalization_frequency_sq
-
-# Eigenvalue clusters narrower than this relative width are treated as
-# degenerate: eigensolvers rotate freely inside them, so only the summed
-# squared coupling per cluster is well defined.
-DEGENERACY_REL_WIDTH = 1e-8
-
-# Couplings below this fraction of the largest one count as decoupled.
-DECOUPLED_REL_THRESHOLD = 1e-10
+from .spectral import DiscreteModes, StarSpec, make_star
 
 # Star-mode indices n (ascending frequency) at which star_coupling_scaling
 # fits g_n ~ n N^(-3/2).
@@ -63,9 +56,9 @@ class EffectiveStar:
     """Star picture of one chain node against the rest of the chain."""
 
     probe_omega_sq: float
+    omega0_sq: float
     coupled_modes: tuple[tuple[float, float], ...]
     decoupled_count: int
-    warnings: tuple[str, ...] = ()
 
     @property
     def omega_array(self) -> np.ndarray:
@@ -76,11 +69,9 @@ class EffectiveStar:
         return np.array([g for _, g in self.coupled_modes])
 
     def to_star_spec(self) -> StarSpec:
-        """StarSpec with the bare probe frequency w0^2 = Om^2 - wR^2."""
+        """StarSpec with the bare probe frequency chain_to_star found."""
         sd = DiscreteModes(tuple(self.omega_array), tuple(self.g_array))
-        wr2 = renormalization_frequency_sq(sd)
-        omega0_sq = max(self.probe_omega_sq - wr2, 0.0)
-        return StarSpec(omega0_sq=omega0_sq, omega_R_sq=wr2, sd=sd, warnings=self.warnings)
+        return make_star(sd, self.omega0_sq)
 
 
 @dataclass(frozen=True)
@@ -109,51 +100,31 @@ class ChainReconstruction:
 def chain_to_star(c: ChainSpec) -> EffectiveStar:
     """Diagonalize the inaccessible part of the chain into effective modes.
 
-    Degenerate eigenvalue clusters carry one aggregated coupling
-    sqrt(sum g^2); couplings below DECOUPLED_REL_THRESHOLD of the maximum
-    count as decoupled (reflection antisymmetry gives exact zeros only in
-    exact arithmetic).  A (2N+1)-node chain is expected to keep exactly N
-    coupled modes.
+    The 2N non-probe nodes form a centrosymmetric block, so the mirror
+    x_j -> x_{2N+1-j} splits it exactly: the antisymmetric half never
+    touches the probe, and the symmetric half is the N x N block
+    row[(i-j) % n] + row[(i+j) % n], i, j = 1..N, n = 2N+1, with border
+    sqrt(2) G_j.  One eigh of it gives the modes in ascending order and
+    g = |V^T sqrt(2) G|; only exact zeros count as decoupled.  The bare
+    probe frequency is the Schur complement 1/G_00(0) = 1/sum_a p_a/Om_a^2
+    over the chain's own spectrum, exact where Om^2 - sum g^2/w^2 would
+    lose ~eps Om^2/Delta^2 relative on a small gap Delta.
     """
-    # the Toeplitz block of the non-probe nodes, bordered by their couplings
-    first_row = np.concatenate(([c.omega_sq], c.coupling_array, c.coupling_array[::-1]))
-    idx = np.arange(1, 2 * c.N + 1)
-    vals, vecs = eigh(first_row[(idx[:, None] - idx[None, :]) % (2 * c.N + 1)])
-    g = vecs.T @ first_row[idx]
-    gmax = float(np.max(np.abs(g))) if g.size else 0.0
-    threshold = DECOUPLED_REL_THRESHOLD * gmax
-
-    coupled: list[tuple[float, float]] = []
-    decoupled = 0
-    i = 0
-    n_total = vals.size
-    while i < n_total:
-        j = i + 1
-        while j < n_total and (vals[j] - vals[j - 1]) <= DEGENERACY_REL_WIDTH * max(
-            abs(vals[j]), abs(vals[j - 1])
-        ):
-            j += 1
-        cluster_g_sq = float(np.sum(g[i:j] ** 2))
-        size = j - i
-        if np.sqrt(cluster_g_sq) > threshold:
-            w_sq = float(np.mean(vals[i:j]))
-            coupled.append((float(np.sqrt(max(w_sq, 0.0))), float(np.sqrt(cluster_g_sq))))
-            decoupled += size - 1
-        else:
-            decoupled += size
-        i = j
-
-    warnings: tuple[str, ...] = ()
-    if decoupled != c.N:
-        warnings = (
-            f"reflection symmetry predicts {c.N} decoupled modes, found {decoupled}",
-        )
-    coupled.sort(key=lambda p: p[0])
+    n = c.n_nodes
+    row = np.concatenate(([c.omega_sq], c.coupling_array, c.coupling_array[::-1]))
+    idx = np.arange(1, c.N + 1)
+    vals, vecs = eigh(row[(idx[:, None] - idx) % n] + row[(idx[:, None] + idx) % n])
+    g = np.abs(vecs.T @ (np.sqrt(2.0) * c.coupling_array))
+    coupled = g != 0.0
+    omegas = np.sqrt(np.maximum(vals[coupled], 0.0))
+    spec = c.spectrum
+    with np.errstate(divide="ignore", over="ignore"):
+        omega0_sq = 1.0 / float(np.sum(spec.node_weights / spec.array))
     return EffectiveStar(
         probe_omega_sq=c.omega_sq,
-        coupled_modes=tuple(coupled),
-        decoupled_count=decoupled,
-        warnings=warnings,
+        omega0_sq=omega0_sq,
+        coupled_modes=tuple(zip(omegas.tolist(), g[coupled].tolist())),
+        decoupled_count=2 * c.N - int(np.count_nonzero(coupled)),
     )
 
 

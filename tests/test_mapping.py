@@ -16,6 +16,7 @@ from qthermo import (
     LorentzDrude,
     ModeMatchingError,
     StarSpec,
+    UnstableChainError,
     chain_spectrum,
     chain_to_star,
     clm_normal_modes,
@@ -64,7 +65,6 @@ class TestChainToStar:
         star = chain_to_star(gapless_chain())
         assert len(star.coupled_modes) == 100
         assert star.decoupled_count == 100
-        assert not star.warnings
 
     def test_gapless_renormalization_saturates_probe_frequency(self):
         c = gapless_chain()
@@ -72,6 +72,53 @@ class TestChainToStar:
         assert star.to_star_spec().omega_R_sq == pytest.approx(c.omega_sq, rel=1e-6)
         # the star-picture bare probe frequency vanishes with the gap
         assert star.to_star_spec().omega0_sq <= 1e-6 * c.omega_sq
+
+    def test_exact_zero_mode_gives_an_exactly_free_probe(self):
+        # the uniform mode Om^2 + 2 G_1 is exactly 0: 1/G_00(0) = 0, no warning
+        star = chain_to_star(ChainSpec(N=1, omega_sq=1.0, couplings=(-0.5,)))
+        assert star.omega0_sq == 0.0
+        assert star.to_star_spec().omega_R_sq == pytest.approx(1.0, rel=1e-15)
+
+    def test_unbounded_chain_is_refused(self):
+        # its star would need a mode below zero; the spectrum check refuses it
+        with pytest.raises(UnstableChainError):
+            chain_to_star(ChainSpec(N=3, omega_sq=0.1, couplings=(1.0, 0.0, 0.0)))
+
+    def test_modes_are_the_zeros_of_the_node_green_function(self):
+        # G_00(z) = sum_a p_a/(lam_a - z) over the circulant spectrum at 40
+        # digits: one zero between each pair of modes, g^2 = 1/G_00'(zero)
+        # and the bare probe frequency w0^2 = 1/G_00(0)
+        c = gapped_chain(N=30)
+        star = chain_to_star(c)
+        with mpmath.workdps(40):
+            n = c.n_nodes
+            lam = [
+                mpmath.mpf(c.omega_sq)
+                + 2 * mpmath.fsum(
+                    mpmath.mpf(g) * mpmath.cos(2 * mpmath.pi * k * a / n)
+                    for k, g in enumerate(c.couplings, start=1)
+                )
+                for a in range(c.N + 1)
+            ]
+            p = [mpmath.mpf(1) / n] + [mpmath.mpf(2) / n] * c.N
+
+            def g00(z, power=1):
+                return mpmath.fsum(pa / (la - z) ** power for pa, la in zip(p, lam))
+
+            inset = mpmath.mpf(10) ** -30
+            zeros = []
+            ordered = sorted(lam)
+            for lo, hi in zip(ordered[:-1], ordered[1:]):
+                bracket = (lo + inset * (hi - lo), hi - inset * (hi - lo))
+                zeros.append(mpmath.findroot(g00, bracket, solver="anderson"))
+                assert lo < zeros[-1] < hi
+            w = np.array([float(mpmath.sqrt(z)) for z in zeros])
+            g = np.array([float(1 / mpmath.sqrt(g00(z, 2))) for z in zeros])
+            omega0_sq = float(1 / g00(0))
+        assert star.decoupled_count == c.N
+        assert np.max(np.abs(star.omega_array - w) / w) <= 1e-14
+        assert np.max(np.abs(star.g_array - g) / g) <= 1e-12
+        assert star.omega0_sq == pytest.approx(omega0_sq, rel=1e-14, abs=0.0)
 
     def test_schur_bound_on_random_chains(self):
         rng = np.random.default_rng(11)

@@ -19,7 +19,7 @@ SRC = Path(qthermo.__file__).resolve().parent
 
 MAX_EXPORTS = 71
 MAX_PUBLIC_DEFAULTS = 25
-MAX_SOURCE_LINES = 2496
+MAX_SOURCE_LINES = 2474
 
 
 def _exports() -> list[str]:
