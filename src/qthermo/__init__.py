@@ -36,7 +36,6 @@ from .errors import (
     FitError,
     IntegrationError,
     InvalidStateError,
-    ModeMatchingError,
     PoleError,
     QThermoError,
     StepTooSmallError,

@@ -81,7 +81,8 @@ class _Config:
         self.raw = raw
         self._used = {"experiment", "out", "requires_slow"}
 
-    def _fetch(self, key: str, default):
+    def str_(self, key: str, default) -> str:
+        """The raw value of key, or default (_REQUIRED: a missing key raises)."""
         self._used.add(key)
         if key in self.raw:
             return self.raw[key]
@@ -89,11 +90,8 @@ class _Config:
             raise ConfigError(f"missing required key {key!r}")
         return default
 
-    def str_(self, key: str, default=None) -> str:
-        return self._fetch(key, default)
-
     def _parsed(self, key: str, default, parse, what: str):
-        v = self._fetch(key, default)
+        v = self.str_(key, default)
         if isinstance(v, str):
             try:
                 return parse(v)
@@ -101,14 +99,14 @@ class _Config:
                 raise ConfigError(f"key {key!r}: {v!r} is not {what}") from exc
         return v
 
-    def float_(self, key: str, default=None) -> float:
+    def float_(self, key: str, default) -> float:
         return self._parsed(key, default, float, "a float")
 
-    def int_(self, key: str, default=None) -> int:
+    def int_(self, key: str, default) -> int:
         return self._parsed(key, default, int, "an int")
 
-    def bool_(self, key: str, default=False) -> bool:
-        v = self._fetch(key, default)
+    def bool_(self, key: str, default) -> bool:
+        v = self.str_(key, default)
         if isinstance(v, bool):
             return v
         if v.lower() in ("true", "yes", "1"):
@@ -117,7 +115,7 @@ class _Config:
             return False
         raise ConfigError(f"key {key!r}: {v!r} is not a boolean")
 
-    def int_list(self, key: str, default=None) -> list[int]:
+    def int_list(self, key: str, default) -> list[int]:
         def parse(v: str) -> list[int]:
             return [int(tok) for tok in v.split(",") if tok.strip()]
 
@@ -288,7 +286,7 @@ def _run_chain_to_star(cfg: _Config) -> ExperimentResult:
     star = mapping_mod.chain_to_star(chain)
     rows = [[w, g] for w, g in star.coupled_modes]
     extra = {
-        "probe_omega_sq": star.probe_omega_sq,
+        "probe_omega_sq": chain.omega_sq,
         "decoupled_count": star.decoupled_count,
         "renormalization_sq": star.to_star_spec().omega_R_sq if star.coupled_modes else 0.0,
     }

@@ -208,7 +208,7 @@ def _poles(star: StarSpec) -> tuple:
     """A Lorentz-Drude star's T-independent data for _pole_moments.
 
     J/|alpha|^2 = 2 gamma wc^2 w N(u)/P(u) in u = w^2, P = R^2 + 4 gamma^2 wc^4 u,
-    R = (k - u)(u + wc^2) + gamma wc u, k = Re alpha(0), N = u + wc^2 (w^0
+    R = (k - u)(u + wc^2) + gamma wc u, k = Re alpha(0) = w0^2, N = u + wc^2 (w^0
     moments) or u (u + wc^2) (w^2).  Gives P's roots u_k (np.roots, then Newton),
     A_k = (2 gamma wc^2/pi) N(u_k)/P'(u_k), sigma = min |u_k| and the derivative
     series' 4 pi^2 |B_2j| M_j sigma^(j-1): M_j = sum_k A_k (-u_k)^-j is a Taylor
@@ -216,7 +216,7 @@ def _poles(star: StarSpec) -> tuple:
     """
     sd = star.sd
     wc2, g4 = sd.omega_c**2, (2.0 * sd.gamma * sd.omega_c**2) ** 2
-    k = star.omega0_sq + (star.omega_R_sq - sd.gamma * sd.omega_c)
+    k = star.omega0_sq
     r = np.array([-1.0, k - wc2 + sd.gamma * sd.omega_c, k * wc2])
     dr, p = np.polyder(r), np.polyadd(np.polymul(r, r), [g4, 0.0])
     u = np.roots(p).astype(complex)

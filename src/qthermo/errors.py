@@ -43,10 +43,6 @@ class ZeroModeError(QThermoError):
     """Gapless chain hit the zero mode without regularization enabled."""
 
 
-class ModeMatchingError(QThermoError):
-    """No frequency bijection between two spectra within tolerance."""
-
-
 class ConvergenceError(QThermoError):
     """A limiting sequence did not converge (non-Cauchy tail)."""
 

@@ -14,8 +14,8 @@ That spectrum is the secular equation of the star's arrowhead potential,
 solved root by root with LAPACK's dlasd4: O(N^2) time, O(N) memory and
 no BLAS, so the same bits for any BLAS thread count.  The probe's entry
 of each normal mode follows from the same roots in closed form, and
-probe_delocalization's profile is one more inverse real DFT.  Only
-chain -> star uses a dense eigh, of the N x N half.
+probe_delocalization's profile is one more inverse real DFT, with no
+chain spectrum.  Only chain -> star uses a dense eigh, of the N x N half.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, chain_spectrum, gapless_frequency_sq, power_law_chain
-from .errors import ConvergenceError, ModeMatchingError
+from .chain import ChainSpec, gapless_frequency_sq, power_law_chain
+from .errors import ConvergenceError
 from .fits import ScalingFit, _r_squared
 from .spectral import DiscreteModes, StarSpec, make_star
 
@@ -55,7 +55,6 @@ def dlasd4(*args, **kwargs):
 class EffectiveStar:
     """Star picture of one chain node against the rest of the chain."""
 
-    probe_omega_sq: float
     omega0_sq: float
     coupled_modes: tuple[tuple[float, float], ...]
     decoupled_count: int
@@ -121,7 +120,6 @@ def chain_to_star(c: ChainSpec) -> EffectiveStar:
     with np.errstate(divide="ignore", over="ignore"):
         omega0_sq = 1.0 / float(np.sum(spec.node_weights / spec.array))
     return EffectiveStar(
-        probe_omega_sq=c.omega_sq,
         omega0_sq=omega0_sq,
         coupled_modes=tuple(zip(omegas.tolist(), g[coupled].tolist())),
         decoupled_count=2 * c.N - int(np.count_nonzero(coupled)),
@@ -173,12 +171,21 @@ def _secular_system(star: StarSpec):
     return d, live, d[live], z[live] / np.sqrt(rho), rho
 
 
+def _roots(d_live: np.ndarray, u: np.ndarray, rho: float):
+    """dlasd4's (delta, sigma, work) for each secular root, ascending."""
+    for i in range(d_live.size):
+        delta, sigma, work, info = dlasd4(i, d_live, u, rho)
+        if info != 0:
+            raise ConvergenceError(f"dlasd4 found no star normal mode {i} (info={info})")
+        yield delta, sigma, work
+
+
 def clm_normal_modes(star: StarSpec) -> np.ndarray:
     """Squared normal-mode frequencies of the (N+1)-particle discrete star.
 
     The arrowhead potential V equals M M^T for the upper-arrow matrix
     M = [[w0, g_1/w_1, .., g_N/w_N], [0, diag(w)]]: its corner is
-    w0^2 + sum g^2/w^2, the wR^2 StarSpec holds to 1e-10.  So V has the
+    w0^2 + sum g^2/w^2, the wR^2 StarSpec derives from the modes.  So V has the
     eigenvalues of M^T M = D^2 + z z^T with d = (0, w_1, .., w_N) and
     z = (w0, g/w).  Components with z_j = 0 (w0^2 = 0, or a decoupled
     mode) are exact eigenvalues d_j^2 and are set aside; dlasd4 solves the
@@ -188,11 +195,7 @@ def clm_normal_modes(star: StarSpec) -> np.ndarray:
     frequencies.  ConvergenceError names a root dlasd4 could not find.
     """
     d, live, d_live, u, rho = _secular_system(star)
-    sigma = np.empty(d_live.size)
-    for i in range(d_live.size):
-        _, sigma[i], _, info = dlasd4(i, d_live, u, rho)
-        if info != 0:
-            raise ConvergenceError(f"dlasd4 found no star normal mode {i} (info={info})")
+    sigma = np.array([s for _, s, _ in _roots(d_live, u, rho)])
     return np.sort(np.concatenate((sigma * sigma, d[~live] ** 2)))[::-1]
 
 
@@ -221,10 +224,7 @@ def _probe_column(star: StarSpec) -> tuple[np.ndarray, np.ndarray]:
     skip = int(live[0])  # dlasd4's component of the probe itself, if live
     lam = np.concatenate((np.empty(d_live.size), d[~live] ** 2))
     c = np.zeros(lam.size)
-    for i in range(d_live.size):
-        delta, sigma, work, info = dlasd4(i, d_live, u, rho)
-        if info != 0:
-            raise ConvergenceError(f"dlasd4 found no star normal mode {i} (info={info})")
+    for i, (delta, sigma, work) in enumerate(_roots(d_live, u, rho)):
         lam[i] = sigma * sigma
         c[i] = _probe_entry(g_live / -(delta[skip:] * work[skip:]))
     if not live[0]:
@@ -236,25 +236,14 @@ def _probe_column(star: StarSpec) -> tuple[np.ndarray, np.ndarray]:
 def probe_delocalization(star: StarSpec) -> DelocalizationProfile:
     """Coefficients of the probe position over the matching chain's nodes.
 
-    Builds the chain with star_to_chain of the star's normal modes, checks
-    that its non-repeated modes reproduce them to 1e-6 of the largest mode
-    (ModeMatchingError otherwise), and reads the probe row of
-    (O_star^T oplus 1_N) O_chain, which sums to 1 in squares.  O(N^2) time
-    and O(N) memory: no dense matrix.
+    The matching chain is star_to_chain of the star's normal modes ev, whose
+    cosine mode a carries ev[a] by construction (an exact DFT pair, cond <= 2),
+    so the profile is the probe row of (O_star^T oplus 1_N) O_chain, which
+    sums to 1 in squares.  O(N^2) time (the secular roots) and O(N) memory:
+    no dense matrix and no chain spectrum.
     """
     ev, c = _probe_column(star)
     chain = star_to_chain(ev).chain
-    spec = chain_spectrum(chain).array
-    # chain_spectrum index a carries ev[a] by construction of star_to_chain;
-    # the DFT round trip rounds at the scale of the largest mode, so a
-    # nearly free probe's tiny lowest mode is matched on that scale too
-    mismatch = np.abs(spec - ev) > 1e-6 * float(np.max(ev))
-    if np.any(mismatch):
-        bad = int(np.argmax(mismatch))
-        raise ModeMatchingError(
-            f"chain mode {bad} at {spec[bad]!r} does not match star mode {ev[bad]!r}"
-        )
-
     # d_j = c_0/sqrt(n) + sqrt(2/n) sum_a c_a cos(2 pi a j/n), one inverse
     # real DFT: the sine modes carry no amplitude on the probe node
     n_nodes = 2 * chain.N + 1

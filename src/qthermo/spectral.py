@@ -195,28 +195,22 @@ def self_energy(sd: SpectralDensityModel, omega: float) -> float:
 
 @dataclass(frozen=True)
 class StarSpec:
-    """Probe (omega_0, omega_R) plus reservoir: the open-system picture.
+    """Bare probe frequency omega_0^2 plus reservoir: the open-system picture.
 
-    omega_R^2 is the positive-definiteness counterterm sum g^2/w^2.
+    omega_R_sq, the counterterm sum g^2/w^2, is derived from the reservoir alone.
     """
 
     omega0_sq: float
-    omega_R_sq: float
     sd: SpectralDensityModel
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
+    omega_R_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "omega_R_sq", renormalization_frequency_sq(self.sd))
         if not all(0.0 <= x < math.inf for x in (self.omega0_sq, self.omega_R_sq)):
             raise ValueError("squared frequencies must be finite and non-negative")
         if self.omega0_sq + self.omega_R_sq <= 0.0:
             raise ValueError("total trapping omega_0^2 + omega_R^2 must be positive")
-        if isinstance(self.sd, DiscreteModes):
-            ref = renormalization_frequency_sq(self.sd)
-            if abs(self.omega_R_sq - ref) > 1e-10 * max(ref, 1e-300):
-                raise ValueError(
-                    f"omega_R_sq={self.omega_R_sq!r} inconsistent with "
-                    f"sum g^2/w^2 = {ref!r}"
-                )
 
     @cached_property
     def _skeleton(self) -> tuple[frozenset[float], float]:
@@ -239,8 +233,8 @@ class StarSpec:
 
 
 def make_star(sd: SpectralDensityModel, omega0_sq: float) -> StarSpec:
-    """Build a StarSpec with omega_R^2 computed from the spectral density."""
-    return StarSpec(omega0_sq=omega0_sq, omega_R_sq=renormalization_frequency_sq(sd), sd=sd)
+    """The StarSpec of a bare probe frequency and a reservoir."""
+    return StarSpec(omega0_sq=omega0_sq, sd=sd)
 
 
 def susceptibility_real(star: StarSpec, omega: float) -> float:
@@ -295,12 +289,7 @@ def discretize_clm(
             f"discretization regime violated: N={n_modes} <= omega_max/omega_c="
             f"{omega_max / sd.omega_c:.3g}; omega_R^2 will be biased",
         )
-    return StarSpec(
-        omega0_sq=omega0_sq,
-        omega_R_sq=renormalization_frequency_sq(modes),
-        sd=modes,
-        warnings=warnings,
-    )
+    return StarSpec(omega0_sq=omega0_sq, sd=modes, warnings=warnings)
 
 
 def discretization_residual(

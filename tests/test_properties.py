@@ -76,11 +76,7 @@ def discrete_stars(draw):
     w = np.cumsum(gaps)
     g = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
     omega0_sq = draw(st.floats(0.01, 10.0))
-    return StarSpec(
-        omega0_sq=omega0_sq,
-        omega_R_sq=float(np.sum(g**2 / w**2)),
-        sd=DiscreteModes(tuple(w), tuple(g)),
-    )
+    return StarSpec(omega0_sq=omega0_sq, sd=DiscreteModes(tuple(w), tuple(g)))
 
 
 @FIXED
@@ -112,11 +108,7 @@ def sparse_discrete_stars(draw):
     g = np.array(draw(st.lists(coupling, min_size=n, max_size=n)))
     omega0_sq = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
     assume(omega0_sq > 0.0 or np.any(g > 0.0))
-    return StarSpec(
-        omega0_sq=omega0_sq,
-        omega_R_sq=float(np.sum(g**2 / w**2)),
-        sd=DiscreteModes(tuple(w), tuple(g)),
-    )
+    return StarSpec(omega0_sq=omega0_sq, sd=DiscreteModes(tuple(w), tuple(g)))
 
 
 def dense_arrowhead(star):

@@ -213,11 +213,6 @@ class TestDiscretize:
         cont = renormalization_frequency_sq(sd)
         assert star.omega_R_sq == pytest.approx(cont, rel=0.03)
 
-    def test_inconsistent_star_rejected(self):
-        modes = DiscreteModes((1.0, 2.0), (0.1, 0.2))
-        with pytest.raises(ValueError):
-            StarSpec(omega0_sq=1.0, omega_R_sq=99.0, sd=modes)
-
 
 class TestDiscretizationResidual:
     def test_reference_values(self):
@@ -261,7 +256,7 @@ def test_non_finite_model_parameter_is_rejected(x):
         lambda: ExponentialCutoff(gamma=0.1, omega_c=x),
         lambda: ExponentialCutoff(gamma=0.1, omega_c=2.0, s=x),
         lambda: discretize_clm(ld, 50, x),
-        lambda: StarSpec(omega0_sq=x, omega_R_sq=0.2, sd=ld),
+        lambda: StarSpec(omega0_sq=x, sd=ld),
         lambda: DiscreteModes((1.0, x), (0.1, 0.1)),
         lambda: DiscreteModes((1.0, 2.0), (0.1, x)),
     )

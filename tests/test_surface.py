@@ -17,9 +17,9 @@ import qthermo
 
 SRC = Path(qthermo.__file__).resolve().parent
 
-MAX_EXPORTS = 71
-MAX_PUBLIC_DEFAULTS = 25
-MAX_SOURCE_LINES = 2474
+MAX_EXPORTS = 70
+MAX_PUBLIC_DEFAULTS = 20
+MAX_SOURCE_LINES = 2445
 
 
 def _exports() -> list[str]:
