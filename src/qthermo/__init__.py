@@ -62,16 +62,13 @@ from .heatcap import (
     ising_spectrum,
     lattice_heat_capacity,
     low_temperature_bound,
-    mean_thermal_energy,
     mode_heat_capacity,
 )
 from .mapping import (
     ChainReconstruction,
-    DelocalizationProfile,
     EffectiveStar,
     chain_to_star,
     clm_normal_modes,
-    probe_delocalization,
     star_coupling_scaling,
     star_to_chain,
 )

@@ -288,7 +288,7 @@ def _run_chain_to_star(cfg: _Config) -> ExperimentResult:
     extra = {
         "probe_omega_sq": chain.omega_sq,
         "decoupled_count": star.decoupled_count,
-        "renormalization_sq": star.to_star_spec().omega_R_sq if star.coupled_modes else 0.0,
+        "renormalization_sq": float(np.sum(star.g_array**2 / star.omega_array**2)),
     }
     return MODES_COLUMNS, rows, [], [], extra
 

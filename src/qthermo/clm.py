@@ -17,7 +17,7 @@ once per star and refusing an unphysical state, det < 1/4, in _physical:
   moment is a digamma sum over a quartic's roots (Grabert, Weiss and
   Talkner, Z. Phys. B 55, 87 (1984)), every T of a sweep in one numpy pass;
 * normal modes (a discrete star): gaussian's mode sum over sqrt(lam_j) with
-  weights c_j^2 from mapping._probe_column;
+  the probe's weights c_j^2, which mapping._probe_column returns;
 * the real axis (ExponentialCutoff, or wmin > 0): adaptive quadrature at
   spectral.QUAD_TOL of sd.j, susceptibility_real and coth or csch2, with the
   breakpoints but T and omega_min (StarSpec._skeleton) and the s11 and s22
@@ -270,8 +270,8 @@ def _exact_data(star: StarSpec) -> tuple:
     """StarSpec._exact: a discrete star's normal modes and weights, or _poles."""
     if isinstance(star.sd, LorentzDrude):
         return _poles(star)
-    lam, c = _probe_column(star)
-    return _mode_frequencies(lam, False, "the probe is free or nearly so"), c * c
+    lam, c2 = _probe_column(star)
+    return _mode_frequencies(lam, False, "the probe is free or nearly so"), c2
 
 
 def _exact_moments(star: StarSpec, temperatures) -> list[tuple]:

@@ -112,17 +112,6 @@ def low_temperature_bound(m: ModeSystem, T: float) -> float:
     return len(m.energies) * mode_heat_capacity(m.statistics, m.gap, T)
 
 
-def mean_thermal_energy(m: ModeSystem, T: float) -> float:
-    """Thermal expectation sum_n eps_n nbar(eps_n) (zero-point part dropped)."""
-    _check_temperature(T)
-    x = m.energy_array / T
-    occ = np.zeros_like(x)
-    ok = x < _EXP_FLOOR
-    sign = -1.0 if m.statistics == "bosonic" else 1.0
-    occ[ok] = 1.0 / (np.exp(x[ok]) + sign)
-    return float(np.sum(m.energy_array * occ))
-
-
 def ising_spectrum(spec: IsingSpec) -> np.ndarray:
     """Free-fermion energies eps_k = 2 sqrt(J^2 + h^2 - 2hJ cos(2 pi k/N)).
 

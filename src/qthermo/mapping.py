@@ -12,10 +12,9 @@ the discrete Fourier transform of the circulant's first row
 (discretized) star is one inverse real DFT of its normal-mode spectrum.
 That spectrum is the secular equation of the star's arrowhead potential,
 solved root by root with LAPACK's dlasd4: O(N^2) time, O(N) memory and
-no BLAS, so the same bits for any BLAS thread count.  The probe's entry
-of each normal mode follows from the same roots in closed form, and
-probe_delocalization's profile is one more inverse real DFT, with no
-chain spectrum.  Only chain -> star uses a dense eigh, of the N x N half.
+no BLAS, so the same bits for any BLAS thread count.  The probe's weight
+c^2 in each normal mode follows from the same roots in closed form.  Only
+chain -> star uses a dense eigh, of the N x N half.
 """
 
 from __future__ import annotations
@@ -71,21 +70,6 @@ class EffectiveStar:
         """StarSpec with the bare probe frequency chain_to_star found."""
         sd = DiscreteModes(tuple(self.omega_array), tuple(self.g_array))
         return make_star(sd, self.omega0_sq)
-
-
-@dataclass(frozen=True)
-class DelocalizationProfile:
-    """Expansion q0 = sum_a d_a Q_a of the probe over the chain nodes."""
-
-    coefficients: tuple[float, ...]
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coefficients, dtype=float)
-
-    @property
-    def normalization(self) -> float:
-        return float(np.sum(self.array**2))
 
 
 @dataclass(frozen=True)
@@ -172,11 +156,18 @@ def _secular_system(star: StarSpec):
 
 
 def _roots(d_live: np.ndarray, u: np.ndarray, rho: float):
-    """dlasd4's (delta, sigma, work) for each secular root, ascending."""
+    """dlasd4's (delta, sigma, work) for each secular root, ascending.
+
+    delta = d - sigma and work = d + sigma, except that for a single pole
+    dlasd4 returns both as 1; there d - sigma = -rho u^2/(d + sigma).
+    """
     for i in range(d_live.size):
         delta, sigma, work, info = dlasd4(i, d_live, u, rho)
         if info != 0:
             raise ConvergenceError(f"dlasd4 found no star normal mode {i} (info={info})")
+        if d_live.size == 1:
+            work = d_live + sigma
+            delta = -rho * u * u / work
         yield delta, sigma, work
 
 
@@ -199,58 +190,28 @@ def clm_normal_modes(star: StarSpec) -> np.ndarray:
     return np.sort(np.concatenate((sigma * sigma, d[~live] ** 2)))[::-1]
 
 
-def _fix_sign(row: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(row)))
-    return -row if row[k] < 0.0 else row
-
-
-def _probe_entry(y: np.ndarray) -> float:
-    """Probe entry of the unit eigenvector along (1, y), signed by _fix_sign."""
-    x = np.concatenate(([1.0], y))
-    return float(_fix_sign(x)[0]) / float(np.sqrt(np.dot(x, x)))
-
-
 def _probe_column(star: StarSpec) -> tuple[np.ndarray, np.ndarray]:
-    """clm_normal_modes' roots lam, descending, and the probe column c.
+    """clm_normal_modes' roots lam, descending, and the probe's weights c^2.
 
-    V's eigenvector of root lam is along (1, g_i/(lam - w_i^2)), signed by
-    _fix_sign's rule; lam - w_i^2 = -(d_i - sigma)(d_i + sigma) comes from
-    dlasd4's delta and work, not by subtraction (Gu and Eisenstat, SIAM J.
-    Matrix Anal. Appl. 16, 172 (1995)).  Of the roots set aside, a
-    decoupled mode has c = 0 and the free probe's lam = 0 is (1, -g/w^2).
+    V's eigenvector of root lam is along (1, y) with y_i = g_i/(lam - w_i^2),
+    so c^2 = 1/(1 + sum y_i^2); lam - w_i^2 = -(d_i - sigma)(d_i + sigma)
+    comes from dlasd4's delta and work, not by subtraction (Gu and
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)).  Of the roots set
+    aside, a decoupled mode has c^2 = 0 and the free probe's lam = 0 has
+    y = -g/w^2.
     """
     d, live, d_live, u, rho = _secular_system(star)
     g_live = star.sd.g_array[live[1:]]
     skip = int(live[0])  # dlasd4's component of the probe itself, if live
     lam = np.concatenate((np.empty(d_live.size), d[~live] ** 2))
-    c = np.zeros(lam.size)
+    c2 = np.zeros(lam.size)
     for i, (delta, sigma, work) in enumerate(_roots(d_live, u, rho)):
         lam[i] = sigma * sigma
-        c[i] = _probe_entry(g_live / -(delta[skip:] * work[skip:]))
+        c2[i] = 1.0 / (1.0 + np.sum((g_live / (delta[skip:] * work[skip:])) ** 2))
     if not live[0]:
-        c[d_live.size] = _probe_entry(-g_live / d_live**2)
+        c2[d_live.size] = 1.0 / (1.0 + np.sum((g_live / d_live**2) ** 2))
     order = np.argsort(lam)[::-1]
-    return lam[order], c[order]
-
-
-def probe_delocalization(star: StarSpec) -> DelocalizationProfile:
-    """Coefficients of the probe position over the matching chain's nodes.
-
-    The matching chain is star_to_chain of the star's normal modes ev, whose
-    cosine mode a carries ev[a] by construction (an exact DFT pair, cond <= 2),
-    so the profile is the probe row of (O_star^T oplus 1_N) O_chain, which
-    sums to 1 in squares.  O(N^2) time (the secular roots) and O(N) memory:
-    no dense matrix and no chain spectrum.
-    """
-    ev, c = _probe_column(star)
-    chain = star_to_chain(ev).chain
-    # d_j = c_0/sqrt(n) + sqrt(2/n) sum_a c_a cos(2 pi a j/n), one inverse
-    # real DFT: the sine modes carry no amplitude on the probe node
-    n_nodes = 2 * chain.N + 1
-    spectrum = c * np.sqrt(n_nodes / 2.0)
-    spectrum[0] = c[0] * np.sqrt(n_nodes)
-    profile = _fix_sign(np.fft.irfft(spectrum, n=n_nodes))
-    return DelocalizationProfile(coefficients=tuple(float(x) for x in profile))
+    return lam[order], c2[order]
 
 
 def star_coupling_scaling(s: float, N_list) -> tuple[ScalingFit, ScalingFit]:

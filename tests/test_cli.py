@@ -122,6 +122,16 @@ class TestRunExperiment:
         assert summary["Omega"] > 0
         assert summary["fits"]  # power law over the requested n window
 
+    def test_chain_to_star_with_no_coupled_modes(self, tmp_path):
+        # G = 0 decouples every node from the probe: the table has only its
+        # header, and the renormalization is the empty sum
+        cfg = parse_config_text("experiment = chain-to-star\nN = 5\nG = 0.0\ngap = 1.0")
+        out = tmp_path / "star.csv"
+        summary = run_experiment(cfg, out=str(out))
+        assert out.read_text() == "omega,g\n"
+        assert summary["renormalization_sq"] == 0.0
+        assert summary["decoupled_count"] == 10
+
     def test_tihc_gap_config_equivalence(self, tmp_path):
         cfg = parse_config_text(
             "experiment = tihc-qfi\nN = 40\ncoupling_family = power_law\nG = 1\nt = 2.5\n"

@@ -20,13 +20,18 @@ from qthermo import (
     ising_spectrum,
     lattice_heat_capacity,
     low_temperature_bound,
-    mean_thermal_energy,
     mode_heat_capacity,
     power_law_chain,
     qfi_from_derivatives,
     thermal_mode_covariance,
     thermal_mode_derivatives,
 )
+
+
+def mean_energy(m, T):
+    """Thermal energy sum_n eps_n/(e^(eps_n/T) -+ 1), zero-point part dropped."""
+    sign = -1.0 if m.statistics == "bosonic" else 1.0
+    return float(np.sum(m.energy_array / (np.exp(m.energy_array / T) + sign)))
 
 
 class TestModeHeatCapacity:
@@ -78,7 +83,7 @@ class TestLatticeHeatCapacity:
             m = ModeSystem(stat, energies)
             t = 0.7
             h = 1e-5 * t
-            fd = (mean_thermal_energy(m, t + h) - mean_thermal_energy(m, t - h)) / (2 * h)
+            fd = (mean_energy(m, t + h) - mean_energy(m, t - h)) / (2 * h)
             assert lattice_heat_capacity(m, t) == pytest.approx(fd, rel=1e-6)
 
     def test_low_temperature_bound_randomized(self):
@@ -188,7 +193,6 @@ def test_bad_temperature_is_rejected(T):
         lambda: mode_heat_capacity("bosonic", 1.0, T),
         lambda: lattice_heat_capacity(m, T),
         lambda: low_temperature_bound(m, T),
-        lambda: mean_thermal_energy(m, T),
     )
     for call in calls:
         with pytest.raises(ValueError, match="temperature"):

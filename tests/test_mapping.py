@@ -1,5 +1,5 @@
 """Tests for chain<->star mappings, discretized-reservoir reconstruction,
-and probe delocalization."""
+and the star's normal modes and probe weights."""
 
 import math
 
@@ -21,11 +21,9 @@ from qthermo import (
     discretize_clm,
     gapless_frequency_sq,
     power_law_chain,
-    probe_delocalization,
     star_coupling_scaling,
     star_to_chain,
 )
-from qthermo import chain as chain_mod
 from qthermo import mapping
 
 
@@ -235,6 +233,25 @@ class TestStarToChain:
         fit = loglog_fit(n_idx[mask], g[mask])
         assert -fit.exponent_or_gap == pytest.approx(2.0, abs=0.2)
 
+    @pytest.mark.parametrize(
+        "n_modes,omega_max,omega0_sq",
+        [
+            pytest.param(80, 20.0, 1e-8, id="80-1e-08"),
+            pytest.param(80, 20.0, 1e-10, id="80-1e-10"),
+            pytest.param(80, 20.0, 1e-12, id="80-1e-12"),
+            pytest.param(400, 20.0, 1e-8, id="400-1e-08"),
+            pytest.param(2000, 100.0, 0.04, id="fig5"),
+        ],
+    )
+    def test_nearly_free_probe(self, n_modes, omega_max, omega0_sq):
+        # the chain's cosine mode a carries the star's mode a: the DFT round
+        # trip rounds at the scale of the largest mode, so a nearly free
+        # probe's tiny lowest mode matches on that scale
+        star = discretize_clm(LorentzDrude(0.1, 2.0), n_modes, omega_max, omega0_sq=omega0_sq)
+        ev = clm_normal_modes(star)
+        back = chain_spectrum(star_to_chain(ev).chain).array
+        assert np.max(np.abs(back - ev)) <= 1e-12 * np.max(ev)
+
 
 class TestClmNormalModes:
     def test_zero_coupling_returns_inputs(self):
@@ -322,118 +339,21 @@ class TestClmNormalModes:
                 assert lo < root < hi
                 assert abs(ev[k] - root) <= 1e-14 * root
 
-
-class TestProbeDelocalization:
-    def test_normalization_on_random_stars(self):
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            n = int(rng.integers(4, 30))
-            w = np.sort(rng.uniform(0.3, 4.0, n))
-            w += np.arange(n) * 1e-6  # enforce distinctness
-            g = rng.uniform(0.005, 0.2, n)
-            modes = DiscreteModes(tuple(w), tuple(g))
-            star = StarSpec(omega0_sq=0.7, sd=modes)
-            prof = probe_delocalization(star)
-            assert prof.normalization == pytest.approx(1.0, abs=1e-10)
-            assert len(prof.coefficients) == 2 * n + 1
-
-    def test_discretized_reservoir_probe_spreads_over_chain(self):
-        star = discretize_clm(LorentzDrude(0.1, 2.0), 150, 20.0, omega0_sq=0.04)
-        prof = probe_delocalization(star)
-        assert prof.normalization == pytest.approx(1.0, abs=1e-10)
-        d = prof.array
-        participation = 1.0 / float(np.sum(d**4))
-        assert participation > 20.0  # spread over many of the 301 nodes
-        assert np.sum(np.abs(d) > 1e-3 * np.max(np.abs(d))) > 150
-
-
-    @pytest.mark.parametrize(
-        "n_modes,omega_max,omega0_sq",
-        [
-            pytest.param(80, 20.0, 1e-8, id="80-1e-08"),
-            pytest.param(80, 20.0, 1e-10, id="80-1e-10"),
-            pytest.param(80, 20.0, 1e-12, id="80-1e-12"),
-            pytest.param(400, 20.0, 1e-8, id="400-1e-08"),
-            pytest.param(2000, 100.0, 0.04, id="fig5"),
-        ],
-    )
-    def test_nearly_free_probe(self, n_modes, omega_max, omega0_sq):
-        # probe_delocalization takes the chain's mode a to be the star's
-        # mode a: the DFT round trip rounds at the scale of the largest
-        # mode, so a nearly free probe's tiny lowest mode matches on that scale
-        star = discretize_clm(LorentzDrude(0.1, 2.0), n_modes, omega_max, omega0_sq=omega0_sq)
-        ev = clm_normal_modes(star)
-        back = chain_spectrum(star_to_chain(ev).chain).array
-        assert np.max(np.abs(back - ev)) <= 1e-12 * np.max(ev)
-        prof = probe_delocalization(star)
-        assert prof.normalization == pytest.approx(1.0, abs=1e-10)
-
-
-def dense_profile(star):
-    """The dense route probe_delocalization replaced, as a reference: eigh
-    of the arrowhead, every eigenvector signed by its largest entry, and
-    the probe row of O_star^T times the chain's cosine modes."""
-    w = star.sd.omega_array
-    g = star.sd.g_array
-    arrowhead = np.diag(np.concatenate(([star.omega0_sq + star.omega_R_sq], w * w)))
-    arrowhead[0, 1:] = arrowhead[1:, 0] = g
-    vals, vecs = scipy.linalg.eigh(arrowhead)
-    vecs = vecs[:, ::-1]
-    top = np.argmax(np.abs(vecs), axis=0)
-    probe = vecs[0] * np.sign(vecs[top, np.arange(vals.size)])
-    n_nodes = 2 * w.size + 1
-    a = np.arange(w.size + 1, dtype=float)[:, None]
-    cosines = np.sqrt(2.0 / n_nodes) * np.cos(2.0 * np.pi * a * np.arange(n_nodes) / n_nodes)
-    cosines[0] = 1.0 / np.sqrt(n_nodes)
-    d = probe @ cosines
-    return -d if d[np.argmax(np.abs(d))] < 0.0 else d
-
-
-class TestProbeDelocalizationSecular:
     @pytest.mark.parametrize("omega0_sq", [0.04, 0.0])
-    def test_matches_the_dense_route_on_fig5_desk_star(self, omega0_sq):
-        star = discretize_clm(LorentzDrude(0.1, 2.0), 400, 40.0, omega0_sq=omega0_sq)
-        d = probe_delocalization(star).array
-        reference = dense_profile(star)
-        assert np.max(np.abs(d - reference)) <= 1e-10 * np.max(np.abs(reference))
-
-    def test_exact_zero_couplings_match_the_dense_route(self):
-        w = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
-        g = np.array([0.2, 0.0, 0.3, 0.0, 0.1])
-        modes = DiscreteModes(tuple(w), tuple(g))
-        for omega0_sq in (0.7, 0.0):
-            star = StarSpec(omega0_sq, modes)
-            d = probe_delocalization(star).array
-            assert np.max(np.abs(d - dense_profile(star))) <= 1e-13
-
-    def test_needs_no_dense_eigensolver(self, monkeypatch):
+    def test_probe_weights_match_dense_eigh_on_fig5_desk_star(self, omega0_sq, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("probe_delocalization called eigh")
+            raise AssertionError("the probe weights called eigh")
 
         monkeypatch.setattr(mapping, "eigh", refuse)
-        star = discretize_clm(LorentzDrude(0.1, 2.0), 150, 20.0, omega0_sq=0.04)
-        assert probe_delocalization(star).normalization == pytest.approx(1.0, abs=1e-13)
-
-    def test_builds_no_chain_spectrum(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("probe_delocalization built a chain spectrum")
-
-        monkeypatch.setattr(chain_mod, "chain_spectrum", refuse)
-        monkeypatch.setattr(mapping, "chain_spectrum", refuse, raising=False)
-        star = discretize_clm(LorentzDrude(0.1, 2.0), 150, 20.0, omega0_sq=0.04)
-        assert probe_delocalization(star).normalization == pytest.approx(1.0, abs=1e-13)
-
-    def test_solver_failure_raises(self, monkeypatch):
-        star = discretize_clm(LorentzDrude(0.1, 2.0), 20, 10.0, omega0_sq=0.04)
-        solve = mapping.dlasd4
-
-        def failing(i, *args):
-            delta, sigma, work, info = solve(i, *args)
-            return delta, sigma, work, 1 if i == 7 else info
-
-        monkeypatch.setattr(mapping, "dlasd4", failing)
-        with pytest.raises(ConvergenceError, match="mode 7 "):
-            probe_delocalization(star)
+        star = discretize_clm(LorentzDrude(0.1, 2.0), 400, 40.0, omega0_sq=omega0_sq)
+        w, g = star.sd.omega_array, star.sd.g_array
+        arrowhead = np.diag(np.concatenate(([star.omega0_sq + star.omega_R_sq], w * w)))
+        arrowhead[0, 1:] = arrowhead[1:, 0] = g
+        dense = scipy.linalg.eigh(arrowhead)[1][0, ::-1] ** 2
+        ev, c2 = mapping._probe_column(star)
+        assert np.array_equal(ev, clm_normal_modes(star))
+        assert abs(np.sum(c2) - 1.0) <= 1e-13
+        assert np.max(np.abs(c2 - dense)) <= 1e-10 * np.max(dense)
 
 
 class TestStarCouplingScaling:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from qthermo import (
@@ -130,17 +130,17 @@ def test_star_normal_modes_match_the_dense_arrowhead(star):
 
 @FIXED
 @given(sparse_discrete_stars())
+# a free probe with one coupled mode: dlasd4 solves a single pole, and
+# returns its delta and work as 1, not as d - sigma and d + sigma
+@example(StarSpec(0.0, DiscreteModes((2.0,), (1.0,))))
 def test_star_probe_column_matches_the_dense_eigenvectors(star):
-    # columns of the dense eigh, descending, each signed so that its
-    # largest entry is positive: the sign rule probe_delocalization uses
-    vals, vecs = scipy.linalg.eigh(dense_arrowhead(star))
-    vecs = vecs[:, ::-1]
-    top = np.argmax(np.abs(vecs), axis=0)
-    dense = vecs[0] * np.sign(vecs[top, np.arange(vals.size)])
-    ev, c = _probe_column(star)
+    # the probe's weights: squares of the first row of the dense eigh,
+    # its columns descending
+    dense = scipy.linalg.eigh(dense_arrowhead(star))[1][0, ::-1] ** 2
+    ev, c2 = _probe_column(star)
     assert np.array_equal(ev, clm_normal_modes(star))
-    assert abs(np.sum(c * c) - 1.0) <= 1e-13
-    assert np.max(np.abs(c - dense)) <= 1e-10 * np.max(np.abs(c))
+    assert abs(np.sum(c2) - 1.0) <= 1e-13
+    assert np.max(np.abs(c2 - dense)) <= 1e-10 * np.max(c2)
 
 
 def dense_gibbs_state(star, T):
@@ -191,12 +191,12 @@ def test_chain_node_is_the_probe_of_its_effective_star(chain):
     # and 2/(2N+1) for each cosine mode
     star = chain_to_star(chain).to_star_spec()
     spec = chain.spectrum.array
-    ev, c = _probe_column(star)
+    ev, c2 = _probe_column(star)
     # rounding is on the scale of the largest mode, as in any dense eigh
     assert np.max(np.abs(ev - spec)) <= 1e-12 * spec[0]
     weights = np.full(spec.size, 2.0 / (2 * chain.N + 1))
     weights[0] /= 2.0
-    assert np.max(np.abs(c * c - weights)) <= 1e-12
+    assert np.max(np.abs(c2 - weights)) <= 1e-12
     # so the node's state is the probe's steady state; a mode's rounding of
     # 1e-12 * spec[0] is relative 1e-12 * spec[0] / spec[-1] on the lowest,
     # and no absolute floor lets tiny derivatives pass unchecked

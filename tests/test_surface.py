@@ -8,6 +8,8 @@ outside the tests sets is a constant, and a public function that only its
 own unit tests call is deleted, so either count may fall but never rise.
 The size is the source line count of ``src/qthermo/*.py`` as ``wc -l``
 gives it.  When a change lowers a count, lower its ceiling here with it.
+A fourth check enforces the deletion rule: every export has a caller in
+the library, the acceptance tests or the benchmark harness.
 """
 
 import ast
@@ -16,10 +18,11 @@ from pathlib import Path
 import qthermo
 
 SRC = Path(qthermo.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
-MAX_EXPORTS = 70
+MAX_EXPORTS = 67
 MAX_PUBLIC_DEFAULTS = 20
-MAX_SOURCE_LINES = 2445
+MAX_SOURCE_LINES = 2392
 
 
 def _exports() -> list[str]:
@@ -47,6 +50,26 @@ def _public_defaults() -> dict[str, int]:
     return counts
 
 
+def _uses(node: ast.AST, inside: frozenset = frozenset()):
+    """Names read as ast.Name or ast.Attribute, except inside their own definition."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name) and node.id not in inside:
+        yield node.id
+    elif isinstance(node, ast.Attribute) and node.attr not in inside:
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, inside)
+
+
+def _callers() -> list[Path]:
+    """The code an export must be reached from: the library, the acceptance
+    tests and the benchmark harness, not the unit tests."""
+    library = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    harness = sorted((REPO / "perfbench").glob("*.py"))
+    return library + [REPO / "tests" / "test_acceptance.py"] + harness
+
+
 def test_scan_finds_the_exports():
     # guards the count below against a scan that misreads __init__
     names = _exports()
@@ -72,3 +95,13 @@ def test_source_lines_do_not_grow():
     counts = {path.name: path.read_bytes().count(b"\n") for path in sorted(SRC.glob("*.py"))}
     total = sum(counts.values())
     assert total <= MAX_SOURCE_LINES, f"{total} source lines > {MAX_SOURCE_LINES}: {counts}"
+
+
+def test_every_export_has_a_caller():
+    paths = _callers()
+    assert all(path.is_file() for path in paths)
+    used = set()
+    for path in paths:
+        used.update(_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    unreached = sorted(set(_exports()) - used)
+    assert not unreached, f"exports with no caller outside the unit tests: {unreached}"
