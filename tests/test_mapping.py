@@ -339,21 +339,72 @@ class TestClmNormalModes:
                 assert lo < root < hi
                 assert abs(ev[k] - root) <= 1e-14 * root
 
-    @pytest.mark.parametrize("omega0_sq", [0.04, 0.0])
-    def test_probe_weights_match_dense_eigh_on_fig5_desk_star(self, omega0_sq, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the probe weights called eigh")
 
-        monkeypatch.setattr(mapping, "eigh", refuse)
+def dense_weights(star):
+    """The probe's weights by the dense route, as a reference: squares of
+    the first row of the arrowhead's eigh, its columns descending."""
+    w, g = star.sd.omega_array, star.sd.g_array
+    arrowhead = np.diag(np.concatenate(([star.omega0_sq + star.omega_R_sq], w * w)))
+    arrowhead[0, 1:] = arrowhead[1:, 0] = g
+    return scipy.linalg.eigh(arrowhead)[1][0, ::-1] ** 2
+
+
+class TestProbeDelocalization:
+    def test_normalization_on_random_stars(self):
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            n = int(rng.integers(4, 30))
+            w = np.sort(rng.uniform(0.3, 4.0, n))
+            w += np.arange(n) * 1e-6  # enforce distinctness
+            g = rng.uniform(0.005, 0.2, n)
+            modes = DiscreteModes(tuple(w), tuple(g))
+            star = StarSpec(omega0_sq=0.7, sd=modes)
+            ev, c2 = mapping._probe_column(star)
+            assert np.sum(c2) == pytest.approx(1.0, abs=1e-13)
+            assert ev.size == c2.size == n + 1
+            assert np.all(c2 > 0.0)
+
+
+class TestProbeDelocalizationSecular:
+    @pytest.mark.parametrize("omega0_sq", [0.04, 0.0])
+    def test_matches_the_dense_route_on_fig5_desk_star(self, omega0_sq):
         star = discretize_clm(LorentzDrude(0.1, 2.0), 400, 40.0, omega0_sq=omega0_sq)
-        w, g = star.sd.omega_array, star.sd.g_array
-        arrowhead = np.diag(np.concatenate(([star.omega0_sq + star.omega_R_sq], w * w)))
-        arrowhead[0, 1:] = arrowhead[1:, 0] = g
-        dense = scipy.linalg.eigh(arrowhead)[1][0, ::-1] ** 2
+        dense = dense_weights(star)
         ev, c2 = mapping._probe_column(star)
         assert np.array_equal(ev, clm_normal_modes(star))
         assert abs(np.sum(c2) - 1.0) <= 1e-13
         assert np.max(np.abs(c2 - dense)) <= 1e-10 * np.max(dense)
+
+    def test_exact_zero_couplings_match_the_dense_route(self):
+        w = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+        g = np.array([0.2, 0.0, 0.3, 0.0, 0.1])
+        modes = DiscreteModes(tuple(w), tuple(g))
+        for omega0_sq in (0.7, 0.0):
+            star = StarSpec(omega0_sq, modes)
+            ev, c2 = mapping._probe_column(star)
+            assert np.max(np.abs(c2 - dense_weights(star))) <= 1e-13
+            # a decoupled mode carries none of the probe
+            assert np.count_nonzero(c2 == 0.0) == 2
+
+    def test_needs_no_dense_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the probe weights called eigh")
+
+        monkeypatch.setattr(mapping, "eigh", refuse)
+        star = discretize_clm(LorentzDrude(0.1, 2.0), 150, 20.0, omega0_sq=0.04)
+        assert np.sum(mapping._probe_column(star)[1]) == pytest.approx(1.0, abs=1e-13)
+
+    def test_solver_failure_raises(self, monkeypatch):
+        star = discretize_clm(LorentzDrude(0.1, 2.0), 20, 10.0, omega0_sq=0.04)
+        solve = mapping.dlasd4
+
+        def failing(i, *args):
+            delta, sigma, work, info = solve(i, *args)
+            return delta, sigma, work, 1 if i == 7 else info
+
+        monkeypatch.setattr(mapping, "dlasd4", failing)
+        with pytest.raises(ConvergenceError, match="mode 7 "):
+            mapping._probe_column(star)
 
 
 class TestStarCouplingScaling:
