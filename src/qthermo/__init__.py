@@ -36,7 +36,6 @@ from .errors import (
     FitError,
     IntegrationError,
     InvalidStateError,
-    PoleError,
     QThermoError,
     StepTooSmallError,
     UnstableChainError,

@@ -73,13 +73,13 @@ class ChainSpec:
         return chain_spectrum(self)
 
 
-def power_law_chain(N: int, omega_sq: float, G: float = 1.0, t: float = 2.5) -> ChainSpec:
+def power_law_chain(N: int, omega_sq: float, G: float, t: float) -> ChainSpec:
     """ChainSpec with algebraic couplings G_n = G / n^t."""
     n = np.arange(1, N + 1, dtype=float)
     return ChainSpec(N=N, omega_sq=omega_sq, couplings=tuple(G / n**t))
 
 
-def exponential_chain(N: int, omega_sq: float, G: float = 1.0, c: float = 1.0) -> ChainSpec:
+def exponential_chain(N: int, omega_sq: float, G: float, c: float) -> ChainSpec:
     """ChainSpec with exponentially decaying couplings G_n = G e^{-c n}."""
     n = np.arange(1, N + 1, dtype=float)
     return ChainSpec(N=N, omega_sq=omega_sq, couplings=tuple(G * np.exp(-c * n)))
@@ -177,7 +177,7 @@ def _node_mode_data(c: ChainSpec, regularize_gapless: bool) -> tuple[np.ndarray,
 
 
 def node_moments(
-    c: ChainSpec, temperatures, regularize_gapless: bool = False
+    c: ChainSpec, temperatures, regularize_gapless: bool
 ) -> list[tuple[SingleModeCovariance, CovarianceDerivatives]]:
     """Node covariance and its analytic T-derivatives at each temperature.
 
@@ -199,7 +199,7 @@ def node_covariances(
 
 
 def node_covariance_derivatives(
-    c: ChainSpec, T: float, regularize_gapless: bool = False
+    c: ChainSpec, T: float, regularize_gapless: bool
 ) -> CovarianceDerivatives:
     """Analytic temperature derivatives of the node covariance.
 
@@ -216,7 +216,7 @@ def node_qfi(c: ChainSpec, T: float, regularize_gapless: bool = False) -> float:
     return qfi_from_derivatives(*node_moments(c, [T], regularize_gapless)[0])
 
 
-def gap_error(N: int, s: float, G: float = 1.0) -> float:
+def gap_error(N: int, s: float, G: float) -> float:
     """Finite-chain gap error Xi(N) for the couplings G_n = G/n^s, n <= N.
 
     Xi(N) is the residual of the large-N gap formula evaluated with the

@@ -287,6 +287,7 @@ def _run_chain_to_star(cfg: _Config) -> ExperimentResult:
     rows = [[w, g] for w, g in star.coupled_modes]
     extra = {
         "probe_omega_sq": chain.omega_sq,
+        "omega0_sq": star.omega0_sq,
         "decoupled_count": star.decoupled_count,
         "renormalization_sq": float(np.sum(star.g_array**2 / star.omega_array**2)),
     }
@@ -339,9 +340,8 @@ def _run_discretize(cfg: _Config) -> ExperimentResult:
     sd = _spectral_density(cfg)
     n_modes = cfg.int_("n_modes", _REQUIRED)
     omega_max = cfg.float_("omega_max", _REQUIRED)
-    omega0_sq = cfg.float_("omega0_sq", 0.0)
     cfg.reject_unknown()
-    star = spectral_mod.discretize_clm(sd, n_modes, omega_max, omega0_sq=omega0_sq)
+    star = spectral_mod.discretize_clm(sd, n_modes, omega_max)
     modes = star.sd
     rows = [[w, g] for w, g in zip(modes.omegas, modes.gs)]
     extra = {"omega_R_sq": star.omega_R_sq}
@@ -419,12 +419,12 @@ def _environment() -> dict[str, str | None]:
     }
 
 
-def run_experiment(
-    raw_cfg: dict[str, str],
-    out: str | None = None,
-    slow_ok: bool = False,
-) -> dict:
-    """Validate, compute, and write one experiment; returns the summary."""
+def run_experiment(raw_cfg: dict[str, str], out: str | None, slow_ok: bool) -> dict:
+    """Validate, compute, and write one experiment; returns the summary.
+
+    out is the table's path; None takes the config's out key, or
+    <experiment>.csv.  slow_ok admits a recipe that sets requires_slow.
+    """
     cfg = _Config(raw_cfg)
     experiment = raw_cfg["experiment"]
     if cfg.bool_("requires_slow", False) and not slow_ok:

@@ -312,7 +312,7 @@ def clm_qfi(q: SteadyStateQuery) -> float:
     return qfi_from_derivatives(steady_covariances(q), covariance_T_derivatives(q))
 
 
-def clm_qfi_fidelity(q: SteadyStateQuery, step_fraction: float = 1e-3) -> float:
+def clm_qfi_fidelity(q: SteadyStateQuery, step_fraction: float) -> float:
     """Cross-check route: finite-difference fidelity on the steady family."""
 
     def cov_at(temp: float) -> SingleModeCovariance:

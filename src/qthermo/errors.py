@@ -22,10 +22,6 @@ class DegenerateStateError(QThermoError):
     derivative-based QFI formula has a vanishing denominator."""
 
 
-class PoleError(QThermoError):
-    """Self-energy of a discrete reservoir evaluated at one of its poles."""
-
-
 class DivergenceError(QThermoError):
     """An integral diverges for the requested parameters."""
 

@@ -107,21 +107,20 @@ def _mode_frequencies(om_sq: np.ndarray, regularize_gapless: bool, hint: str) ->
 
 
 def _mode_sums(om: np.ndarray, w: np.ndarray, temperatures) -> list[tuple]:
-    """(s11, s22) and (a1, a2) of the mode sum over om > 0 with weights w, one
-    pass per T; coth and csch^2 are exactly 1.0 and 0.0 beyond x = 350."""
-    out = []
-    for T in temperatures:
-        x = om / (2.0 * T)
-        small = x <= 350.0
-        nu = np.ones_like(x)
-        nu[small] = 1.0 + 2.0 / np.expm1(2.0 * x[small])
-        dnu = np.zeros_like(x)
-        dnu[small] = 1.0 / np.sinh(x[small]) ** 2
-        dnu = (om / (2.0 * T * T)) * dnu
-        s11, s22 = float(np.sum(w * nu / (2.0 * om))), float(np.sum(w * om * nu / 2.0))
-        a1, a2 = float(np.sum(w * dnu / (2.0 * om))), float(np.sum(w * om * dnu / 2.0))
-        out.append((SingleModeCovariance(s11, s22), CovarianceDerivatives(a1, a2)))
-    return out
+    """(s11, s22) and (a1, a2) of the mode sum over om > 0 with weights w, every
+    T in one numpy pass; coth and csch^2 are exactly 1.0 and 0.0 beyond x = 350."""
+    t = np.asarray(temperatures, dtype=float)[:, None]
+    x = om / (2.0 * t)
+    small = x <= 350.0
+    nu = np.ones_like(x)
+    nu[small] = 1.0 + 2.0 / np.expm1(2.0 * x[small])
+    dnu = np.zeros_like(x)
+    dnu[small] = 1.0 / np.sinh(x[small]) ** 2
+    dnu = (om / (2.0 * t * t)) * dnu
+    s11, s22 = np.sum(w * nu / (2.0 * om), axis=1), np.sum(w * om * nu / 2.0, axis=1)
+    a1, a2 = np.sum(w * dnu / (2.0 * om), axis=1), np.sum(w * om * dnu / 2.0, axis=1)
+    covs = [SingleModeCovariance(float(v), float(u)) for v, u in zip(s11, s22)]
+    return list(zip(covs, [CovarianceDerivatives(float(v), float(u)) for v, u in zip(a1, a2)]))
 
 
 def _thermal_mode(omega: float, T: float) -> tuple[SingleModeCovariance, CovarianceDerivatives]:
@@ -172,7 +171,7 @@ def uhlmann_fidelity(a: SingleModeCovariance, b: SingleModeCovariance) -> float:
 def qfi_from_fidelity(
     cov_at: Callable[[float], SingleModeCovariance],
     T: float,
-    step_fraction: float = 1e-3,
+    step_fraction: float,
 ) -> float:
     """QFI from a central finite difference of the fidelity.
 

@@ -124,9 +124,7 @@ def ising_spectrum(spec: IsingSpec) -> np.ndarray:
     )
 
 
-def ising_heat_capacity(
-    spec: IsingSpec, T: float, mode: Literal["exact", "asymptotic"] = "exact"
-) -> float:
+def ising_heat_capacity(spec: IsingSpec, T: float, mode: Literal["exact", "asymptotic"]) -> float:
     """Heat capacity of the Ising chain, exact sum or low-T asymptotic form.
 
     exact: sum of the qubit capacities over the free-fermion spectrum.

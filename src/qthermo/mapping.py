@@ -229,7 +229,7 @@ def star_coupling_scaling(s: float, N_list) -> tuple[ScalingFit, ScalingFit]:
         raise ValueError(f"mode indices {COUPLING_FIT_INDICES} must lie below the smallest size")
     rows = []
     for size in sizes:
-        chain = power_law_chain(size, 0.0, t=s)
+        chain = power_law_chain(size, 0.0, G=1.0, t=s)
         chain = ChainSpec(
             N=size,
             omega_sq=gapless_frequency_sq(size, chain.couplings),

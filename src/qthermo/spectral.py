@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import IntegrationError, PoleError
+from .errors import IntegrationError
 
 # Relative tolerance of every adaptive quadrature in the package.
 QUAD_TOL = 1e-9
@@ -176,18 +176,12 @@ def self_energy_pv(sd: ContinuousSpectralDensity, omega: float) -> float:
     return total
 
 
-def self_energy(sd: SpectralDensityModel, omega: float) -> float:
-    """Self-energy S(omega); closed form where known, PV quadrature otherwise.
-
-    Discrete reservoirs sum g_n^2/(w_n^2 - w^2) away from the poles.
-    """
+def self_energy(sd: ContinuousSpectralDensity, omega: float) -> float:
+    """Self-energy S(omega); closed form where known, PV quadrature otherwise."""
     if omega < 0.0:
         raise ValueError("self_energy requires omega >= 0")
     if isinstance(sd, DiscreteModes):
-        w = sd.omega_array
-        if np.any(np.abs(w - omega) <= 1e-9 * w):
-            raise PoleError(f"omega={omega!r} coincides with a reservoir mode")
-        return float(np.sum(sd.g_array**2 / (w * w - omega * omega)))
+        raise TypeError("self_energy needs a continuous spectral density")
     if isinstance(sd, LorentzDrude):
         return sd.gamma * sd.omega_c**3 / (omega * omega + sd.omega_c**2)
     return self_energy_pv(sd, omega)

@@ -56,7 +56,7 @@ class TestConfigParser:
     def test_unknown_keys_rejected_at_run(self, tmp_path):
         cfg = parse_config_text(CLM_CFG + "\nmystery_key = 3\n")
         with pytest.raises(ConfigError):
-            run_experiment(cfg, out=str(tmp_path / "x.csv"))
+            run_experiment(cfg, out=str(tmp_path / "x.csv"), slow_ok=False)
 
 
 def _record_calls(monkeypatch, module, name: str) -> list:
@@ -70,7 +70,7 @@ class TestRunExperiment:
     def test_clm_qfi_outputs(self, tmp_path):
         cfg = parse_config_text(CLM_CFG)
         out = tmp_path / "fig2a.csv"
-        summary = run_experiment(cfg, out=str(out))
+        summary = run_experiment(cfg, out=str(out), slow_ok=False)
         lines = out.read_text().splitlines()
         assert lines[0] == "T,beta,sigma11,sigma22,qfi,rel_error_M1"
         assert len(lines) == 7
@@ -84,8 +84,8 @@ class TestRunExperiment:
         cfg = parse_config_text(CLM_CFG)
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
-        sa = run_experiment(cfg, out=str(out_a))
-        sb = run_experiment(cfg, out=str(out_b))
+        sa = run_experiment(cfg, out=str(out_a), slow_ok=False)
+        sb = run_experiment(cfg, out=str(out_b), slow_ok=False)
         assert out_a.read_bytes() == out_b.read_bytes()
         sa.pop("wall_time_s")
         sb.pop("wall_time_s")
@@ -95,7 +95,7 @@ class TestRunExperiment:
         cfg = parse_config_text(
             "experiment = gap-error\ns = 3.0\nG = 1.0\nN_list = 50,100,200,400"
         )
-        summary = run_experiment(cfg, out=str(tmp_path / "xi.csv"))
+        summary = run_experiment(cfg, out=str(tmp_path / "xi.csv"), slow_ok=False)
         assert summary["fits"][0]["exponent_or_gap"] == pytest.approx(-2.0, abs=0.15)
 
     def test_heatcap_experiment(self, tmp_path):
@@ -104,7 +104,7 @@ class TestRunExperiment:
             "T_min = 0.04\nT_max = 0.1\npoints = 4"
         )
         out = tmp_path / "ising.csv"
-        run_experiment(cfg, out=str(out))
+        run_experiment(cfg, out=str(out), slow_ok=False)
         lines = out.read_text().splitlines()
         assert lines[0] == "T,beta,C_exact,C_asymptotic,ratio"
         assert len(lines) == 5
@@ -116,18 +116,32 @@ class TestRunExperiment:
             "fit_n_lo = 5\nfit_n_hi = 40"
         )
         out = tmp_path / "chain.csv"
-        summary = run_experiment(cfg, out=str(out))
+        summary = run_experiment(cfg, out=str(out), slow_ok=False)
         assert out.read_text().splitlines()[0] == "n,G"
         assert summary["physical"] is True
         assert summary["Omega"] > 0
         assert summary["fits"]  # power law over the requested n window
+
+    def test_discretize_exponential_family(self, tmp_path):
+        cfg = parse_config_text(
+            "experiment = discretize\nfamily = exponential\ngamma = 0.1\nomega_c = 2.0\n"
+            "s = 1.5\nn_modes = 50\nomega_max = 20\n"
+        )
+        out = tmp_path / "modes.csv"
+        summary = run_experiment(cfg, out=str(out), slow_ok=False)
+        omega, g = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+        star = qthermo.discretize_clm(qthermo.ExponentialCutoff(0.1, 2.0, 1.5), 50, 20.0)
+        assert np.array_equal(omega, star.sd.omega_array)
+        assert np.array_equal(g, star.sd.g_array)
+        assert summary["omega_R_sq"] == star.omega_R_sq
+        assert "deficit" not in summary  # the residual is Lorentz-Drude's alone
 
     def test_chain_to_star_with_no_coupled_modes(self, tmp_path):
         # G = 0 decouples every node from the probe: the table has only its
         # header, and the renormalization is the empty sum
         cfg = parse_config_text("experiment = chain-to-star\nN = 5\nG = 0.0\ngap = 1.0")
         out = tmp_path / "star.csv"
-        summary = run_experiment(cfg, out=str(out))
+        summary = run_experiment(cfg, out=str(out), slow_ok=False)
         assert out.read_text() == "omega,g\n"
         assert summary["renormalization_sq"] == 0.0
         assert summary["decoupled_count"] == 10
@@ -137,7 +151,7 @@ class TestRunExperiment:
             "experiment = tihc-qfi\nN = 40\ncoupling_family = power_law\nG = 1\nt = 2.5\n"
             "gap = 0.5\nT_min = 0.05\nT_max = 0.2\npoints = 5\nfit = exponential_gap"
         )
-        summary = run_experiment(cfg, out=str(tmp_path / "tihc.csv"))
+        summary = run_experiment(cfg, out=str(tmp_path / "tihc.csv"), slow_ok=False)
         assert summary["gap"] == pytest.approx(0.5, rel=1e-6)
 
     def test_tihc_exponential_couplings(self, tmp_path):
@@ -145,7 +159,7 @@ class TestRunExperiment:
             "experiment = tihc-qfi\nN = 30\ncoupling_family = exponential\nc = 0.8\nG = 1.5\n"
             "gap = 0.4\nT_min = 0.05\nT_max = 0.2\npoints = 4"
         )
-        summary = run_experiment(cfg, out=str(tmp_path / "tihc_exp.csv"))
+        summary = run_experiment(cfg, out=str(tmp_path / "tihc_exp.csv"), slow_ok=False)
         couplings = qthermo.chain.exponential_chain(30, 0.0, G=1.5, c=0.8).couplings
         omega_sq = qthermo.chain.gapless_frequency_sq(30, couplings) + 0.4**2
         chain = qthermo.chain.ChainSpec(N=30, omega_sq=omega_sq, couplings=couplings)
@@ -161,7 +175,7 @@ class TestRunExperiment:
             f"couplings_csv = {csv_path}\n"
             "gap = 0.3\nT_min = 0.05\nT_max = 0.2\npoints = 4"
         )
-        summary = run_experiment(cfg, out=str(tmp_path / "tihc_csv.csv"))
+        summary = run_experiment(cfg, out=str(tmp_path / "tihc_csv.csv"), slow_ok=False)
         assert summary["gap"] == pytest.approx(0.3, rel=1e-6)
 
     def test_unknown_tihc_fit_fails_before_the_sweep(self, tmp_path, monkeypatch):
@@ -174,7 +188,7 @@ class TestRunExperiment:
             "points = 4\nfit = bogus"
         )
         with pytest.raises(ConfigError, match="bogus"):
-            run_experiment(cfg, out=str(tmp_path / "never.csv"))
+            run_experiment(cfg, out=str(tmp_path / "never.csv"), slow_ok=False)
         assert not (tmp_path / "never.csv").exists()
 
     def test_tihc_builds_the_chain_spectrum_once(self, tmp_path, monkeypatch):
@@ -183,7 +197,7 @@ class TestRunExperiment:
             "experiment = tihc-qfi\nN = 40\ngap = 0.5\nT_min = 0.05\nT_max = 0.2\n"
             "points = 5\nfit = exponential_gap"
         )
-        summary = run_experiment(cfg, out=str(tmp_path / "tihc.csv"))
+        summary = run_experiment(cfg, out=str(tmp_path / "tihc.csv"), slow_ok=False)
         assert len(builds) == 1
         assert summary["gap"] == pytest.approx(0.5, rel=1e-6)
 
@@ -197,7 +211,7 @@ class TestRunExperiment:
             "T_min = 0.04\nT_max = 0.5\npoints = 6"
         )
         out = tmp_path / "ising.csv"
-        run_experiment(cfg, out=str(out))
+        run_experiment(cfg, out=str(out), slow_ok=False)
         assert len(builds) == 1
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         gated = rows[:, 1] < 5.0  # beta * Delta with Delta = 1
@@ -207,7 +221,7 @@ class TestRunExperiment:
     def test_slow_gating(self, tmp_path):
         cfg = parse_config_text(CLM_CFG + "\nrequires_slow = true\n")
         with pytest.raises(ConfigError):
-            run_experiment(cfg, out=str(tmp_path / "x.csv"))
+            run_experiment(cfg, out=str(tmp_path / "x.csv"), slow_ok=False)
         run_experiment(cfg, out=str(tmp_path / "x.csv"), slow_ok=True)
 
 
@@ -279,8 +293,12 @@ class TestMainExitCodes:
 
     def test_tolerance_config_key_is_unknown(self, tmp_path, capsys):
         # no recipe set these keys, so none is read: clm-qfi's infrared
-        # cutoff, the table format and free-probe-limit's omega_min ladder
+        # cutoff, the table format, free-probe-limit's omega_min ladder and
+        # discretize's omega0_sq, on which no output depends
         free_cfg = "experiment = free-probe-limit\ngamma = 0.1\nomega_c = 100\nT = 1e-3\n"
+        modes_cfg = (
+            "experiment = discretize\ngamma = 0.1\nomega_c = 2\nn_modes = 40\nomega_max = 20\n"
+        )
         cases = (
             ("clm-qfi", CLM_CFG, ("quad_tol = 1e-9", "omega_min = 1e-3", "format = json")),
             (
@@ -288,6 +306,7 @@ class TestMainExitCodes:
                 free_cfg,
                 ("omega_min_start = 1e-4", "omega_min_count = 4", "omega_min_ratio = 10"),
             ),
+            ("discretize", modes_cfg, ("omega0_sq = 0.04",)),
         )
         for experiment, text, lines in cases:
             cfg_path = tmp_path / "tol.cfg"
@@ -334,7 +353,7 @@ class TestMainExitCodes:
             "experiment = star-to-chain\ngamma = 0.1\nomega_c = 2.0\nn_modes = 80\n"
             "omega_max = 20\nomega0_sq = 0.04\nfit_n_lo = 10\nfit_n_hi = 80\n"
         )
-        summary = run_experiment(cfg, out=str(tmp_path / "chain.csv"))
+        summary = run_experiment(cfg, out=str(tmp_path / "chain.csv"), slow_ok=False)
         assert summary["fits"][0]["window"] == (10.0, 80.0)
         assert summary["fits"][0]["n_points"] == 71
 
@@ -457,13 +476,12 @@ def test_chain_to_star_table_maps_back_through_star_to_chain(tmp_path):
     # back as modes_csv, rebuilds the chain's couplings G_n = n^-2.5
     star_csv = tmp_path / "star.csv"
     with open(REPO / "configs" / "fig4_gapped.cfg", encoding="utf-8") as fh:
-        first = run_experiment(parse_config_text(fh.read()), out=str(star_csv))
-    omega0_sq = first["probe_omega_sq"] - first["renormalization_sq"]
+        first = run_experiment(parse_config_text(fh.read()), out=str(star_csv), slow_ok=False)
     cfg = parse_config_text(
-        f"experiment = star-to-chain\nmodes_csv = {star_csv}\nomega0_sq = {omega0_sq!r}"
+        f"experiment = star-to-chain\nmodes_csv = {star_csv}\nomega0_sq = {first['omega0_sq']!r}"
     )
     chain_csv = tmp_path / "chain.csv"
-    back = run_experiment(cfg, out=str(chain_csv))
+    back = run_experiment(cfg, out=str(chain_csv), slow_ok=False)
     n, g = np.loadtxt(chain_csv, delimiter=",", skiprows=1, unpack=True)
     assert np.array_equal(n, np.arange(1, 101))
     assert np.max(np.abs(g - n**-2.5)) <= 1e-12
@@ -502,7 +520,7 @@ from qthermo.cli import parse_config_text, run_experiment
 out = sys.argv[1]
 for name, path in zip(sys.argv[2::2], sys.argv[3::2]):
     with open(path, encoding="utf-8") as fh:
-        run_experiment(parse_config_text(fh.read()), out=f"{out}/{name}.csv")
+        run_experiment(parse_config_text(fh.read()), out=f"{out}/{name}.csv", slow_ok=False)
 """
 
 

@@ -205,7 +205,7 @@ class TestCliTable:
             "T_min = 0.5\nT_max = 1.0\npoints = 3\n"
         )
         path = tmp_path / "curve.csv"
-        run_experiment(cfg, out=str(path))
+        run_experiment(cfg, out=str(path), slow_ok=False)
         lines = path.read_text().splitlines()
         assert lines[0] == "T,beta,sigma11,sigma22,qfi,rel_error_M1"
         grid = np.geomspace(0.5, 1.0, 3)
@@ -226,6 +226,17 @@ class TestCliTable:
         curve = qfi_curve(star, ts)
         for t, f, cov in zip(ts, curve.qfi, curve.covariances):
             q = SteadyStateQuery(star=star, T=t)
+            assert cov == steady_covariances(q)
+            assert f == clm_qfi(q)
+
+    def test_quadrature_sweep_matches_each_point(self, monkeypatch):
+        # with the pole sums off, qfi_curve takes the real axis at each T and
+        # shares the star's skeleton and tails; a fresh star per T has none
+        monkeypatch.setattr(clm, "_EXACT", (DiscreteModes,))
+        ts = (0.5, 0.7, 1.0)
+        curve = qfi_curve(fig2_star(1.0), ts)
+        for t, f, cov in zip(ts, curve.qfi, curve.covariances):
+            q = SteadyStateQuery(star=fig2_star(1.0), T=t)
             assert cov == steady_covariances(q)
             assert f == clm_qfi(q)
 
@@ -411,8 +422,8 @@ class TestPoleSums:
             "experiment = clm-qfi\ngamma = 0.1\nomega_c = 100\nomega0_sq = 1e-6\n"
             "T_min = 1e-3\nT_max = 1e-1\n"
         )
-        run_experiment(cfg, out=str(tmp_path / "fig2b.csv"))
-        clm_qfi_fidelity(SteadyStateQuery(star=fig2_star(1.0), T=1e-2))
+        run_experiment(cfg, out=str(tmp_path / "fig2b.csv"), slow_ok=False)
+        clm_qfi_fidelity(SteadyStateQuery(star=fig2_star(1.0), T=1e-2), step_fraction=1e-3)
 
     def test_unphysical_state_is_refused(self):
         # ROADMAP item 1's factor makes this weakly damped star's state
@@ -519,7 +530,7 @@ class TestDiscreteStar:
         # the star solves its secular equation for the first of them only
         calls = self.count_dlasd4(monkeypatch)
         q = SteadyStateQuery(star=make_star(self.modes, omega0_sq=1.0), T=0.5)
-        clm_qfi_fidelity(q)
+        clm_qfi_fidelity(q, step_fraction=1e-3)
         clm_qfi(q)
         assert sorted(calls) == [0, 1, 2, 3]
 

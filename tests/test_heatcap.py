@@ -188,7 +188,7 @@ def test_bad_temperature_is_rejected(T):
     spec = IsingSpec(J=1.0, h=0.5, N=100)
     m = ModeSystem("bosonic", (0.5, 1.0))
     calls = (
-        lambda: ising_heat_capacity(spec, T),
+        lambda: ising_heat_capacity(spec, T, "exact"),
         lambda: ising_heat_capacity(spec, T, "asymptotic"),
         lambda: mode_heat_capacity("bosonic", 1.0, T),
         lambda: lattice_heat_capacity(m, T),

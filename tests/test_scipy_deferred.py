@@ -26,7 +26,7 @@ env = None
 if len(sys.argv) > 1:
     with open(sys.argv[1], encoding="utf-8") as fh:
         cfg = qthermo.cli.parse_config_text(fh.read())
-    env = qthermo.cli.run_experiment(cfg, out=sys.argv[2])["env"]
+    env = qthermo.cli.run_experiment(cfg, out=sys.argv[2], slow_ok=False)["env"]
 print(json.dumps({"scipy": sorted(m for m in sys.modules if m.startswith("scipy")), "env": env}))
 """
 

@@ -11,7 +11,6 @@ from qthermo import (
     ExponentialCutoff,
     IntegrationError,
     LorentzDrude,
-    PoleError,
     StarSpec,
     discretization_residual,
     discretize_clm,
@@ -145,14 +144,10 @@ class TestSelfEnergy:
                     oracle = (near + far) / mp.pi
             assert self_energy(sd, w) == pytest.approx(float(oracle), rel=1e-8), w
 
-    def test_discrete_single_mode(self):
-        modes = DiscreteModes((2.0,), (1.0,))
-        assert self_energy(modes, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
-
-    def test_discrete_pole(self):
-        modes = DiscreteModes((2.0,), (1.0,))
-        with pytest.raises(PoleError):
-            self_energy(modes, 2.0)
+    def test_discrete_modes_are_refused(self):
+        # a discrete star takes the normal-mode route, never the self-energy
+        with pytest.raises(TypeError, match="continuous spectral density"):
+            self_energy(DiscreteModes((2.0,), (1.0,)), 1.0)
 
 
 class TestSusceptibility:
