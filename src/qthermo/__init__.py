@@ -46,8 +46,6 @@ from .gaussian import (
     CovarianceDerivatives,
     QfiCurve,
     SingleModeCovariance,
-    coth,
-    csch2,
     qfi_from_derivatives,
     qfi_from_fidelity,
     thermal_mode_covariance,

@@ -19,10 +19,11 @@ once per star and refusing an unphysical state, det < 1/4, in _physical:
 * normal modes (a discrete star): gaussian's mode sum over sqrt(lam_j) with
   the probe's weights c_j^2, which mapping._probe_column returns;
 * the real axis (ExponentialCutoff, or wmin > 0): adaptive quadrature at
-  spectral.QUAD_TOL of sd.j, susceptibility_real and coth or csch2, with the
-  breakpoints but T and omega_min (StarSpec._skeleton) and the s11 and s22
-  tails beyond B >= 1000 T (StarSpec._tails; coth is 1.0 and csch^2 0.0
-  there) kept on the star; a failed QUADPACK call raises IntegrationError.
+  spectral.QUAD_TOL of _weight (J/|alpha|^2, inline for Lorentz-Drude,
+  sd.j and susceptibility_real otherwise) times _kernel (coth or csch^2),
+  with the breakpoints but T and omega_min (StarSpec._skeleton) and the s11
+  and s22 tails beyond B >= 1000 T (StarSpec._tails; coth is 1.0 and csch^2
+  0.0 there) kept on the star; a failed QUADPACK call raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .gaussian import (
     SingleModeCovariance,
     _mode_frequencies,
     _mode_sums,
-    coth,
-    csch2,
     qfi_from_derivatives,
     qfi_from_fidelity,
 )
@@ -180,25 +179,50 @@ def _integrate(f, lo: float, pts: list[float], B: float, tails: dict | None, p: 
     return total
 
 
-def _weighted_moments(q: SteadyStateQuery, derivative: bool) -> tuple[float, float, float, float]:
-    """(1/pi) int w^p J/|alpha|^2 kernel dw for p = 0 and 2, plus (lo, B).
+def _weight(star: StarSpec):
+    """w -> J/|alpha|^2, Im alpha = J: this Re alpha's Kramers-Kronig partner
+    is J/2 (ROADMAP item 1; _poles' P as well).  Lorentz-Drude inlines
+    LorentzDrude.j and susceptibility_real, bit for bit."""
+    sd, trap = star.sd, star.omega0_sq + star.omega_R_sq
+    if not isinstance(sd, LorentzDrude):
+        def weight(w: float) -> float:
+            jw, re = sd.j(w), susceptibility_real(star, w)
+            return jw / (re * re + jw * jw)
 
-    The kernel is coth(w/2T), or its T-derivative (w/2T^2) csch^2(w/2T) when
-    derivative.  |alpha|^2 = (Re alpha)^2 + J^2 takes Im alpha = J, but this Re
-    alpha's Kramers-Kronig partner is J/2 (ROADMAP item 1; _poles' P as well).
-    """
-    star, t2, tt2 = q.star, 2.0 * q.T, 2.0 * q.T * q.T
+        return weight
+    g2, wc2, gwc3 = 2.0 * sd.gamma, sd.omega_c**2, sd.gamma * sd.omega_c**3
 
     def weight(w: float) -> float:
-        jw = star.sd.j(w)
-        re = susceptibility_real(star, w)
+        d = w * w + wc2
+        jw, re = g2 * w * wc2 / d, trap - w * w - gwc3 / d
         return jw / (re * re + jw * jw)
 
-    def kernel(w: float) -> float:
-        return (w / tt2) * csch2(w / t2) if derivative else coth(w / t2)
+    return weight
 
+
+def _kernel(T: float, derivative: bool):
+    """w -> coth(w/2T) = 1 + 2/expm1(w/T), or its T-derivative (w/2T^2)
+    csch^2(w/2T) when derivative; beyond w/2T = 350 exactly 1.0 and 0.0."""
+    t2, tt2 = 2.0 * T, 2.0 * T * T
+
+    def kernel(w: float) -> float:
+        x = w / t2
+        if x > 350.0:
+            return 0.0 if derivative else 1.0
+        if derivative:
+            s = math.sinh(x)
+            return (w / tt2) * (1.0 / (s * s))
+        return 1.0 + 2.0 / math.expm1(2.0 * x)
+
+    return kernel
+
+
+def _weighted_moments(q: SteadyStateQuery, derivative: bool) -> tuple[float, float, float, float]:
+    """(1/pi) int w^p _weight _kernel dw, p = 0 and 2, plus (lo, B); Im alpha = J
+    in both branches of _weight.  A Lorentz-Drude node runs three frames."""
+    weight, kernel = _weight(q.star), _kernel(q.T, derivative)
     lo, pts, B = _breakpoints(q)
-    tails = None if derivative else star._tails
+    tails = None if derivative else q.star._tails
     m0 = _integrate(lambda w: weight(w) * kernel(w), lo, pts, B, tails, 0) / np.pi
     m2 = _integrate(lambda w: w * w * weight(w) * kernel(w), lo, pts, B, tails, 2) / np.pi
     return m0, m2, lo, B

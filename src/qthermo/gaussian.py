@@ -37,30 +37,6 @@ PHYSICALITY_TOL = 1e-12
 _MIN_STEP_FACTOR = 1e3 * np.finfo(float).eps
 
 
-def coth(x: float) -> float:
-    """coth(x) for x > 0, evaluated as 1 + 2/expm1(2x).
-
-    Avoids the catastrophic cancellation of cosh/sinh at small x and is
-    exact (1.0) once expm1 overflows, which covers beta*Delta up to ~1e3
-    and far beyond.
-    """
-    if not x > 0.0:
-        raise ValueError(f"coth requires x > 0, got {x}")
-    if x > 350.0:
-        return 1.0
-    return 1.0 + 2.0 / math.expm1(2.0 * x)
-
-
-def csch2(x: float) -> float:
-    """1/sinh(x)^2 for x > 0, underflowing gracefully to 0 at large x."""
-    if not x > 0.0:
-        raise ValueError(f"csch2 requires x > 0, got {x}")
-    if x > 350.0:
-        return 0.0
-    s = math.sinh(x)
-    return 1.0 / (s * s)
-
-
 @dataclass(frozen=True)
 class SingleModeCovariance:
     """Diagonal covariance matrix diag(s11, s22) of one bosonic mode.

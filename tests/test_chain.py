@@ -33,7 +33,7 @@ from qthermo import (
 )
 from qthermo import chain as chain_mod
 from qthermo.chain import gap_error
-from qthermo.gaussian import QfiCurve, coth, csch2, qfi_from_derivatives, qfi_from_fidelity
+from qthermo.gaussian import QfiCurve, qfi_from_derivatives, qfi_from_fidelity
 
 
 def dense_node_covariance(c: ChainSpec, T: float):
@@ -266,8 +266,7 @@ def test_bad_temperature_is_rejected(T):
     # a NaN used to pass as "large x" in coth and return the T = 0 state;
     # the gapless chain shows the temperature check comes before the
     # zero-mode check.  A thermal mode's omega takes the same bad values
-    # (NaN and inf used to give NaN or inf moments); coth and csch2 reject
-    # the same x but inf, where they take their limits 1 and 0.
+    # (NaN and inf used to give NaN or inf moments).
     c = gapless_fig3_chain(N=10)
     star = make_star(LorentzDrude(0.1, 100.0), omega0_sq=1.0)
     calls = (
@@ -282,10 +281,6 @@ def test_bad_temperature_is_rejected(T):
         lambda: thermal_mode_derivatives(T, 1.0),
         lambda: qfi_from_fidelity(lambda t: thermal_mode_covariance(1.0, 1.0), T, 1e-3),
     )
-    if T != math.inf:
-        calls += (lambda: coth(T), lambda: csch2(T))
-    else:
-        assert (coth(T), csch2(T)) == (1.0, 0.0)
     for call in calls:
         with pytest.raises(ValueError):
             call()

@@ -33,7 +33,7 @@ from qthermo import (
     steady_covariances,
     thermal_mode_covariance,
 )
-from qthermo import clm, gaussian, mapping, spectral
+from qthermo import clm, mapping, spectral
 from qthermo.cli import parse_config_text, run_experiment
 from qthermo.gaussian import qfi_from_derivatives
 
@@ -248,8 +248,8 @@ def real_axis(star, T, omega_min=1e-3):
 
 
 def count_weight_calls(monkeypatch):
-    """Count J, S, coth and csch2 calls in total and at quadrature nodes."""
-    total = dict.fromkeys(("j", "self_energy", "coth", "csch2"), 0)
+    """Count J and S calls in total and at quadrature nodes."""
+    total = dict.fromkeys(("j", "self_energy"), 0)
     at_nodes = dict.fromkeys(total, 0)
     nodes = []
 
@@ -274,29 +274,33 @@ def count_weight_calls(monkeypatch):
 
         return real_integrate(node, *args)
 
-    monkeypatch.setattr(LorentzDrude, "j", counted("j", LorentzDrude.j))
+    for family in (LorentzDrude, ExponentialCutoff):
+        monkeypatch.setattr(family, "j", counted("j", family.j))
     monkeypatch.setattr(spectral, "self_energy", counted("self_energy", spectral.self_energy))
-    coth, csch2 = counted("coth", gaussian.coth), counted("csch2", gaussian.csch2)
-    for module in (clm, gaussian):
-        monkeypatch.setattr(module, "coth", coth)
-        monkeypatch.setattr(module, "csch2", csch2)
     monkeypatch.setattr(clm, "_integrate", integrate)
     return total, at_nodes, nodes
 
 
 class TestWeightEvaluations:
     @pytest.mark.parametrize("moments", [steady_covariances, covariance_T_derivatives])
-    def test_one_j_call_per_integrand_node(self, monkeypatch, moments):
-        # a node composes J, S (through Re alpha) and one kernel once each;
-        # off the nodes J runs only for the low-frequency slope and the
+    def test_lorentz_drude_nodes_call_no_library_function(self, monkeypatch, moments):
+        # a Lorentz-Drude node evaluates J and S inline (clm._weight); off
+        # the nodes J runs only for the low-frequency slope and the
         # resonance width
         total, at_nodes, nodes = count_weight_calls(monkeypatch)
         moments(real_axis(fig2_star(1.0), 1e-2))
         assert len(nodes) > 100
         assert total["j"] - at_nodes["j"] <= 2
-        expected = dict.fromkeys(at_nodes, len(nodes))
-        expected["csch2" if moments is steady_covariances else "coth"] = 0
-        assert at_nodes == expected
+        assert at_nodes == {"j": 0, "self_energy": 0}
+
+    @pytest.mark.parametrize("moments", [steady_covariances, covariance_T_derivatives])
+    def test_other_families_compose_one_self_energy_per_node(self, monkeypatch, moments):
+        # the composed branch: Re alpha takes S once per node (its PV
+        # quadrature calls J many times)
+        _, at_nodes, nodes = count_weight_calls(monkeypatch)
+        moments(SteadyStateQuery(star=make_star(ExponentialCutoff(0.1, 2.0, 1.0), 1.0), T=0.05))
+        assert len(nodes) > 100
+        assert at_nodes["self_energy"] == len(nodes)
 
     def test_sweep_finds_the_resonance_once(self, monkeypatch):
         # the root of Re alpha does not depend on T: one brentq per star,

@@ -7,6 +7,7 @@ an edit there can change them.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from qthermo import (
 from qthermo import clm
 from qthermo.gaussian import PHYSICALITY_TOL
 from qthermo.mapping import _probe_column
+from qthermo.spectral import susceptibility_real
 
 FIXED = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -339,6 +341,63 @@ def test_reservoir_work_kept_on_the_star_changes_no_result(sweep):
     fresh = [qfi_curve(make_star(sd, omega0_sq), [t]) for t in grid]
     assert list(curve.qfi) == [c.qfi[0] for c in fresh]
     assert list(curve.covariances) == [c.covariances[0] for c in fresh]
+
+
+def composed_weight(star):
+    """J/|alpha|^2 composed from the library's J and Re alpha, as the real
+    axis took it before clm._weight inlined the Lorentz-Drude family."""
+
+    def weight(w):
+        jw = star.sd.j(w)
+        re = susceptibility_real(star, w)
+        return jw / (re * re + jw * jw)
+
+    return weight
+
+
+def composed_kernel(T, derivative):
+    """coth(w/2T), or (w/2T^2) csch^2(w/2T), through the scalar coth and
+    csch2 that the real axis called before clm._kernel inlined them."""
+
+    def coth(x):
+        return 1.0 if x > 350.0 else 1.0 + 2.0 / math.expm1(2.0 * x)
+
+    def csch2(x):
+        return 0.0 if x > 350.0 else 1.0 / (math.sinh(x) * math.sinh(x))
+
+    def kernel(w):
+        return (w / (2.0 * T * T)) * csch2(w / (2.0 * T)) if derivative else coth(w / (2.0 * T))
+
+    return kernel
+
+
+@st.composite
+def ld_real_axis_queries(draw):
+    """A Lorentz-Drude star, free (omega_0 = 0) or trapped, an infrared
+    cutoff from 1e-7 to 1e-3 and a temperature from 1e-3 to 5: x = w/2T
+    runs from below 1 at omega_min to beyond 350 at B >= 1000 T."""
+    sd = LorentzDrude(draw(st.floats(0.01, 0.5)), draw(st.floats(1.0, 200.0)))
+    star = make_star(sd, draw(st.one_of(st.just(0.0), st.floats(1e-6, 10.0))))
+    omega_min = 10.0 ** draw(st.floats(-7.0, -3.0))
+    return SteadyStateQuery(star=star, T=10.0 ** draw(st.floats(-3.0, 0.7)), omega_min=omega_min)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ld_real_axis_queries(), st.floats(1e-9, 1e5))
+# the free_probe recipe's star at its smallest cutoff
+@example(SteadyStateQuery(make_star(LorentzDrude(0.1, 100.0), 0.0), T=1e-3, omega_min=1e-7), 1.0)
+def test_inline_real_axis_is_the_composed_one_bit_for_bit(q, w):
+    inline, composed = clm._weight(q.star), composed_weight(q.star)
+    for v in (w, *np.geomspace(q.omega_min, 1e5, 200)):
+        assert inline(float(v)) == composed(float(v))
+    for derivative in (False, True):
+        # a fresh star each, so neither side reads the other's kept tails
+        fresh = replace(q, star=make_star(q.star.sd, q.star.omega0_sq))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clm, "_weight", composed_weight)
+            mp.setattr(clm, "_kernel", composed_kernel)
+            expected = clm._weighted_moments(fresh, derivative)
+        assert clm._weighted_moments(q, derivative) == expected
 
 
 @FIXED

@@ -21,9 +21,9 @@ import qthermo
 SRC = Path(qthermo.__file__).resolve().parent
 REPO = Path(__file__).resolve().parent.parent
 
-MAX_EXPORTS = 66
+MAX_EXPORTS = 64
 MAX_PUBLIC_DEFAULTS = 8
-MAX_SOURCE_LINES = 2378
+MAX_SOURCE_LINES = 2376
 
 
 def _exports() -> list[str]:
