@@ -22,8 +22,9 @@ once per star and refusing an unphysical state, det < 1/4, in _physical:
   spectral.QUAD_TOL of _weight (J/|alpha|^2, inline for Lorentz-Drude,
   sd.j and susceptibility_real otherwise) times _kernel (coth or csch^2),
   with the breakpoints but T and omega_min (StarSpec._skeleton) and the s11
-  and s22 tails beyond B >= 1000 T (StarSpec._tails; coth is 1.0 and csch^2
-  0.0 there) kept on the star; a failed QUADPACK call raises IntegrationError.
+  and s22 tails beyond B >= 1000 T (StarSpec._tails) kept on the star.  A
+  ladder of cutoffs integrates [wmin_1, inf) once, and each smaller cutoff
+  adds its own segment; a failed QUADPACK call raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -217,12 +218,14 @@ def _kernel(T: float, derivative: bool):
     return kernel
 
 
-def _weighted_moments(q: SteadyStateQuery, derivative: bool) -> tuple[float, float, float, float]:
-    """(1/pi) int w^p _weight _kernel dw, p = 0 and 2, plus (lo, B); Im alpha = J
-    in both branches of _weight.  A Lorentz-Drude node runs three frames."""
+def _weighted_moments(q: SteadyStateQuery, derivative: bool, hi: float) -> tuple:
+    """(1/pi) int w^p _weight _kernel dw, p = 0 and 2, over [lo, inf), or over
+    [lo, hi] for any finite hi (the breakpoints below hi, no tail), and (lo, B or hi)."""
     weight, kernel = _weight(q.star), _kernel(q.T, derivative)
     lo, pts, B = _breakpoints(q)
-    tails = None if derivative else q.star._tails
+    if hi < math.inf:
+        pts, B = [p for p in pts if p < hi], hi
+    tails = None if derivative or hi < math.inf else q.star._tails
     m0 = _integrate(lambda w: weight(w) * kernel(w), lo, pts, B, tails, 0) / np.pi
     m2 = _integrate(lambda w: w * w * weight(w) * kernel(w), lo, pts, B, tails, 2) / np.pi
     return m0, m2, lo, B
@@ -319,7 +322,7 @@ def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
     """Stationary probe covariance for the query's reservoir and temperature."""
     if q.omega_min == 0.0 and isinstance(q.star.sd, _EXACT):
         return _exact_moments(q.star, [q.T])[0][0]
-    s11, s22, lo, B = _weighted_moments(q, derivative=False)
+    s11, s22, lo, B = _weighted_moments(q, False, math.inf)
     return _physical(SingleModeCovariance(s11, s22), f"quadrature diagnostics: lo={lo!r} B={B!r}")
 
 
@@ -327,7 +330,7 @@ def covariance_T_derivatives(q: SteadyStateQuery) -> CovarianceDerivatives:
     """d(s11)/dT and d(s22)/dT by differentiating under the integral."""
     if q.omega_min == 0.0 and isinstance(q.star.sd, _EXACT):
         return _exact_moments(q.star, [q.T])[0][1]
-    a1, a2, _, _ = _weighted_moments(q, derivative=True)
+    a1, a2, _, _ = _weighted_moments(q, True, math.inf)
     return CovarianceDerivatives(a1=a1, a2=a2)
 
 
@@ -338,11 +341,7 @@ def clm_qfi(q: SteadyStateQuery) -> float:
 
 def clm_qfi_fidelity(q: SteadyStateQuery, step_fraction: float) -> float:
     """Cross-check route: finite-difference fidelity on the steady family."""
-
-    def cov_at(temp: float) -> SingleModeCovariance:
-        return steady_covariances(replace(q, T=temp))
-
-    return qfi_from_fidelity(cov_at, q.T, step_fraction=step_fraction)
+    return qfi_from_fidelity(lambda t: steady_covariances(replace(q, T=t)), q.T, step_fraction)
 
 
 def qfi_curve(star: StarSpec, temperatures) -> QfiCurve:
@@ -364,10 +363,11 @@ def free_probe_qfi_limit(
 ) -> tuple[float, list[tuple[float, float]]]:
     """QFI of the omega_0 = 0 probe in the infrared-cutoff limit.
 
-    Evaluates F(T, wmin) along a decreasing sequence (default geometric,
-    ratio 10, from 1e-4 to 1e-7) and extrapolates wmin -> 0 with a linear
-    fit F = F_inf + c*wmin over the last three points.  The trapping is
-    provided entirely by omega_R.
+    Evaluates F(T, wmin), the probe trapped by omega_R alone, along a
+    decreasing sequence (default geometric, ratio 10, from 1e-4 to 1e-7):
+    the moments over [wmin_1, inf) once, then each smaller cutoff adds its
+    segment [wmin_k, wmin_(k-1)] to running sums.  A linear fit F = F_inf
+    + c*wmin over the last three points extrapolates wmin -> 0.
     """
     if star.omega0_sq != 0.0:
         raise ValueError("free_probe_qfi_limit requires omega0_sq = 0")
@@ -376,16 +376,15 @@ def free_probe_qfi_limit(
     seq = [float(w) for w in omega_min_sequence]
     if len(seq) < 3 or any(b >= a for a, b in zip(seq, seq[1:])):
         raise ValueError("omega_min_sequence must be decreasing with >= 3 entries")
-    samples: list[tuple[float, float]] = []
+    sums, hi, samples = [0.0] * 4, math.inf, []
     for wm in seq:
-        f = clm_qfi(SteadyStateQuery(star=star, T=T, omega_min=wm))
-        samples.append((wm, f))
+        q = SteadyStateQuery(star=star, T=T, omega_min=wm)
+        segment = _weighted_moments(q, False, hi)[:2] + _weighted_moments(q, True, hi)[:2]
+        sums, hi = [s + m for s, m in zip(sums, segment)], wm
+        cov = _physical(SingleModeCovariance(*sums[:2]), f"free probe at omega_min={wm!r}")
+        samples.append((wm, qfi_from_derivatives(cov, CovarianceDerivatives(*sums[2:]))))
     diffs = [abs(b[1] - a[1]) for a, b in zip(samples, samples[1:])]
     if diffs[-1] > 2.0 * diffs[-2] + 1e-12 * abs(samples[-1][1]):
-        raise ConvergenceError(
-            f"non-Cauchy tail in omega_min sequence: |dF| = {diffs!r}"
-        )
-    wm3 = np.array([s[0] for s in samples[-3:]])
-    f3 = np.array([s[1] for s in samples[-3:]])
-    _, intercept, _ = _linear_fit(wm3, f3)
+        raise ConvergenceError(f"non-Cauchy tail in omega_min sequence: |dF| = {diffs!r}")
+    _, intercept, _ = _linear_fit(*np.array(samples[-3:]).T)
     return intercept, samples

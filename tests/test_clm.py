@@ -302,6 +302,25 @@ class TestWeightEvaluations:
         assert len(nodes) > 100
         assert at_nodes["self_energy"] == len(nodes)
 
+    def test_free_probe_sweep_integrates_the_shared_axis_once(self, monkeypatch):
+        # [1e-4, inf) is integrated for the largest cutoff only, and each
+        # smaller cutoff adds only its segment: 9570 nodes when every cutoff
+        # integrated from its own omega_min
+        spans, real_quad = [], clm.quad
+
+        def quad(f, a, b, **kwargs):
+            spans.append((a, b))
+            return real_quad(f, a, b, **kwargs)
+
+        monkeypatch.setattr(clm, "quad", quad)
+        _, _, nodes = count_weight_calls(monkeypatch)
+        free_probe_qfi_limit(fig2_star(0.0), 1e-3)
+        wm = [1e-4 / 10.0**k for k in range(4)]
+        assert len(spans) == 18
+        segments = [(wm[k], wm[k - 1]) for k in (1, 2, 3) for _ in range(4)]
+        assert [s for s in spans if s[1] <= wm[0]] == segments
+        assert len(nodes) <= 4000
+
     def test_sweep_finds_the_resonance_once(self, monkeypatch):
         # the root of Re alpha does not depend on T: one brentq per star,
         # and the kept star still gives the fresh star's result exactly
@@ -463,11 +482,17 @@ class TestMpmathOracle:
                     memo[w] = (weight * mp.cosh(x) / sh, weight * w / (2 * T**2) / sh**2)
                 return memo[w]
 
-            # the thermal scale, the knee w0^2/J'(0), the resonance, the cutoff
-            knee, res = w0 / (2 * g), mp.findroot(re_alpha, 1)
-            pts = sorted({mp.mpf(0), T, 10 * T, 100 * T, knee, res, c, mp.inf})
+            # the thermal scale, the cutoff c, the knee w0^2/J'(0) when w0^2 > 0,
+            # the resonance when Re alpha has a root (the positive root u = w^2
+            # of u^2 - (w0^2 + g c - c^2) u - w0^2 c^2), and a ladder above wmin
+            lo, b = mp.mpf(q.omega_min), w0 + g * c - c**2
+            res_sq = (b + mp.sqrt(b**2 + 4 * w0 * c**2)) / 2
+            scales = {T, 10 * T, 100 * T, c} | ({w0 / (2 * g)} if w0 > 0 else set())
+            scales |= {mp.sqrt(res_sq)} if res_sq > 0 else set()
+            ladder = {lo * 10**k for k in range(1, 20) if lo * 10**k < 10 * c}
+            pts = [lo, *sorted(p for p in scales | ladder if p > lo), mp.inf]
             return [
-                float(mp.quad(lambda w: w**p * terms(w)[k], pts) / mp.pi)
+                mp.quad(lambda w: w**p * terms(w)[k], pts) / mp.pi
                 for k in (0, 1)
                 for p in (0, 2)
             ]
@@ -475,11 +500,20 @@ class TestMpmathOracle:
     def check(self, q, dps):
         # abs=0: approx's default abs=1e-12 would pass any a2 below 1e-12
         cov, der = steady_covariances(q), covariance_T_derivatives(q)
-        s11, s22, a1, a2 = self.moments(q, dps)
+        s11, s22, a1, a2 = (float(m) for m in self.moments(q, dps))
         assert cov.s11 == pytest.approx(s11, rel=1e-9, abs=0.0)
         assert cov.s22 == pytest.approx(s22, rel=1e-9, abs=0.0)
         assert der.a1 == pytest.approx(a1, rel=1e-9, abs=0.0)
         assert der.a2 == pytest.approx(a2, rel=1e-9, abs=0.0)
+
+    @staticmethod
+    def qfi(q, dps):
+        """F from the moments, in mpmath: qfi_from_derivatives' formula."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(dps):
+            s11, s22, a1, a2 = TestMpmathOracle.moments(q, dps)
+            num = a1 * a2 + 2 * s11**2 * a2**2 + 2 * s22**2 * a1**2
+            return float(4 * num / (16 * (s11 * s22) ** 2 - 1))
 
     @pytest.mark.parametrize("t", [1e-3, 1e-2])
     def test_fig2a_moments(self, t):
@@ -491,6 +525,15 @@ class TestMpmathOracle:
         # where every lam_k/2 pi T is large the derivative moments are the
         # summed series: the per-pole sums lost 4.2e-7 in a2 at T = 1e-5
         self.check(SteadyStateQuery(star=fig2_star(omega0_sq), T=t), dps=40)
+
+    def test_free_probe_sweep_at_30_digits(self):
+        # each cutoff adds its segment to the running sums of the larger one;
+        # the oracle integrates every cutoff from omega_min to inf on its own
+        _, samples = free_probe_qfi_limit(fig2_star(0.0), 1e-3)
+        assert len(samples) == 4
+        for wm, f in samples:
+            q = SteadyStateQuery(star=fig2_star(0.0), T=1e-3, omega_min=wm)
+            assert f == pytest.approx(self.qfi(q, dps=30), rel=1e-12, abs=0.0)
 
     def test_pole_sums_below_the_real_axis_floor(self):
         # a2 = 7.198e-13 lies far below the real axis's absolute floor
@@ -574,7 +617,7 @@ class TestDiscreteStar:
 class TestErrors:
     def test_non_cauchy_tail_raises_convergence_error(self, monkeypatch):
         values = iter([1.0, 1.1, 1.3, 2.0])
-        monkeypatch.setattr(clm, "clm_qfi", lambda q: next(values))
+        monkeypatch.setattr(clm, "qfi_from_derivatives", lambda cov, der: next(values))
         with pytest.raises(ConvergenceError, match="non-Cauchy"):
             free_probe_qfi_limit(fig2_star(0.0), 1e-3)
 

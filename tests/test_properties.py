@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from qthermo import (
     ChainSpec,
+    ConvergenceError,
     DiscreteModes,
     IntegrationError,
     LorentzDrude,
@@ -30,6 +31,7 @@ from qthermo import (
     clm_normal_modes,
     covariance_T_derivatives,
     fit_exponential_gap,
+    free_probe_qfi_limit,
     gapless_frequency_sq,
     loglog_fit,
     make_star,
@@ -243,7 +245,7 @@ def test_pole_sums_are_the_real_axis_integrals(q):
     # quadrature's absolute floor epsabs/QUAD_TOL = 1e-5 lies below the moment
     (cov, der), = clm._pole_moments(*q.star._exact, [q.T])
     try:
-        axis = clm._weighted_moments(q, False)[:2] + clm._weighted_moments(q, True)[:2]
+        axis = [m for d in (False, True) for m in clm._weighted_moments(q, d, math.inf)[:2]]
     except IntegrationError as exc:
         assert refused(exc)
         reject()
@@ -396,8 +398,40 @@ def test_inline_real_axis_is_the_composed_one_bit_for_bit(q, w):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clm, "_weight", composed_weight)
             mp.setattr(clm, "_kernel", composed_kernel)
-            expected = clm._weighted_moments(fresh, derivative)
-        assert clm._weighted_moments(q, derivative) == expected
+            expected = clm._weighted_moments(fresh, derivative, math.inf)
+        assert clm._weighted_moments(q, derivative, math.inf) == expected
+
+
+@st.composite
+def free_probe_sweeps(draw):
+    """A free (omega_0 = 0) Lorentz-Drude probe, a temperature from 1e-3 to 5
+    and a ratio-10 sequence of 3 to 5 cutoffs from 1e-4 to 1e-2 down."""
+    star = make_star(LorentzDrude(draw(st.floats(0.01, 0.5)), draw(st.floats(1.0, 200.0))), 0.0)
+    first = 10.0 ** draw(st.floats(-4.0, -2.0))
+    seq = [first / 10.0**k for k in range(draw(st.integers(3, 5)))]
+    return star, 10.0 ** draw(st.floats(-3.0, math.log10(5.0))), seq
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(free_probe_sweeps())
+# the free_probe recipe's star, temperature and cutoffs
+@example((make_star(LorentzDrude(0.1, 100.0), 0.0), 1e-3, [1e-4 / 10.0**k for k in range(4)]))
+def test_free_probe_sweep_is_the_per_query_qfi(sweep):
+    # the sweep integrates [omega_1, inf) once and adds each smaller cutoff's
+    # segment; every sample is the QFI of its own query from omega_min up,
+    # within perfbench's tolerance
+    star, T, seq = sweep
+    try:
+        _, samples = free_probe_qfi_limit(star, T, seq)
+    except ConvergenceError:  # cutoffs above T are short of their Cauchy tail
+        reject()
+    except IntegrationError as exc:
+        assert refused(exc)
+        reject()
+    assert [wm for wm, _ in samples] == seq
+    for wm, f in samples:
+        fresh = make_star(star.sd, 0.0)
+        assert f == pytest.approx(clm_qfi(SteadyStateQuery(fresh, T, wm)), rel=1e-8, abs=0.0)
 
 
 @FIXED
