@@ -74,7 +74,6 @@ from .spectral import (
     ExponentialCutoff,
     LorentzDrude,
     StarSpec,
-    discretization_residual,
     discretize_clm,
     make_star,
     renormalization_frequency_sq,

@@ -7,13 +7,12 @@ laws, warnings, wall time, and the versions behind the run.  Outputs are
 deterministic for a fixed BLAS thread count (chain-to-star's dense eigh
 may round per thread count, though fig4's 100-mode half block does not;
 star-to-chain tables are the same for any count):
-rows sorted by the sweep variable, floats as repr.  The omega,g mode tables
-and n,G coupling tables the CLI writes are also the inputs it reads
-(modes_csv, couplings_csv).
+rows sorted by the sweep variable, floats as repr.  The config is the only
+file a run reads.
 
-Exit codes: 0 success, 2 config validation (including a malformed input
-table), 3 computation, 4 I/O (the config, an input file it names, or an
-output); failures emit a machine-readable JSON payload on stderr.
+Exit codes: 0 success, 2 config validation, 3 computation, 4 I/O (reading
+the config, or writing the table or the summary); failures emit a
+machine-readable JSON payload on stderr.
 """
 
 from __future__ import annotations
@@ -159,39 +158,6 @@ def _fit_window(cfg: _Config, grid: np.ndarray) -> tuple[float, float] | None:
     return window
 
 
-def _read_columns(path: str, header: Sequence[str]) -> list[list[float]]:
-    """Columns of a CSV table in the format _write_outputs writes.
-
-    A table that is not UTF-8, lacks the exact header, has no rows, or has a
-    row that is not len(header) finite numbers is a ConfigError naming the
-    file and line; a missing file stays an OSError.
-    """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"input table {path} is not UTF-8 text: {exc}") from exc
-    want = ",".join(header)
-    if not lines or lines[0].strip() != want:
-        got = lines[0] if lines else ""
-        raise ConfigError(f"{path} line 1: expected header {want!r}, got {got!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError:
-            row = []
-        if len(row) != len(header) or not all(math.isfinite(v) for v in row):
-            raise ConfigError(
-                f"{path} line {lineno}: expected {len(header)} finite numbers, got {line!r}"
-            )
-        rows.append(row)
-    if not rows:
-        raise ConfigError(f"{path}: no rows under the header {want!r}")
-    return [list(col) for col in zip(*rows)]
-
-
 def _spectral_density(cfg: _Config) -> spectral_mod.ContinuousSpectralDensity:
     family = cfg.str_("family", "lorentz_drude")
     gamma = cfg.float_("gamma", _REQUIRED)
@@ -211,18 +177,12 @@ def _chain_spec(cfg: _Config) -> tuple[chain_mod.ChainSpec, bool]:
         base = chain_mod.power_law_chain(n_half, 0.0, G=cfg.float_("G", 1.0), t=cfg.float_("t", 2.5))
     elif family == "exponential":
         base = chain_mod.exponential_chain(n_half, 0.0, G=cfg.float_("G", 1.0), c=cfg.float_("c", 1.0))
-    elif family == "csv":
-        _, gs = _read_columns(cfg.str_("couplings_csv", _REQUIRED), COUPLINGS_COLUMNS)
-        if len(gs) != n_half:
-            raise ConfigError(f"couplings CSV holds N={len(gs)}, config says N={n_half}")
-        base = chain_mod.ChainSpec(N=n_half, omega_sq=0.0, couplings=tuple(gs))
     else:
         raise ConfigError(f"unknown coupling family {family!r}")
     gapless = cfg.bool_("gapless", False)
     gap = cfg.float_("gap", None)
     omega_sq = cfg.float_("omega_sq", None)
-    given = sum(x is not None and x is not False for x in (gapless or None, gap, omega_sq))
-    if given != 1:
+    if sum((gapless, gap is not None, omega_sq is not None)) != 1:
         raise ConfigError("give exactly one of gapless=true, gap=<Delta>, omega_sq=<value>")
     base_sq = chain_mod.gapless_frequency_sq(n_half, base.couplings)
     if gapless:
@@ -230,7 +190,7 @@ def _chain_spec(cfg: _Config) -> tuple[chain_mod.ChainSpec, bool]:
     elif gap is not None:
         omega_sq = base_sq + gap * gap
     chain = chain_mod.ChainSpec(N=n_half, omega_sq=float(omega_sq), couplings=base.couplings)
-    return chain, bool(gapless)
+    return chain, gapless
 
 
 Rows = list[list[float]]
@@ -264,6 +224,8 @@ def _run_tihc_qfi(cfg: _Config) -> ExperimentResult:
     ts = _temperature_grid(cfg)
     fit_kind = cfg.str_("fit", "none")
     window = _fit_window(cfg, ts)
+    if window and fit_kind == "none":
+        raise ConfigError("fit_window_lo and fit_window_hi need fit = power_law or exponential_gap")
     cfg.reject_unknown()
     fits = {
         "none": None,
@@ -294,24 +256,13 @@ def _run_chain_to_star(cfg: _Config) -> ExperimentResult:
     return MODES_COLUMNS, rows, [], [], extra
 
 
-def _star_from_cfg(cfg: _Config) -> spectral_mod.StarSpec:
-    modes_csv = cfg.str_("modes_csv", None)
-    omega0_sq = cfg.float_("omega0_sq", 0.0)
-    if modes_csv is not None:
-        omegas, gs = _read_columns(modes_csv, MODES_COLUMNS)
-        modes = spectral_mod.DiscreteModes(tuple(omegas), tuple(gs))
-        return spectral_mod.make_star(modes, omega0_sq=omega0_sq)
-    sd = _spectral_density(cfg)
-    return spectral_mod.discretize_clm(
-        sd,
+def _run_star_to_chain(cfg: _Config) -> ExperimentResult:
+    star = spectral_mod.discretize_clm(
+        _spectral_density(cfg),
         n_modes=cfg.int_("n_modes", _REQUIRED),
         omega_max=cfg.float_("omega_max", _REQUIRED),
-        omega0_sq=omega0_sq,
+        omega0_sq=cfg.float_("omega0_sq", 0.0),
     )
-
-
-def _run_star_to_chain(cfg: _Config) -> ExperimentResult:
-    star = _star_from_cfg(cfg)
     window = _window("fit_n", cfg.int_)
     if window and window[0] < 1:
         raise ConfigError("fit_n_lo must be >= 1")
@@ -346,8 +297,9 @@ def _run_discretize(cfg: _Config) -> ExperimentResult:
     rows = [[w, g] for w, g in zip(modes.omegas, modes.gs)]
     extra = {"omega_R_sq": star.omega_R_sq}
     if isinstance(sd, spectral_mod.LorentzDrude):
-        deficit, predicted = spectral_mod.discretization_residual(sd, n_modes, omega_max)
-        extra.update({"deficit": deficit, "predicted_leading": predicted})
+        # omega_R^2's deficit and its leading term (N >> omega_max/omega_c >> 1)
+        extra["deficit"] = sd.gamma * sd.omega_c - star.omega_R_sq
+        extra["predicted_leading"] = sd.gamma * omega_max / (np.pi * n_modes)
     return MODES_COLUMNS, rows, [], list(star.warnings), extra
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .chain import ChainSpec, gapless_frequency_sq, power_law_chain
 from .errors import ConvergenceError
 from .fits import ScalingFit, _r_squared
-from .spectral import DiscreteModes, StarSpec, make_star
+from .spectral import DiscreteModes, StarSpec
 
 # Star-mode indices n (ascending frequency) at which star_coupling_scaling
 # fits g_n ~ n N^(-3/2).
@@ -65,11 +65,6 @@ class EffectiveStar:
     @property
     def g_array(self) -> np.ndarray:
         return np.array([g for _, g in self.coupled_modes])
-
-    def to_star_spec(self) -> StarSpec:
-        """StarSpec with the bare probe frequency chain_to_star found."""
-        sd = DiscreteModes(tuple(self.omega_array), tuple(self.g_array))
-        return make_star(sd, self.omega0_sq)
 
 
 @dataclass(frozen=True)

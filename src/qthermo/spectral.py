@@ -284,20 +284,3 @@ def discretize_clm(
             f"{omega_max / sd.omega_c:.3g}; omega_R^2 will be biased",
         )
     return StarSpec(omega0_sq=omega0_sq, sd=modes, warnings=warnings)
-
-
-def discretization_residual(
-    sd: LorentzDrude, n_modes: int, omega_max: float
-) -> tuple[float, float]:
-    """(deficit, predicted leading term) of the discretized omega_R^2.
-
-    deficit = gamma wc - sum g_n^2/w_n^2; the leading prediction is
-    gamma wc * omega_max/(pi N wc), valid for N >> omega_max/wc >> 1.
-    """
-    if not isinstance(sd, LorentzDrude):
-        raise TypeError("discretization_residual is defined for LorentzDrude only")
-    star = discretize_clm(sd, n_modes, omega_max)
-    deficit = sd.gamma * sd.omega_c - star.omega_R_sq
-    predicted = sd.gamma * omega_max / (np.pi * n_modes)
-    return deficit, predicted
-

@@ -167,17 +167,6 @@ class TestRunExperiment:
         assert summary["gap"] == qthermo.chain.chain_spectrum(chain).gap
         assert summary["gap"] == pytest.approx(0.4, rel=1e-6)
 
-    def test_tihc_couplings_from_csv(self, tmp_path):
-        csv_path = tmp_path / "g.csv"
-        csv_path.write_text("n,G\n" + "".join(f"{n},{1.0 / n**2.5!r}\n" for n in range(1, 13)))
-        cfg = parse_config_text(
-            "experiment = tihc-qfi\nN = 12\ncoupling_family = csv\n"
-            f"couplings_csv = {csv_path}\n"
-            "gap = 0.3\nT_min = 0.05\nT_max = 0.2\npoints = 4"
-        )
-        summary = run_experiment(cfg, out=str(tmp_path / "tihc_csv.csv"), slow_ok=False)
-        assert summary["gap"] == pytest.approx(0.3, rel=1e-6)
-
     def test_unknown_tihc_fit_fails_before_the_sweep(self, tmp_path, monkeypatch):
         def sweep(*args, **kwargs):
             raise AssertionError("the sweep ran before the fit kind was checked")
@@ -189,6 +178,25 @@ class TestRunExperiment:
         )
         with pytest.raises(ConfigError, match="bogus"):
             run_experiment(cfg, out=str(tmp_path / "never.csv"), slow_ok=False)
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("fit", ["", "fit = none\n"], ids=["absent", "none"])
+    def test_tihc_fit_window_without_a_fit_fails_before_the_sweep(
+        self, tmp_path, monkeypatch, fit
+    ):
+        # used to exit 0 with "fits": [], the window silently ignored
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the fit window was checked")
+
+        monkeypatch.setattr(qthermo.chain, "node_moments", sweep)
+        cfg = parse_config_text(
+            "experiment = tihc-qfi\nN = 12\ngap = 0.3\nT_min = 0.05\nT_max = 0.2\n"
+            "points = 6\nfit_window_lo = 0.06\nfit_window_hi = 0.15\n" + fit
+        )
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(cfg, out=str(tmp_path / "never.csv"), slow_ok=False)
+        for key in ("fit_window_lo", "fit_window_hi", "fit ="):
+            assert key in str(exc.value)
         assert not (tmp_path / "never.csv").exists()
 
     def test_tihc_builds_the_chain_spectrum_once(self, tmp_path, monkeypatch):
@@ -293,12 +301,15 @@ class TestMainExitCodes:
 
     def test_tolerance_config_key_is_unknown(self, tmp_path, capsys):
         # no recipe set these keys, so none is read: clm-qfi's infrared
-        # cutoff, the table format, free-probe-limit's omega_min ladder and
-        # discretize's omega0_sq, on which no output depends
+        # cutoff, the table format, free-probe-limit's omega_min ladder,
+        # discretize's omega0_sq, on which no output depends, and the input
+        # tables of star-to-chain and tihc-qfi, which used to be opened
         free_cfg = "experiment = free-probe-limit\ngamma = 0.1\nomega_c = 100\nT = 1e-3\n"
         modes_cfg = (
             "experiment = discretize\ngamma = 0.1\nomega_c = 2\nn_modes = 40\nomega_max = 20\n"
         )
+        star_cfg = modes_cfg.replace("discretize", "star-to-chain") + "omega0_sq = 0.04\n"
+        tihc_cfg = "experiment = tihc-qfi\nN = 12\ngap = 0.3\nT_min = 0.05\nT_max = 0.2\n"
         cases = (
             ("clm-qfi", CLM_CFG, ("quad_tol = 1e-9", "omega_min = 1e-3", "format = json")),
             (
@@ -307,6 +318,8 @@ class TestMainExitCodes:
                 ("omega_min_start = 1e-4", "omega_min_count = 4", "omega_min_ratio = 10"),
             ),
             ("discretize", modes_cfg, ("omega0_sq = 0.04",)),
+            ("star-to-chain", star_cfg, (f"modes_csv = {tmp_path / 'modes.csv'}",)),
+            ("tihc-qfi", tihc_cfg, (f"couplings_csv = {tmp_path / 'couplings.csv'}",)),
         )
         for experiment, text, lines in cases:
             cfg_path = tmp_path / "tol.cfg"
@@ -318,6 +331,12 @@ class TestMainExitCodes:
             keys = sorted(line.split(" = ")[0] for line in lines)
             assert payload["message"] == f"unknown config keys: {keys}"
             assert not out.exists()
+        # the coupling family that read a table is as unknown as any other
+        cfg_path.write_text(tihc_cfg + "coupling_family = csv\n")
+        assert main(["tihc-qfi", "--config", str(cfg_path), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["message"] == "unknown coupling family 'csv'"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "window, message",
@@ -385,31 +404,6 @@ class TestMainExitCodes:
         assert main(["clm-qfi", "--config", str(tmp_path / "missing.cfg")]) == 4
 
     @pytest.mark.parametrize(
-        "key, cfg_text",
-        [
-            (
-                "couplings_csv",
-                "experiment = tihc-qfi\nN = 12\ncoupling_family = csv\n"
-                "gap = 0.3\nT_min = 0.05\nT_max = 0.2\npoints = 4\n",
-            ),
-            ("modes_csv", "experiment = star-to-chain\nomega0_sq = 0.04\n"),
-        ],
-        ids=["couplings_csv", "modes_csv"],
-    )
-    def test_missing_input_csv_is_4(self, tmp_path, capsys, key, cfg_text):
-        missing = tmp_path / "missing.csv"
-        cfg_path = tmp_path / "input.cfg"
-        cfg_path.write_text(cfg_text + f"{key} = {missing}\n")
-        out = tmp_path / "never.csv"
-        experiment = parse_config_text(cfg_text)["experiment"]
-        code = main([experiment, "--config", str(cfg_path), "--out", str(out)])
-        assert code == 4
-        payload = json.loads(capsys.readouterr().err.strip())
-        assert payload["error"] == "io-error" and payload["exit_code"] == 4
-        assert str(missing) in payload["message"]
-        assert not out.exists() and not out.with_suffix(".summary.json").exists()
-
-    @pytest.mark.parametrize(
         "cfg_text",
         [
             "experiment = heatcap\nJ = nan\nh = 1.0\nN = 100\nT_min = 0.1\nT_max = 1.0\n",
@@ -428,65 +422,6 @@ class TestMainExitCodes:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "computation-error"
         assert not out.exists() and not out.with_suffix(".summary.json").exists()
-
-    @pytest.mark.parametrize(
-        "body, line",
-        [
-            pytest.param(b"x,y\n1.0,0.5\n2.0,0.25\n", 1, id="header"),
-            pytest.param(b"{h}\n1.0,0.5\n2.0,abc\n", 3, id="non-numeric"),
-            pytest.param(b"{h}\n1.0,0.5,7.0\n2.0,0.25\n", 2, id="extra-column"),
-            pytest.param(b"{h}\n1.0,nan\n2.0,0.25\n", 2, id="non-finite"),
-            pytest.param(b"{h}\n", None, id="no-rows"),
-            pytest.param(b"{h}\n1.0,0.5\n2.0,0.25\xff\n", None, id="non-utf8"),
-        ],
-    )
-    @pytest.mark.parametrize(
-        "key, header, cfg_text",
-        [
-            (
-                "couplings_csv",
-                b"n,G",
-                "experiment = tihc-qfi\nN = 2\ncoupling_family = csv\n"
-                "gap = 0.3\nT_min = 0.05\nT_max = 0.2\npoints = 4\n",
-            ),
-            ("modes_csv", b"omega,g", "experiment = star-to-chain\nomega0_sq = 0.04\n"),
-        ],
-        ids=["couplings_csv", "modes_csv"],
-    )
-    def test_malformed_input_table_is_2(
-        self, tmp_path, capsys, key, header, cfg_text, body, line
-    ):
-        table = tmp_path / "table.csv"
-        table.write_bytes(body.replace(b"{h}", header))
-        cfg_path = tmp_path / "input.cfg"
-        cfg_path.write_text(cfg_text + f"{key} = {table}\n")
-        out = tmp_path / "never.csv"
-        experiment = parse_config_text(cfg_text)["experiment"]
-        assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 2
-        payload = json.loads(capsys.readouterr().err.strip())
-        assert payload["error"] == "config-error"
-        assert str(table) in payload["message"]
-        if line is not None:
-            assert f"line {line}:" in payload["message"]
-        assert not out.exists() and not out.with_suffix(".summary.json").exists()
-
-
-def test_chain_to_star_table_maps_back_through_star_to_chain(tmp_path):
-    # one omega,g format serves both directions: the fig4_gapped star, read
-    # back as modes_csv, rebuilds the chain's couplings G_n = n^-2.5
-    star_csv = tmp_path / "star.csv"
-    with open(REPO / "configs" / "fig4_gapped.cfg", encoding="utf-8") as fh:
-        first = run_experiment(parse_config_text(fh.read()), out=str(star_csv), slow_ok=False)
-    cfg = parse_config_text(
-        f"experiment = star-to-chain\nmodes_csv = {star_csv}\nomega0_sq = {first['omega0_sq']!r}"
-    )
-    chain_csv = tmp_path / "chain.csv"
-    back = run_experiment(cfg, out=str(chain_csv), slow_ok=False)
-    n, g = np.loadtxt(chain_csv, delimiter=",", skiprows=1, unpack=True)
-    assert np.array_equal(n, np.arange(1, 101))
-    assert np.max(np.abs(g - n**-2.5)) <= 1e-12
-    assert back["omega_sq"] == pytest.approx(first["probe_omega_sq"], rel=1e-12)
-
 
 
 # Recipe tables committed with the benchmark (perfbench/reference, seed 0).

@@ -20,6 +20,7 @@ from qthermo import (
     clm_normal_modes,
     discretize_clm,
     gapless_frequency_sq,
+    make_star,
     power_law_chain,
     star_coupling_scaling,
     star_to_chain,
@@ -38,6 +39,11 @@ def gapped_chain(N=100, delta=0.5, t=2.5):
     base = power_law_chain(N, 0.0, G=1.0, t=t)
     om2 = gapless_frequency_sq(N, base.couplings) + delta * delta
     return ChainSpec(N=N, omega_sq=om2, couplings=base.couplings)
+
+
+def star_spec(star):
+    """The StarSpec of an EffectiveStar: its coupled modes and bare frequency."""
+    return make_star(DiscreteModes(tuple(star.omega_array), tuple(star.g_array)), star.omega0_sq)
 
 
 def random_bounded_chain(rng, max_half=100):
@@ -66,15 +72,15 @@ class TestChainToStar:
     def test_gapless_renormalization_saturates_probe_frequency(self):
         c = gapless_chain()
         star = chain_to_star(c)
-        assert star.to_star_spec().omega_R_sq == pytest.approx(c.omega_sq, rel=1e-6)
+        assert star_spec(star).omega_R_sq == pytest.approx(c.omega_sq, rel=1e-6)
         # the star-picture bare probe frequency vanishes with the gap
-        assert star.to_star_spec().omega0_sq <= 1e-6 * c.omega_sq
+        assert star_spec(star).omega0_sq <= 1e-6 * c.omega_sq
 
     def test_exact_zero_mode_gives_an_exactly_free_probe(self):
         # the uniform mode Om^2 + 2 G_1 is exactly 0: 1/G_00(0) = 0, no warning
         star = chain_to_star(ChainSpec(N=1, omega_sq=1.0, couplings=(-0.5,)))
         assert star.omega0_sq == 0.0
-        assert star.to_star_spec().omega_R_sq == pytest.approx(1.0, rel=1e-15)
+        assert star_spec(star).omega_R_sq == pytest.approx(1.0, rel=1e-15)
 
     def test_unbounded_chain_is_refused(self):
         # its star would need a mode below zero; the spectrum check refuses it
@@ -126,7 +132,7 @@ class TestChainToStar:
                 continue
             found += 1
             star = chain_to_star(c)
-            assert star.to_star_spec().omega_R_sq <= c.omega_sq + 1e-9
+            assert star_spec(star).omega_R_sq <= c.omega_sq + 1e-9
 
     def test_gapless_lowest_mode_closes_with_size(self):
         lo_50 = chain_to_star(gapless_chain(N=50)).coupled_modes[0][0]
@@ -215,6 +221,16 @@ class TestStarToChain:
         # used to return NaN or infinite couplings flagged physical=True
         with pytest.raises(ValueError):
             star_to_chain([x, 2.0, 1.0])
+
+    def test_chain_to_star_maps_back_through_star_to_chain(self):
+        # the two mappings compose: fig4_gapped's star, rebuilt as a chain,
+        # gives back the couplings G_n = n^-2.5 and the node frequency
+        c = gapped_chain()
+        rec = star_to_chain(clm_normal_modes(star_spec(chain_to_star(c))))
+        n = np.arange(1, rec.chain.N + 1)
+        assert rec.chain.N == c.N
+        assert np.max(np.abs(rec.chain.coupling_array - n**-2.5)) <= 1e-12
+        assert rec.chain.omega_sq == pytest.approx(c.omega_sq, rel=1e-12)
 
     def test_desk_scale_lorentz_drude_reconstruction(self):
         # frozen desk-scale variant of the published N=2000 run

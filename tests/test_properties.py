@@ -50,6 +50,11 @@ from qthermo.spectral import susceptibility_real
 FIXED = settings(derandomize=True, max_examples=30, deadline=None)
 
 
+def star_spec(star):
+    """The StarSpec of an EffectiveStar: its coupled modes and bare frequency."""
+    return make_star(DiscreteModes(tuple(star.omega_array), tuple(star.g_array)), star.omega0_sq)
+
+
 @st.composite
 def physical_chains(draw, max_half=300):
     """Gapped power-law chains G_n = G/n^t: non-negative couplings, and a
@@ -194,7 +199,7 @@ def test_chain_node_is_the_probe_of_its_effective_star(chain):
     # chain has the chain's non-repeated modes, and the probe's weight in
     # each is the node's circulant weight, 1/(2N+1) for the uniform mode
     # and 2/(2N+1) for each cosine mode
-    star = chain_to_star(chain).to_star_spec()
+    star = star_spec(chain_to_star(chain))
     spec = chain.spectrum.array
     ev, c2 = _probe_column(star)
     # rounding is on the scale of the largest mode, as in any dense eigh
@@ -217,7 +222,7 @@ def test_chain_node_is_the_probe_of_its_effective_star(chain):
     # and the gapless chain's zero mode is the nearly free probe's: the one
     # zero-mode rule refuses both
     gapless = ChainSpec(chain.N, gapless_frequency_sq(chain.N, chain.couplings), chain.couplings)
-    free = SteadyStateQuery(star=chain_to_star(gapless).to_star_spec(), T=0.1)
+    free = SteadyStateQuery(star=star_spec(chain_to_star(gapless)), T=0.1)
     with pytest.raises(ZeroModeError):
         node_moments(gapless, [0.1], regularize_gapless=False)
     with pytest.raises(ZeroModeError):

@@ -12,7 +12,6 @@ from qthermo import (
     IntegrationError,
     LorentzDrude,
     StarSpec,
-    discretization_residual,
     discretize_clm,
     make_star,
     renormalization_frequency_sq,
@@ -20,7 +19,7 @@ from qthermo import (
     self_energy_pv,
     susceptibility_abs_sq,
 )
-from qthermo import spectral
+from qthermo import cli, spectral
 
 
 def ld_self_energy_closed(gamma, wc, w):
@@ -207,6 +206,22 @@ class TestDiscretize:
         star = discretize_clm(sd, 300, 30.0)
         cont = renormalization_frequency_sq(sd)
         assert star.omega_R_sq == pytest.approx(cont, rel=0.03)
+
+
+def discretization_residual(sd, n_modes, omega_max):
+    """(deficit, predicted leading term) of the discretized omega_R^2, as the
+    discretize experiment reports them: deficit = gamma wc - sum g_n^2/w_n^2,
+    and the leading prediction gamma omega_max/(pi N), valid for
+    N >> omega_max/wc >> 1."""
+    raw = {
+        "experiment": "discretize",
+        "gamma": repr(sd.gamma),
+        "omega_c": repr(sd.omega_c),
+        "n_modes": str(n_modes),
+        "omega_max": repr(omega_max),
+    }
+    *_, extra = cli._run_discretize(cli._Config(raw))
+    return extra["deficit"], extra["predicted_leading"]
 
 
 class TestDiscretizationResidual:
