@@ -184,6 +184,8 @@ def _chain_spec(cfg: _Config) -> tuple[chain_mod.ChainSpec, bool]:
     omega_sq = cfg.float_("omega_sq", None)
     if sum((gapless, gap is not None, omega_sq is not None)) != 1:
         raise ConfigError("give exactly one of gapless=true, gap=<Delta>, omega_sq=<value>")
+    if gap is not None and gap <= 0.0:
+        raise ConfigError(f"need gap > 0, got gap={gap!r}; a gapless chain takes gapless = true")
     base_sq = chain_mod.gapless_frequency_sq(n_half, base.couplings)
     if gapless:
         omega_sq = base_sq

@@ -1,7 +1,8 @@
 """Exact steady state of a Brownian probe in an Ohmic reservoir.
 
 The stationary covariances of the probe are frequency integrals weighted by
-the susceptibility,
+the susceptibility alpha(w) = w0^2 + wR^2 - w^2 - S(w) + i J(w), defined once
+in spectral; Im alpha = J is an open defect (ROADMAP item 1):
 
     s11 = (1/pi) int_{wmin}^inf  J(w)/|alpha(w)|^2 coth(w/2T) dw,
     s22 = (1/pi) int_{wmin}^inf  w^2 J(w)/|alpha(w)|^2 coth(w/2T) dw,
@@ -19,10 +20,9 @@ once per star and refusing an unphysical state, det < 1/4, in _physical:
 * normal modes (a discrete star): gaussian's mode sum over sqrt(lam_j) with
   the probe's weights c_j^2, which mapping._probe_column returns;
 * the real axis (ExponentialCutoff, or wmin > 0): adaptive quadrature at
-  spectral.QUAD_TOL of _weight (J/|alpha|^2, inline for Lorentz-Drude,
-  sd.j and susceptibility_real otherwise) times _kernel (coth or csch^2),
-  with the breakpoints but T and omega_min (StarSpec._skeleton) and the s11
-  and s22 tails beyond B >= 1000 T (StarSpec._tails) kept on the star.  A
+  spectral.QUAD_TOL of _weight (J/|alpha|^2) times _kernel (coth or
+  csch^2), with the breakpoints but T and omega_min (_skeleton) and the s11
+  and s22 tails beyond B >= 1000 T (_tail) kept in the star's memo.  A
   ladder of cutoffs integrates [wmin_1, inf) once, and each smaller cutoff
   adds its own segment; a failed QUADPACK call raises IntegrationError.
 """
@@ -47,7 +47,7 @@ from .gaussian import (
     qfi_from_fidelity,
 )
 from .mapping import _probe_column
-from .spectral import QUAD_TOL, DiscreteModes, LorentzDrude, StarSpec, _quad_value, susceptibility_real
+from .spectral import QUAD_TOL, DiscreteModes, LorentzDrude, StarSpec, _alpha, _quad_value, _rational_alpha
 
 # B_2j, j = 1..12, of the asymptotic series of psi and psi' (DLMF 5.11.2,
 # 5.15.8): from |x| = 10 on, 12 terms leave < 1e-17 of the first
@@ -99,10 +99,16 @@ class SteadyStateQuery:
             )
 
 
+def _kept(star: StarSpec, build):
+    """build(star), run once per star and kept in its memo under build."""
+    if build not in star._memo:
+        star._memo[build] = build(star)
+    return star._memo[build]
+
+
 def _skeleton(star: StarSpec) -> tuple[frozenset[float], float]:
     """The T-independent interior points and cap B0 of _breakpoints, with the
-    root of Re alpha found by bracketed root finding.  Callers read it as
-    StarSpec._skeleton, which runs this once per star."""
+    root of Re alpha found by bracketed root finding; _kept runs it."""
     sd, wc = star.sd, star.sd.omega_c
     pts = {0.1 * wc, wc, 10.0 * wc}
     eps = 1e-8 * wc
@@ -110,11 +116,10 @@ def _skeleton(star: StarSpec) -> tuple[frozenset[float], float]:
     if star.omega0_sq > 0.0:
         knee = star.omega0_sq / slope
         pts.update((0.1 * knee, knee, 10.0 * knee, 100.0 * knee))
-    re_alpha = partial(susceptibility_real, star)
     lo, hi = 1e-9 * wc, 10.0 * math.sqrt(star.omega0_sq + star.omega_R_sq) + 10.0 * wc
     B0 = 50.0 * wc
-    if re_alpha(lo) > 0.0 > re_alpha(hi):
-        res = float(brentq(re_alpha, lo, hi, rtol=1e-14))
+    if _alpha(star, lo)[0] > 0.0 > _alpha(star, hi)[0]:
+        res = float(brentq(lambda w: _alpha(star, w)[0], lo, hi, rtol=1e-14))
         width = max(float(sd.j(res)) / (2.0 * res), 1e-14 * res)
         pts.add(res)
         for k in (1.0, 10.0, 100.0, 1000.0):
@@ -132,7 +137,7 @@ def _breakpoints(q: SteadyStateQuery) -> tuple[float, list[float], float]:
     for the 1/w^2-divergent free-probe integrands.  All but T and omega_min
     come from the star's skeleton; B = max(B0, 1000 T).
     """
-    skeleton, B0 = q.star._skeleton
+    skeleton, B0 = _kept(q.star, _skeleton)
     T, lo = q.T, q.omega_min
     pts = set(skeleton)
     pts.update((0.1 * T, T, 10.0 * T))
@@ -150,7 +155,7 @@ def _tail(f, B: float, tails: dict, p: int) -> tuple:
     is negligible.  For s11 and s22 only: B >= 1000 T puts w/2T >= 500 on
     [B, inf), where the coth kernel is exactly 1.0, so the tail of the w^p
     moment depends on the star and B alone.  It is integrated once and kept
-    in the star's cache tails under (B, p); a quad exception is not kept."""
+    in tails under (B, p); a quad exception is not kept."""
     key = (B, p)
     if key not in tails:
         out = (0.0, 0.0)
@@ -181,22 +186,21 @@ def _integrate(f, lo: float, pts: list[float], B: float, tails: dict | None, p: 
 
 
 def _weight(star: StarSpec):
-    """w -> J/|alpha|^2, Im alpha = J: this Re alpha's Kramers-Kronig partner
-    is J/2 (ROADMAP item 1; _poles' P as well).  Lorentz-Drude inlines
-    LorentzDrude.j and susceptibility_real, bit for bit."""
-    sd, trap = star.sd, star.omega0_sq + star.omega_R_sq
-    if not isinstance(sd, LorentzDrude):
+    """w -> J/|alpha|^2 = Im alpha/|alpha|^2 from spectral's alpha.  A
+    Lorentz-Drude node is one frame: h w (u + wc^2)/(R^2 + h^2 u), u = w^2."""
+    if not isinstance(star.sd, LorentzDrude):
         def weight(w: float) -> float:
-            jw, re = sd.j(w), susceptibility_real(star, w)
-            return jw / (re * re + jw * jw)
+            re, im = _alpha(star, w)
+            return im / (re * re + im * im)
 
         return weight
-    g2, wc2, gwc3 = 2.0 * sd.gamma, sd.omega_c**2, sd.gamma * sd.omega_c**3
+    r1, r2, wc2, h = _rational_alpha(star)
+    h2 = h * h
 
     def weight(w: float) -> float:
-        d = w * w + wc2
-        jw, re = g2 * w * wc2 / d, trap - w * w - gwc3 / d
-        return jw / (re * re + jw * jw)
+        u = w * w
+        re = (r1 - u) * u + r2
+        return h * w * (u + wc2) / (re * re + h2 * u)
 
     return weight
 
@@ -225,7 +229,7 @@ def _weighted_moments(q: SteadyStateQuery, derivative: bool, hi: float) -> tuple
     lo, pts, B = _breakpoints(q)
     if hi < math.inf:
         pts, B = [p for p in pts if p < hi], hi
-    tails = None if derivative or hi < math.inf else q.star._tails
+    tails = None if derivative or hi < math.inf else q.star._memo.setdefault(_tail, {})
     m0 = _integrate(lambda w: weight(w) * kernel(w), lo, pts, B, tails, 0) / np.pi
     m2 = _integrate(lambda w: w * w * weight(w) * kernel(w), lo, pts, B, tails, 2) / np.pi
     return m0, m2, lo, B
@@ -234,23 +238,20 @@ def _weighted_moments(q: SteadyStateQuery, derivative: bool, hi: float) -> tuple
 def _poles(star: StarSpec) -> tuple:
     """A Lorentz-Drude star's T-independent data for _pole_moments.
 
-    J/|alpha|^2 = 2 gamma wc^2 w N(u)/P(u) in u = w^2, P = R^2 + 4 gamma^2 wc^4 u,
-    R = (k - u)(u + wc^2) + gamma wc u, k = Re alpha(0) = w0^2, N = u + wc^2 (w^0
-    moments) or u (u + wc^2) (w^2).  Gives P's roots u_k (np.roots, then Newton),
-    A_k = (2 gamma wc^2/pi) N(u_k)/P'(u_k), sigma = min |u_k| and the derivative
-    series' 4 pi^2 |B_2j| M_j sigma^(j-1): M_j = sum_k A_k (-u_k)^-j is a Taylor
-    coefficient of N/P at 0, found exactly by series division.
+    J/|alpha|^2 = h w N(u)/P(u) in u = w^2, with P = R^2 + h^2 u from
+    spectral._rational_alpha and N = u + wc^2 (w^0 moments) or u (u + wc^2) (w^2).
+    Gives P's roots u_k (np.roots, then Newton), A_k = (h/pi) N(u_k)/P'(u_k),
+    sigma = min |u_k| and the derivative series' 4 pi^2 |B_2j| M_j sigma^(j-1):
+    M_j = sum_k A_k (-u_k)^-j, a Taylor coefficient of N/P at 0 by series division.
     """
-    sd = star.sd
-    wc2, g4 = sd.omega_c**2, (2.0 * sd.gamma * sd.omega_c**2) ** 2
-    k = star.omega0_sq
-    r = np.array([-1.0, k - wc2 + sd.gamma * sd.omega_c, k * wc2])
+    r1, r2, wc2, h = _rational_alpha(star)
+    r, g4 = np.array([-1.0, r1, r2]), h**2
     dr, p = np.polyder(r), np.polyadd(np.polymul(r, r), [g4, 0.0])
     u = np.roots(p).astype(complex)
     for _ in range(3):  # Newton on P = R^2 + g4 u, evaluated through R
         ru = np.polyval(r, u)
         u = u - (ru * ru + g4 * u) / (2.0 * ru * np.polyval(dr, u) + g4)
-    c = 2.0 * sd.gamma * wc2 / np.pi
+    c = h / np.pi
     dp = 2.0 * np.polyval(r, u) * np.polyval(dr, u) + g4  # P' through R: 1e-12 better in s22
     amps = c * np.stack((u + wc2, u * (u + wc2))) / dp
     sigma = float(np.min(np.abs(u)))
@@ -293,18 +294,18 @@ def _pole_moments(u, amps, series, sigma, temperatures) -> list[tuple]:
     return list(zip(covs, [CovarianceDerivatives(float(v), float(w)) for v, w in zip(a1, a2)]))
 
 
-def _exact_data(star: StarSpec) -> tuple:
-    """StarSpec._exact: a discrete star's normal modes and weights, or _poles."""
+def _exact_kernel(star: StarSpec):
+    """temperatures -> moments of a quadrature-free star, kept by _kept: the
+    pole sums over _poles, or the mode sum over the star's normal modes."""
     if isinstance(star.sd, LorentzDrude):
-        return _poles(star)
+        return partial(_pole_moments, *_poles(star))
     lam, c2 = _probe_column(star)
-    return _mode_frequencies(lam, False, "the probe is free or nearly so"), c2
+    return partial(_mode_sums, _mode_frequencies(lam, False, "the probe is free or nearly so"), c2)
 
 
 def _exact_moments(star: StarSpec, temperatures) -> list[tuple]:
     """Per T, the physical (covariance, derivatives) of a quadrature-free star."""
-    kernel = _pole_moments if isinstance(star.sd, LorentzDrude) else _mode_sums
-    moments = kernel(*star._exact, temperatures)
+    moments = _kept(star, _exact_kernel)(temperatures)
     return [(_physical(c, f"exact at T={t!r}"), d) for t, (c, d) in zip(temperatures, moments)]
 
 

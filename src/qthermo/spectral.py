@@ -8,15 +8,16 @@ normalization
     omega_R^2 = (1/pi) int_0^inf J(w)/w dw,
     S(w)      = (1/pi) PV int_0^inf J(w') w' / (w'^2 - w^2) dw',
 
-so that S(0) = omega_R^2 and the static susceptibility reduces exactly to
-the bare trapping, Re alpha(0) = omega_0^2.
+so that S(0) = omega_R^2 and the probe's susceptibility, alpha(w) = omega_0^2
++ omega_R^2 - w^2 - S(w) + i J(w), has Re alpha(0) = omega_0^2.  _alpha is its
+one definition (rational in w^2 for Lorentz-Drude); Im alpha = J is an open
+defect, as this Re alpha's Kramers-Kronig partner is J/2 (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -198,6 +199,8 @@ class StarSpec:
     sd: SpectralDensityModel
     warnings: tuple[str, ...] = ()
     omega_R_sq: float = field(init=False)
+    # clm's work on this star that does not depend on T; only clm fills it
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega_R_sq", renormalization_frequency_sq(self.sd))
@@ -206,45 +209,38 @@ class StarSpec:
         if self.omega0_sq + self.omega_R_sq <= 0.0:
             raise ValueError("total trapping omega_0^2 + omega_R^2 must be positive")
 
-    @cached_property
-    def _skeleton(self) -> tuple[frozenset[float], float]:
-        """clm's T-independent breakpoints and cap B0, built once per star."""
-        from .clm import _skeleton
-
-        return _skeleton(self)
-
-    @cached_property
-    def _exact(self) -> tuple:
-        """clm's T-independent data of the quadrature-free routes, found once."""
-        from .clm import _exact_data
-
-        return _exact_data(self)
-
-    @cached_property
-    def _tails(self) -> dict:
-        """clm's quadrature tails beyond B, by (B, moment): they do not depend on T."""
-        return {}
-
 
 def make_star(sd: SpectralDensityModel, omega0_sq: float) -> StarSpec:
     """The StarSpec of a bare probe frequency and a reservoir."""
     return StarSpec(omega0_sq=omega0_sq, sd=sd)
 
 
-def susceptibility_real(star: StarSpec, omega: float) -> float:
-    """Re alpha(omega) = w0^2 + wR^2 - w^2 - S(w); exactly w0^2 at omega = 0."""
-    return star.omega0_sq + star.omega_R_sq - omega * omega - self_energy(star.sd, omega)
+def _rational_alpha(star: StarSpec) -> tuple[float, float, float, float]:
+    """(r1, r2, wc^2, h) of a Lorentz-Drude star's alpha in u = w^2:
+    Re alpha = R(u)/(u + wc^2), R(u) = (w0^2 - u)(u + wc^2) + gamma wc u
+    = -u^2 + r1 u + r2, and Im alpha = h w/(u + wc^2), h = 2 gamma wc^2."""
+    sd, k, wc2 = star.sd, star.omega0_sq, star.sd.omega_c**2
+    return k - wc2 + sd.gamma * sd.omega_c, k * wc2, wc2, 2.0 * sd.gamma * wc2
+
+
+def _alpha(star: StarSpec, w: float) -> tuple:
+    """(Re alpha, Im alpha) of a continuous star at w: the rational form for
+    Lorentz-Drude, w0^2 + wR^2 - w^2 - S(w) and J(w) for the other family."""
+    if isinstance(star.sd, LorentzDrude):
+        r1, r2, wc2, h = _rational_alpha(star)
+        u = w * w
+        return ((r1 - u) * u + r2) / (u + wc2), h * w / (u + wc2)
+    return star.omega0_sq + star.omega_R_sq - w * w - self_energy(star.sd, w), star.sd.j(w)
 
 
 def susceptibility_abs_sq(star: StarSpec, omega: float) -> float:
-    """|alpha(omega)|^2 = (Re alpha)^2 + J(omega)^2; exactly w0^4 at omega = 0."""
+    """|alpha(omega)|^2 = (Re alpha)^2 + (Im alpha)^2; w0^4 at omega = 0."""
     if omega < 0.0:
         raise ValueError("susceptibility requires omega >= 0")
     if isinstance(star.sd, DiscreteModes):
         raise TypeError("susceptibility_abs_sq needs a continuous spectral density")
-    re = susceptibility_real(star, omega)
-    im = float(star.sd.j(omega))
-    return re * re + im * im
+    re, im = _alpha(star, omega)
+    return float(re * re + im * im)
 
 
 def discretize_clm(

@@ -321,6 +321,28 @@ class TestNodeQfi:
         fit = fit_exponential_gap(QfiCurve(tuple(ts), tuple(fs)))
         assert 0.013 <= fit.exponent_or_gap <= 0.016
 
+    def test_gapped_deep_beta_asymptote(self):
+        # ROADMAP item 13's oracle, criterion 6a's xfail reason as a formula:
+        # as T -> 0 only the lowest mode, Delta with weight p0, enters the
+        # derivatives, a1 = p0 e^(-Delta/T)/T^2 and a2 = Delta^2 a1, while the
+        # covariance tends to its T = 0 value; the node's T = 0 state is
+        # mixed, 16 s11(0)^2 s22(0)^2 > 1, so F ~ beta^4 e^(-2 Delta beta)
+        c = gapped_fig3_chain()
+        spec = c.spectrum
+        om, p = np.sqrt(spec.array), spec.node_weights
+        p0, delta = p[np.argmin(om)], spec.gap
+        assert p0 == 2.0 / 201.0 and delta == pytest.approx(0.01, rel=1e-9)
+        s11, s22 = np.sum(p / (2.0 * om)), np.sum(p * om / 2.0)
+        errors = []
+        for beta in (650.0, 1500.0, 3000.0, 6000.0):
+            a1 = p0 * math.exp(-delta * beta) * beta**2
+            a2 = delta**2 * a1
+            num = a1 * a2 + 2.0 * s11**2 * a2**2 + 2.0 * s22**2 * a1**2
+            f_asym = 4.0 * num / (16.0 * s11**2 * s22**2 - 1.0)
+            errors.append(abs(node_qfi(c, 1.0 / beta) / f_asym - 1.0))
+        assert all(b < a for a, b in zip(errors, errors[1:])), errors
+        assert errors[-1] <= 1e-12, errors
+
     def test_gapless_dominates_gapped(self):
         gapped = gapped_fig3_chain()
         gapless = gapless_fig3_chain()

@@ -367,6 +367,27 @@ class TestMainExitCodes:
         assert payload["message"] == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["tihc-qfi", "chain-to-star"])
+    @pytest.mark.parametrize(
+        "gap, code",
+        [("-0.5", 2), ("0", 2), ("nan", 3), ("inf", 3)],
+        ids=["negative", "zero", "nan", "inf"],
+    )
+    def test_non_positive_gap_is_2(self, tmp_path, capsys, experiment, gap, code):
+        # gap = -0.5 used to give gap = 0.5's table (only gap^2 entered), and
+        # gap = 0 an unflagged gapless chain; NaN and inf stay model errors
+        cfg_path = tmp_path / "gap.cfg"
+        grid = "T_min = 0.05\nT_max = 0.2\npoints = 4\n" if experiment == "tihc-qfi" else ""
+        cfg_path.write_text(f"experiment = {experiment}\nN = 12\ngap = {gap}\n" + grid)
+        out = tmp_path / "never.csv"
+        assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == code
+        payload = json.loads(capsys.readouterr().err.strip())
+        if code == 2:
+            assert payload["message"] == (
+                f"need gap > 0, got gap={float(gap)!r}; a gapless chain takes gapless = true"
+            )
+        assert not out.exists()
+
     def test_fit_window_may_end_at_the_last_coupling(self, tmp_path):
         cfg = parse_config_text(
             "experiment = star-to-chain\ngamma = 0.1\nomega_c = 2.0\nn_modes = 80\n"
