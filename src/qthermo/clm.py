@@ -9,22 +9,24 @@ in spectral; Im alpha = J is an open defect (ROADMAP item 1):
 
 their temperature derivatives follow by differentiating under the integral
 (d coth(w/2T)/dT = (w/2T^2)/sinh^2(w/2T)), and the QFI follows from the
-derivative formula, the fidelity route being a cross-check.  A free probe
-(omega_0 = 0) needs an infrared cutoff wmin > 0, and its QFI is the wmin -> 0
-limit.  Three routes give the moments, each doing its T-independent work
-once per star and refusing an unphysical state, det < 1/4, in _physical:
+derivative formula, the fidelity route being a cross-check.  A steady state
+has wmin = 0; a free probe (omega_0 = 0) of a continuous reservoir has none,
+and free_probe_qfi_limit takes its QFI at cutoffs wmin > 0 to wmin -> 0.  The
+reservoir family picks the route, each doing its T-independent work once per
+star and refusing an unphysical state, det < 1/4, in _physical:
 
-* poles (Lorentz-Drude, wmin = 0): the weight is rational in w^2, so each
+* poles (Lorentz-Drude): the weight is rational in w^2, so each
   moment is a digamma sum over a quartic's roots (Grabert, Weiss and
   Talkner, Z. Phys. B 55, 87 (1984)), every T of a sweep in one numpy pass;
 * normal modes (a discrete star): gaussian's mode sum over sqrt(lam_j) with
   the probe's weights c_j^2, which mapping._probe_column returns;
-* the real axis (ExponentialCutoff, or wmin > 0): adaptive quadrature at
-  spectral.QUAD_TOL of _weight (J/|alpha|^2) times _kernel (coth or
-  csch^2), with the breakpoints but T and omega_min (_skeleton) and the s11
-  and s22 tails beyond B >= 1000 T (_tail) kept in the star's memo.  A
-  ladder of cutoffs integrates [wmin_1, inf) once, and each smaller cutoff
-  adds its own segment; a failed QUADPACK call raises IntegrationError.
+* the real axis (ExponentialCutoff, and the free probe's cutoffs): adaptive
+  quadrature at spectral.QUAD_TOL, with no absolute floor, of _weight
+  (J/|alpha|^2) times _kernel (coth or csch^2), with the breakpoints but T
+  and wmin (_skeleton) and the s11 and s22 tails beyond B >= 1000 T (_tail)
+  kept in the star's memo.  A ladder of cutoffs integrates [wmin_1, inf)
+  once, and each smaller cutoff adds its own segment; a failed QUADPACK call
+  raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .spectral import QUAD_TOL, DiscreteModes, LorentzDrude, StarSpec, _alpha, _
 _B2J = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
                  43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730])
 _SERIES_FROM = 10.0
-_EXACT = (DiscreteModes, LorentzDrude)  # no quadrature at omega_min = 0
+_EXACT = (DiscreteModes, LorentzDrude)  # the families whose moments need no quadrature
 
 
 def quad(*args, **kwargs):
@@ -73,29 +75,18 @@ def brentq(*args, **kwargs):
 
 @dataclass(frozen=True)
 class SteadyStateQuery:
-    """One steady-state evaluation point.
-
-    omega_min is the finite infrared cutoff (0 means none); it must be positive
-    when the probe of a continuous reservoir has no bare trapping, otherwise
-    s11 diverges.  A discrete star takes no cutoff.
-    """
+    """One steady-state evaluation point: a star and a temperature.  A free
+    probe of a continuous reservoir has none; see free_probe_qfi_limit."""
 
     star: StarSpec
     T: float
-    omega_min: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.T < math.inf:
             raise ValueError("temperature must be positive and finite")
-        if not 0.0 <= self.omega_min < math.inf:
-            raise ValueError("omega_min must be finite and >= 0")
-        if isinstance(self.star.sd, DiscreteModes):
-            if self.omega_min > 0.0:
-                raise ValueError("a discrete star takes no infrared cutoff omega_min")
-        elif self.star.omega0_sq == 0.0 and self.omega_min <= 0.0:
+        if self.star.omega0_sq == 0.0 and not isinstance(self.star.sd, DiscreteModes):
             raise DivergenceError(
-                "a probe with omega_0 = 0 requires an infrared cutoff omega_min > 0 "
-                "(s11 diverges otherwise)"
+                "omega_0 = 0: s11 diverges; free_probe_qfi_limit takes the infrared-cutoff limit"
             )
 
 
@@ -128,17 +119,16 @@ def _skeleton(star: StarSpec) -> tuple[frozenset[float], float]:
     return frozenset(pts), B0
 
 
-def _breakpoints(q: SteadyStateQuery) -> tuple[float, list[float], float]:
-    """(lower limit, interior quad points, finite cap B) for the integrals.
+def _breakpoints(star: StarSpec, T: float, lo: float) -> tuple[list[float], float]:
+    """(interior quad points, finite cap B) for the integrals from lo.
 
     Seeds every scale the integrand can have: the thermal scale T, the
     cutoff wc, the low-frequency knee w* = w0^2/J'(0) of 1/|alpha|^2, the
-    resonance peak with its width, and a geometric ladder above omega_min
-    for the 1/w^2-divergent free-probe integrands.  All but T and omega_min
-    come from the star's skeleton; B = max(B0, 1000 T).
+    resonance peak with its width, and a geometric ladder above a cutoff
+    lo = omega_min > 0 for the 1/w^2-divergent free-probe integrands.  All but
+    T and lo come from the star's skeleton; B = max(B0, 1000 T).
     """
-    skeleton, B0 = _kept(q.star, _skeleton)
-    T, lo = q.T, q.omega_min
+    skeleton, B0 = _kept(star, _skeleton)
     pts = set(skeleton)
     pts.update((0.1 * T, T, 10.0 * T))
     B = max(B0, 1000.0 * T)
@@ -147,7 +137,7 @@ def _breakpoints(q: SteadyStateQuery) -> tuple[float, list[float], float]:
         while x < B:
             pts.add(x)
             x *= 10.0
-    return lo, sorted(p for p in pts if lo < p < B), B
+    return sorted(p for p in pts if lo < p < B), B
 
 
 def _tail(f, B: float, tails: dict, p: int) -> tuple:
@@ -160,7 +150,7 @@ def _tail(f, B: float, tails: dict, p: int) -> tuple:
     if key not in tails:
         out = (0.0, 0.0)
         if abs(f(B)) > 1e-280:
-            out = quad(f, B, np.inf, limit=200, epsabs=1e-14, epsrel=QUAD_TOL, full_output=1)
+            out = quad(f, B, np.inf, limit=200, epsabs=0.0, epsrel=QUAD_TOL, full_output=1)
         tails[key] = out
     return tails[key]
 
@@ -173,7 +163,7 @@ def _integrate(f, lo: float, pts: list[float], B: float, tails: dict | None, p: 
     raises here unless the failed tail's |value| + abserr is within QUAD_TOL
     of the head."""
     try:
-        head = quad(f, lo, B, points=pts, limit=800, epsabs=1e-14, epsrel=QUAD_TOL, full_output=1)
+        head = quad(f, lo, B, points=pts, limit=800, epsabs=0.0, epsrel=QUAD_TOL, full_output=1)
         tail = (0.0, 0.0) if tails is None else _tail(f, B, tails, p)
     except Exception as exc:
         raise IntegrationError(f"steady-state quadrature failed: {exc}") from exc
@@ -222,17 +212,17 @@ def _kernel(T: float, derivative: bool):
     return kernel
 
 
-def _weighted_moments(q: SteadyStateQuery, derivative: bool, hi: float) -> tuple:
+def _weighted_moments(star: StarSpec, T: float, lo: float, hi: float, derivative: bool) -> tuple:
     """(1/pi) int w^p _weight _kernel dw, p = 0 and 2, over [lo, inf), or over
-    [lo, hi] for any finite hi (the breakpoints below hi, no tail), and (lo, B or hi)."""
-    weight, kernel = _weight(q.star), _kernel(q.T, derivative)
-    lo, pts, B = _breakpoints(q)
+    [lo, hi] for any finite hi (the breakpoints below hi, no tail)."""
+    weight, kernel = _weight(star), _kernel(T, derivative)
+    pts, B = _breakpoints(star, T, lo)
     if hi < math.inf:
         pts, B = [p for p in pts if p < hi], hi
-    tails = None if derivative or hi < math.inf else q.star._memo.setdefault(_tail, {})
+    tails = None if derivative or hi < math.inf else star._memo.setdefault(_tail, {})
     m0 = _integrate(lambda w: weight(w) * kernel(w), lo, pts, B, tails, 0) / np.pi
     m2 = _integrate(lambda w: w * w * weight(w) * kernel(w), lo, pts, B, tails, 2) / np.pi
-    return m0, m2, lo, B
+    return m0, m2
 
 
 def _poles(star: StarSpec) -> tuple:
@@ -321,18 +311,17 @@ def _physical(cov: SingleModeCovariance, diagnostics: str) -> SingleModeCovarian
 
 def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
     """Stationary probe covariance for the query's reservoir and temperature."""
-    if q.omega_min == 0.0 and isinstance(q.star.sd, _EXACT):
+    if isinstance(q.star.sd, _EXACT):
         return _exact_moments(q.star, [q.T])[0][0]
-    s11, s22, lo, B = _weighted_moments(q, False, math.inf)
-    return _physical(SingleModeCovariance(s11, s22), f"quadrature diagnostics: lo={lo!r} B={B!r}")
+    s11, s22 = _weighted_moments(q.star, q.T, 0.0, math.inf, False)
+    return _physical(SingleModeCovariance(s11, s22), f"real axis at T={q.T!r}")
 
 
 def covariance_T_derivatives(q: SteadyStateQuery) -> CovarianceDerivatives:
     """d(s11)/dT and d(s22)/dT by differentiating under the integral."""
-    if q.omega_min == 0.0 and isinstance(q.star.sd, _EXACT):
+    if isinstance(q.star.sd, _EXACT):
         return _exact_moments(q.star, [q.T])[0][1]
-    a1, a2, _, _ = _weighted_moments(q, True, math.inf)
-    return CovarianceDerivatives(a1=a1, a2=a2)
+    return CovarianceDerivatives(*_weighted_moments(q.star, q.T, 0.0, math.inf, True))
 
 
 def clm_qfi(q: SteadyStateQuery) -> float:
@@ -370,17 +359,18 @@ def free_probe_qfi_limit(
     segment [wmin_k, wmin_(k-1)] to running sums.  A linear fit F = F_inf
     + c*wmin over the last three points extrapolates wmin -> 0.
     """
-    if star.omega0_sq != 0.0:
-        raise ValueError("free_probe_qfi_limit requires omega0_sq = 0")
+    if not 0.0 < T < math.inf:
+        raise ValueError("temperature must be positive and finite")
+    if isinstance(star.sd, DiscreteModes) or star.omega0_sq != 0.0:
+        raise ValueError("free_probe_qfi_limit requires a continuous star with omega0_sq = 0")
     if omega_min_sequence is None:
         omega_min_sequence = [1e-4 / 10.0**k for k in range(4)]
     seq = [float(w) for w in omega_min_sequence]
-    if len(seq) < 3 or any(b >= a for a, b in zip(seq, seq[1:])):
-        raise ValueError("omega_min_sequence must be decreasing with >= 3 entries")
+    if len(seq) < 3 or not all(0.0 < b < a for a, b in zip([math.inf, *seq], seq)):
+        raise ValueError("omega_min_sequence must be >= 3 finite cutoffs > 0, strictly decreasing")
     sums, hi, samples = [0.0] * 4, math.inf, []
     for wm in seq:
-        q = SteadyStateQuery(star=star, T=T, omega_min=wm)
-        segment = _weighted_moments(q, False, hi)[:2] + _weighted_moments(q, True, hi)[:2]
+        segment = [m for d in (False, True) for m in _weighted_moments(star, T, wm, hi, d)]
         sums, hi = [s + m for s, m in zip(sums, segment)], wm
         cov = _physical(SingleModeCovariance(*sums[:2]), f"free probe at omega_min={wm!r}")
         samples.append((wm, qfi_from_derivatives(cov, CovarianceDerivatives(*sums[2:]))))

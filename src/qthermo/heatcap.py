@@ -6,9 +6,9 @@ single-mode values
 
     C(eps, T) = (beta eps)^2 e^(-beta eps) / (1 -+ e^(-beta eps))^2
 
-(minus: bosonic, plus: fermionic; a qubit coincides with the fermionic
-case).  For a gapped system at beta*Delta >= 4 every mode value is bounded
-by the gap-mode value, giving C_N <= N C(Delta, T).
+(minus: bosonic, plus: fermionic, as for a qubit).  For a gapped
+system at beta*Delta >= 4 every mode value is bounded by the gap-mode value,
+giving C_N <= N C(Delta, T).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-Statistics = Literal["bosonic", "fermionic", "qubit"]
+Statistics = Literal["bosonic", "fermionic"]
 
 _EXP_FLOOR = 700.0  # beta*eps beyond which C underflows to exactly 0
 
@@ -33,7 +33,7 @@ class ModeSystem:
     energies: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.statistics not in ("bosonic", "fermionic", "qubit"):
+        if self.statistics not in ("bosonic", "fermionic"):
             raise ValueError(f"unknown statistics {self.statistics!r}")
         e = np.asarray(self.energies, dtype=float)
         if e.size == 0 or not np.all((e > 0.0) & (e < np.inf)):
@@ -127,14 +127,14 @@ def ising_spectrum(spec: IsingSpec) -> np.ndarray:
 def ising_heat_capacity(spec: IsingSpec, T: float, mode: Literal["exact", "asymptotic"]) -> float:
     """Heat capacity of the Ising chain, exact sum or low-T asymptotic form.
 
-    exact: sum of the qubit capacities over the free-fermion spectrum.
+    exact: sum of the fermionic capacities over the free-fermion spectrum.
     asymptotic: N (beta Delta)^(3/2) e^(-beta Delta) sqrt(Delta^2/(8 pi h J)),
     valid only for N >> 1 and beta Delta >> 1 (enforced: beta Delta >= 5
     and a finite gap).
     """
     _check_temperature(T)
     if mode == "exact":
-        return float(np.sum(_mode_c_array("qubit", spec.spectrum, T)))
+        return float(np.sum(_mode_c_array("fermionic", spec.spectrum, T)))
     if mode != "asymptotic":
         raise ValueError(f"unknown mode {mode!r}")
     delta = spec.gap

@@ -43,7 +43,8 @@ def _quad_value(out: tuple, what: str) -> float:
 
 
 def _integral(f, a: float, b: float, what: str, **kwargs) -> float:
-    """quad's value at QUAD_TOL, raising IntegrationError when ier > 0."""
+    """quad's value at QUAD_TOL, raising IntegrationError when ier > 0.  Unlike
+    clm's real axis it keeps epsabs = 1e-14: PV pieces and bins sum to ~ wR^2."""
     return _quad_value(quad(f, a, b, epsabs=1e-14, epsrel=QUAD_TOL, full_output=1, **kwargs), what)
 
 
@@ -77,7 +78,7 @@ class ExponentialCutoff:
 
     gamma: float
     omega_c: float
-    s: float = 1.0
+    s: float
 
     def __post_init__(self) -> None:
         if not all(0.0 < x < math.inf for x in (self.gamma, self.omega_c, self.s)):

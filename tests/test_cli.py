@@ -268,6 +268,17 @@ class TestMainExitCodes:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "computation-error"
 
+    @pytest.mark.parametrize("T", ["nan", "inf", "0", "-1"])
+    def test_free_probe_bad_temperature_is_3(self, tmp_path, capsys, T):
+        # free_probe_qfi_limit checks T itself: it builds no steady-state query
+        cfg_path = tmp_path / "free.cfg"
+        cfg_path.write_text(f"experiment = free-probe-limit\ngamma = 0.1\nomega_c = 100\nT = {T}\n")
+        out = tmp_path / "never.csv"
+        assert main(["free-probe-limit", "--config", str(cfg_path), "--out", str(out)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["message"] == "ValueError: temperature must be positive and finite"
+        assert not out.exists()
+
     def test_non_utf8_config_is_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "latin1.cfg"
         cfg_path.write_bytes(b"experiment = heatcap\nJ = 0.5\xff\n")

@@ -41,7 +41,6 @@ class TestModeHeatCapacity:
     def test_fermionic_unit_ratio(self):
         expected = math.e / (1.0 + math.e) ** 2  # ~0.19661
         assert mode_heat_capacity("fermionic", 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
-        assert mode_heat_capacity("qubit", 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_exponential_suppression(self):
         for stat in ("bosonic", "fermionic"):
@@ -178,7 +177,7 @@ class TestIsingHeatCapacity:
     def test_exact_matches_direct_qubit_sum(self):
         spec = IsingSpec(J=0.7, h=1.1, N=500)
         t = 0.3
-        direct = sum(mode_heat_capacity("qubit", e, t) for e in ising_spectrum(spec))
+        direct = sum(mode_heat_capacity("fermionic", e, t) for e in ising_spectrum(spec))
         assert ising_heat_capacity(spec, t, "exact") == pytest.approx(direct, rel=1e-12)
 
 
@@ -212,3 +211,9 @@ def test_non_finite_energy_scale_is_rejected(x):
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+def test_unknown_statistics_is_rejected():
+    # "qubit" was a synonym of "fermionic"; the Ising chain's modes are fermionic
+    with pytest.raises(ValueError, match="unknown statistics 'qubit'"):
+        ModeSystem("qubit", (0.5, 1.0))

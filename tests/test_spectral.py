@@ -262,8 +262,8 @@ def test_non_finite_model_parameter_is_rejected(x):
     calls = (
         lambda: LorentzDrude(gamma=x, omega_c=2.0),
         lambda: LorentzDrude(gamma=0.1, omega_c=x),
-        lambda: ExponentialCutoff(gamma=x, omega_c=2.0),
-        lambda: ExponentialCutoff(gamma=0.1, omega_c=x),
+        lambda: ExponentialCutoff(gamma=x, omega_c=2.0, s=1.0),
+        lambda: ExponentialCutoff(gamma=0.1, omega_c=x, s=1.0),
         lambda: ExponentialCutoff(gamma=0.1, omega_c=2.0, s=x),
         lambda: discretize_clm(ld, 50, x),
         lambda: StarSpec(omega0_sq=x, sd=ld),
