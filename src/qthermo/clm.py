@@ -13,7 +13,8 @@ derivative formula, the fidelity route being a cross-check.  A steady state
 has wmin = 0; a free probe (omega_0 = 0) of a continuous reservoir has none,
 and free_probe_qfi_limit takes its QFI at cutoffs wmin > 0 to wmin -> 0.  The
 reservoir family picks the route, each doing its T-independent work once per
-star and refusing an unphysical state, det < 1/4, in _physical:
+star; on every route the state is a gaussian.SingleModeCovariance, which
+refuses det < 1/4 with InvalidStateError:
 
 * poles (Lorentz-Drude): the weight is rational in w^2, so each
   moment is a digamma sum over a quartic's roots (Grabert, Weiss and
@@ -56,6 +57,7 @@ from .spectral import QUAD_TOL, DiscreteModes, LorentzDrude, StarSpec, _alpha, _
 _B2J = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
                  43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730])
 _SERIES_FROM = 10.0
+_ULPS = 8.0 * np.finfo(float).eps  # breakpoints closer than this, relative, are merged
 _EXACT = (DiscreteModes, LorentzDrude)  # the families whose moments need no quadrature
 
 
@@ -126,7 +128,10 @@ def _breakpoints(star: StarSpec, T: float, lo: float) -> tuple[list[float], floa
     cutoff wc, the low-frequency knee w* = w0^2/J'(0) of 1/|alpha|^2, the
     resonance peak with its width, and a geometric ladder above a cutoff
     lo = omega_min > 0 for the 1/w^2-divergent free-probe integrands.  All but
-    T and lo come from the star's skeleton; B = max(B0, 1000 T).
+    T and lo come from the star's skeleton; B = max(B0, 1000 T).  The
+    ladder's x10 steps round, so a point within 8 eps of lo, of B or of the
+    point below it is dropped: QUADPACK refuses so short a subinterval as
+    bad integrand behavior.
     """
     skeleton, B0 = _kept(star, _skeleton)
     pts = set(skeleton)
@@ -137,7 +142,11 @@ def _breakpoints(star: StarSpec, T: float, lo: float) -> tuple[list[float], floa
         while x < B:
             pts.add(x)
             x *= 10.0
-    return sorted(p for p in pts if lo < p < B), B
+    kept = [lo]
+    for p in sorted(pts):
+        if kept[-1] + _ULPS * p < p < (1.0 - _ULPS) * B:
+            kept.append(p)
+    return kept[1:], B
 
 
 def _tail(f, B: float, tails: dict, p: int) -> tuple:
@@ -293,34 +302,17 @@ def _exact_kernel(star: StarSpec):
     return partial(_mode_sums, _mode_frequencies(lam, False, "the probe is free or nearly so"), c2)
 
 
-def _exact_moments(star: StarSpec, temperatures) -> list[tuple]:
-    """Per T, the physical (covariance, derivatives) of a quadrature-free star."""
-    moments = _kept(star, _exact_kernel)(temperatures)
-    return [(_physical(c, f"exact at T={t!r}"), d) for t, (c, d) in zip(temperatures, moments)]
-
-
-def _physical(cov: SingleModeCovariance, diagnostics: str) -> SingleModeCovariance:
-    """cov, refused with IntegrationError when det < 1/4 on either route."""
-    if cov.det() < 0.25 - 1e-9:
-        raise IntegrationError(
-            f"unphysical steady covariance det={cov.det()!r} < 1/4 "
-            f"(s11={cov.s11!r}, s22={cov.s22!r}); {diagnostics}"
-        )
-    return cov
-
-
 def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
     """Stationary probe covariance for the query's reservoir and temperature."""
     if isinstance(q.star.sd, _EXACT):
-        return _exact_moments(q.star, [q.T])[0][0]
-    s11, s22 = _weighted_moments(q.star, q.T, 0.0, math.inf, False)
-    return _physical(SingleModeCovariance(s11, s22), f"real axis at T={q.T!r}")
+        return _kept(q.star, _exact_kernel)([q.T])[0][0]
+    return SingleModeCovariance(*_weighted_moments(q.star, q.T, 0.0, math.inf, False))
 
 
 def covariance_T_derivatives(q: SteadyStateQuery) -> CovarianceDerivatives:
     """d(s11)/dT and d(s22)/dT by differentiating under the integral."""
     if isinstance(q.star.sd, _EXACT):
-        return _exact_moments(q.star, [q.T])[0][1]
+        return _kept(q.star, _exact_kernel)([q.T])[0][1]
     return CovarianceDerivatives(*_weighted_moments(q.star, q.T, 0.0, math.inf, True))
 
 
@@ -342,7 +334,7 @@ def qfi_curve(star: StarSpec, temperatures) -> QfiCurve:
     ts = sorted(float(t) for t in temperatures)
     qs = [SteadyStateQuery(star=star, T=t) for t in ts]  # checks every T first
     if isinstance(star.sd, _EXACT):
-        moments = _exact_moments(star, ts)
+        moments = _kept(star, _exact_kernel)(ts)
     else:
         moments = ((steady_covariances(q), covariance_T_derivatives(q)) for q in qs)
     return QfiCurve.from_moments(ts, moments)
@@ -372,8 +364,8 @@ def free_probe_qfi_limit(
     for wm in seq:
         segment = [m for d in (False, True) for m in _weighted_moments(star, T, wm, hi, d)]
         sums, hi = [s + m for s, m in zip(sums, segment)], wm
-        cov = _physical(SingleModeCovariance(*sums[:2]), f"free probe at omega_min={wm!r}")
-        samples.append((wm, qfi_from_derivatives(cov, CovarianceDerivatives(*sums[2:]))))
+        cov, der = SingleModeCovariance(*sums[:2]), CovarianceDerivatives(*sums[2:])
+        samples.append((wm, qfi_from_derivatives(cov, der)))
     diffs = [abs(b[1] - a[1]) for a, b in zip(samples, samples[1:])]
     if diffs[-1] > 2.0 * diffs[-2] + 1e-12 * abs(samples[-1][1]):
         raise ConvergenceError(f"non-Cauchy tail in omega_min sequence: |dF| = {diffs!r}")

@@ -27,8 +27,8 @@ class DivergenceError(QThermoError):
 
 
 class IntegrationError(QThermoError):
-    """Adaptive quadrature failed to converge or produced an unphysical
-    result; carries diagnostics in the message."""
+    """Adaptive quadrature failed to converge or returned a non-finite
+    value; carries diagnostics in the message."""
 
 
 class UnstableChainError(QThermoError):
@@ -48,4 +48,4 @@ class FitError(QThermoError):
 
 
 class ConfigError(QThermoError):
-    """Experiment configuration failed to parse or validate."""
+    """Experiment configuration failed to parse or holds an invalid value."""

@@ -35,12 +35,6 @@ class ScalingFit:
     window: tuple[float, float]
     n_points: int
 
-    def __post_init__(self) -> None:
-        if self.n_points < 4:
-            raise FitError(f"fit needs at least 4 points, got {self.n_points}")
-        if not -1e-9 <= self.r_squared <= 1.0 + 1e-9:
-            raise FitError(f"r_squared {self.r_squared!r} outside [0, 1]")
-
 
 def _r_squared(y: np.ndarray, resid: np.ndarray) -> float:
     """Coefficient of determination of a least-squares fit, clipped to [0, 1]."""

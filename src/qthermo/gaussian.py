@@ -30,7 +30,8 @@ from .errors import DegenerateStateError, InvalidStateError, StepTooSmallError, 
 # Floor of a clamped zero mode, as a fraction of Om_max (_mode_frequencies).
 GAP_FLOOR_SCALE = 1e-8
 
-# Tolerance on det(sigma) >= 1/4; loose enough that quadrature noise on
+# Tolerance on det(sigma) >= 1/4, the one uncertainty check (every
+# SingleModeCovariance makes it); loose enough that quadrature noise on
 # near-vacuum states does not spuriously reject them.
 PHYSICALITY_TOL = 1e-12
 
@@ -42,22 +43,22 @@ class SingleModeCovariance:
     """Diagonal covariance matrix diag(s11, s22) of one bosonic mode.
 
     s11 is the position variance (units 1/energy), s22 the momentum
-    variance (units energy).
+    variance (units energy).  A state is physical when it is made: s11 and
+    s22 > 0 and det >= 1/4 within PHYSICALITY_TOL, or InvalidStateError.
     """
 
     s11: float
     s22: float
 
-    def det(self) -> float:
-        return self.s11 * self.s22
-
-    def validate(self) -> "SingleModeCovariance":
+    def __post_init__(self) -> None:
         if not (self.s11 > 0.0 and self.s22 > 0.0 and self.det() >= 0.25 - PHYSICALITY_TOL):
             raise InvalidStateError(
                 f"covariance violates uncertainty relation: "
                 f"s11={self.s11!r} s22={self.s22!r} det={self.det()!r} < 1/4"
             )
-        return self
+
+    def det(self) -> float:
+        return self.s11 * self.s22
 
 
 @dataclass(frozen=True)
@@ -129,13 +130,11 @@ def uhlmann_fidelity(a: SingleModeCovariance, b: SingleModeCovariance) -> float:
 
     Symmetric in its arguments; equals 1 iff a == b.
     """
-    a.validate()
-    b.validate()
     da = a.det()
     db = b.det()
     # Clamp the tiny negative excursions PHYSICALITY_TOL allows.
     lam = max(4.0 * da - 1.0, 0.0) * max(4.0 * db - 1.0, 0.0)
-    # Del > 0 and Lam >= 0 for any two validated diagonal states
+    # Del > 0 and Lam >= 0 for any two diagonal states
     del_ = 4.0 * ((a.s11 + b.s11) * (a.s22 + b.s22))
     # rationalized form of 2/(sqrt(Lam+Del) - sqrt(Lam)): no cancellation
     # when the states are close (Del << Lam); rounding can leave F
@@ -185,7 +184,6 @@ def qfi_from_derivatives(
     boundary (denominator <= 0) is rejected rather than regularized since
     the finite-difference route stays available there.
     """
-    cov.validate()
     if not (math.isfinite(deriv.a1) and math.isfinite(deriv.a2)):
         raise ValueError("derivatives must be finite")
     p = cov.s11 * cov.s22

@@ -286,6 +286,22 @@ def test_bad_temperature_is_rejected(T):
             call()
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: ChainSpec(N=0, omega_sq=1.0, couplings=()), "N must be >= 1"),
+        (lambda: ChainSpec(N=2, omega_sq=1.0, couplings=(1.0,)), "need exactly N=2 couplings"),
+        (lambda: gapless_frequency_sq(3, [1.0]), "couplings length must equal N"),
+    ],
+    ids=["N=0", "ChainSpec-couplings", "gapless-couplings"],
+)
+def test_bad_chain_shape_is_rejected(call, match):
+    # N = 0 with no couplings, and one coupling broadcast over N = 3, pass
+    # every other check
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestNodeQfi:
     def test_decoupled_equals_thermal_qfi(self):
         c = ChainSpec(N=6, omega_sq=1.0, couplings=(0.0,) * 6)

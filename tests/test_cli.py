@@ -30,6 +30,9 @@ fit_window_lo = 1e-3
 fit_window_hi = 1e-2
 """
 
+HEATCAP_CFG = "experiment = heatcap\nJ = 1.0\nh = 0.5\nN = 20\nT_min = 0.1\nT_max = 1.0\n"
+TIHC_CFG = "experiment = tihc-qfi\nN = 12\nT_min = 0.05\nT_max = 0.2\n"
+
 
 class TestConfigParser:
     def test_parses_comments_and_blanks(self):
@@ -277,6 +280,30 @@ class TestMainExitCodes:
         assert main(["free-probe-limit", "--config", str(cfg_path), "--out", str(out)]) == 3
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["message"] == "ValueError: temperature must be positive and finite"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, text, message",
+        [
+            ("heatcap", "experiment = heatcap\nJ =\n", "line 2: empty key or value"),
+            ("heatcap", "experiment = heatcap\n= 1.0\n", "line 2: empty key or value"),
+            ("heatcap", HEATCAP_CFG.replace("h = 0.5\n", ""), "missing required key 'h'"),
+            ("heatcap", HEATCAP_CFG + "points = 1\n", "points must be >= 2"),
+            ("tihc-qfi", TIHC_CFG + "gapless = maybe\n", "key 'gapless': 'maybe' is not a boolean"),
+            ("tihc-qfi", TIHC_CFG + "gapless = true\ngap = 0.3\n", "give exactly one of"),
+            ("clm-qfi", CLM_CFG.replace("fit_window_hi = 1e-2", "fit_window_hi = 1e-1"), "fit window"),
+            ("clm-qfi", CLM_CFG.replace("lorentz_drude", "gaussian"), "unknown spectral family"),
+        ],
+        ids=["empty-value", "empty-key", "missing", "points", "gapless", "two", "window", "family"],
+    )
+    def test_bad_config_value_is_2(self, tmp_path, capsys, experiment, text, message):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "never.csv"
+        assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "config-error"
+        assert payload["message"].startswith(message)
         assert not out.exists()
 
     def test_non_utf8_config_is_2(self, tmp_path, capsys):

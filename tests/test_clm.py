@@ -18,6 +18,7 @@ from qthermo import (
     DivergenceError,
     ExponentialCutoff,
     IntegrationError,
+    InvalidStateError,
     LorentzDrude,
     SteadyStateQuery,
     ZeroModeError,
@@ -488,12 +489,15 @@ class TestPoleSums:
 
     def test_unphysical_state_is_refused(self):
         # ROADMAP item 1's factor makes this weakly damped star's state
-        # unphysical, det - 1/4 = -3.3e-4; both entry points refuse it
+        # unphysical, det - 1/4 = -3.3e-4 at T = 0.03255 and -7.4e-10 at
+        # T = 0.1159; both entry points refuse it, at the one tolerance
         star = make_star(LorentzDrude(0.01, 1.0), 1.0)
-        with pytest.raises(IntegrationError, match="unphysical steady covariance"):
+        with pytest.raises(InvalidStateError, match="violates uncertainty relation"):
             steady_covariances(SteadyStateQuery(star=star, T=0.03255))
-        with pytest.raises(IntegrationError, match="unphysical steady covariance"):
+        with pytest.raises(InvalidStateError, match="violates uncertainty relation"):
             qfi_curve(star, [0.03, 0.03255])
+        with pytest.raises(InvalidStateError, match="violates uncertainty relation"):
+            steady_covariances(SteadyStateQuery(star=star, T=0.11589551762719849))
 
 
 class TestMpmathOracle:
@@ -571,6 +575,18 @@ class TestMpmathOracle:
         assert len(samples) == 4
         for wm, f in samples:
             assert f == pytest.approx(self.qfi(fig2_star(0.0), 1e-3, wm, dps=30), rel=1e-12, abs=0.0)
+
+    def test_free_probe_moments_past_near_duplicate_breakpoints(self):
+        # the x10 ladder from 1e-4/10**3 lands one ulp above the decades that
+        # T and wc set (0.1 and 0.10000000000000002, 1.0 and
+        # 1.0000000000000002, ...); unless such points are merged, QUADPACK
+        # refuses the a1 moment as "extremely bad integrand behavior"
+        star, t, lo = make_star(LorentzDrude(0.5, 1.0), 0.0), 0.0017782794100389228, 1e-4 / 10**3
+        moments = [*real_axis(star, t, False, lo), *real_axis(star, t, True, lo)]
+        for m, oracle in zip(moments, self.moments(star, t, lo, dps=30)):
+            assert m == pytest.approx(float(oracle), rel=1e-12, abs=0.0)
+        _, samples = free_probe_qfi_limit(star, t, [lo, lo / 10.0, lo / 100.0])
+        assert samples[0][1] == pytest.approx(self.qfi(star, t, lo, dps=30), rel=1e-12, abs=0.0)
 
     def test_pole_sums_below_the_real_axis_floor(self):
         # a2 = 7.198e-13: with an absolute floor epsabs = 1e-14, the real axis

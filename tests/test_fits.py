@@ -44,6 +44,8 @@ class TestPowerLawFit:
         curve = make_curve(ts, 1.0 * ts)
         with pytest.raises(FitError):
             fit_power_law(curve, window=(5.0, 10.0))  # empty
+        with pytest.raises(FitError, match="empty window"):
+            fit_power_law(curve, window=(0.5, 0.5))
         with pytest.raises(FitError):
             fit_power_law(make_curve([1, 2, 3], [1, 1, 1]))  # too few
         with pytest.raises(FitError):
@@ -59,6 +61,11 @@ class TestExponentialGapFit:
         assert fit.exponent_or_gap == pytest.approx(0.01, abs=1e-6)
         assert fit.prefactor == pytest.approx(3.0, rel=1e-6)
         assert fit.kind == "exponential_gap"
+
+    def test_rejects_non_positive_qfi(self):
+        ts = np.geomspace(0.1, 1.0, 6)
+        with pytest.raises(FitError, match="strictly positive QFI"):
+            fit_exponential_gap(make_curve(ts, np.where(ts < 0.5, 0.0, ts)))
 
     def test_growing_signal_gives_negative_gap(self):
         betas = np.linspace(10.0, 100.0, 10)

@@ -207,6 +207,12 @@ class TestQfiFromDerivatives:
             1.0 / (2.0 * T * T), rel=1e-6
         )
 
+    @pytest.mark.parametrize("a1", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_derivatives(self, a1):
+        cov = thermal_mode_covariance(1.0, 1.0)
+        with pytest.raises(ValueError, match="derivatives must be finite"):
+            qfi_from_derivatives(cov, CovarianceDerivatives(a1, 1.0))
+
     def test_rejects_pure_state(self):
         vacuum = SingleModeCovariance(0.5, 0.5)
         with pytest.raises(DegenerateStateError):
@@ -249,6 +255,8 @@ class TestQfiCurve:
             QfiCurve((1.0, 0.5), (1.0, 1.0))  # not increasing
         with pytest.raises(ValueError):
             QfiCurve((0.5, 1.0), (1.0, -1.0))  # negative qfi
+        with pytest.raises(ValueError, match="equal length"):
+            QfiCurve((0.5, 1.0), (1.0,))
 
     def test_covariance_count_must_match(self):
         with pytest.raises(ValueError):

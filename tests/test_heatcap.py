@@ -213,6 +213,17 @@ def test_non_finite_energy_scale_is_rejected(x):
             call()
 
 
+def test_ising_input_is_checked():
+    spec = IsingSpec(J=1.0, h=0.5, N=100)
+    with pytest.raises(ValueError, match="N >= 2"):
+        IsingSpec(J=1.0, h=0.5, N=1)
+    with pytest.raises(ValueError, match="unknown mode 'approx'"):
+        ising_heat_capacity(spec, 1.0, "approx")
+    # beyond beta*Delta = 700 the capacity is exactly 0.0, where the formula's
+    # (beta*Delta)^(3/2) would overflow at beta*Delta = 1e300
+    assert ising_heat_capacity(spec, 1e-300, "asymptotic") == 0.0
+
+
 def test_unknown_statistics_is_rejected():
     # "qubit" was a synonym of "fermionic"; the Ising chain's modes are fermionic
     with pytest.raises(ValueError, match="unknown statistics 'qubit'"):

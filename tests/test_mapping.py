@@ -270,6 +270,10 @@ class TestStarToChain:
 
 
 class TestClmNormalModes:
+    def test_continuous_star_is_refused(self):
+        with pytest.raises(TypeError, match="discrete modes"):
+            clm_normal_modes(make_star(LorentzDrude(0.1, 2.0), 1.0))
+
     def test_zero_coupling_returns_inputs(self):
         modes = DiscreteModes((1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
         star = StarSpec(omega0_sq=6.25, sd=modes)
@@ -424,6 +428,14 @@ class TestProbeDelocalizationSecular:
 
 
 class TestStarCouplingScaling:
+    @pytest.mark.parametrize(
+        "sizes, match", [([20], "at least two"), ([8, 20], "must lie below")], ids=["one", "8"]
+    )
+    def test_bad_sizes_are_rejected(self, sizes, match):
+        # the fit takes modes 3, 5 and 8 of each size, and a slope in N
+        with pytest.raises(ValueError, match=match):
+            star_coupling_scaling(2.5, sizes)
+
     @pytest.mark.parametrize("s", [2.5, 1.0])
     def test_coupling_scaling_exponents(self, s):
         n_fit, size_fit = star_coupling_scaling(s, [50, 100, 200])

@@ -275,6 +275,47 @@ def test_non_finite_model_parameter_is_rejected(x):
             call()
 
 
+LD = LorentzDrude(0.1, 2.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: DiscreteModes((), ()), ValueError, "non-empty"),
+        (lambda: DiscreteModes((1.0, 2.0), (0.1,)), ValueError, "equal-length"),
+        (lambda: DiscreteModes((1.0, 1.0), (0.1, 0.1)), ValueError, "strictly increasing"),
+        (lambda: DiscreteModes((0.0, 1.0), (0.1, 0.1)), ValueError, "positive"),
+        (lambda: DiscreteModes((1.0,), (-0.1,)), ValueError, "non-negative"),
+        (lambda: StarSpec(0.0, DiscreteModes((1.0,), (0.0,))), ValueError, "total trapping"),
+        (lambda: self_energy(LD, -1.0), ValueError, "omega >= 0"),
+        (lambda: self_energy_pv(ExponentialCutoff(0.1, 2.0, 1.0), -1.0), ValueError, "omega >= 0"),
+        (lambda: susceptibility_abs_sq(make_star(LD, 1.0), -1.0), ValueError, "omega >= 0"),
+        (
+            lambda: susceptibility_abs_sq(make_star(DiscreteModes((1.0,), (0.5,)), 1.0), 1.0),
+            TypeError,
+            "susceptibility_abs_sq needs a continuous",
+        ),
+        (lambda: discretize_clm(LD, 0, 20.0), ValueError, "n_modes >= 1"),
+    ],
+    ids=[
+        "modes-empty",
+        "modes-unequal",
+        "modes-not-increasing",
+        "modes-not-positive",
+        "modes-negative-coupling",
+        "star-untrapped",
+        "self_energy",
+        "self_energy_pv",
+        "susceptibility",
+        "susceptibility-discrete",
+        "discretize-no-modes",
+    ],
+)
+def test_bad_reservoir_input_is_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestQuadratureFailures:
     """QUADPACK's ier > 0 raises IntegrationError with quad's message."""
 
