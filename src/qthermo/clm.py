@@ -7,34 +7,24 @@ in spectral; Im alpha = J is an open defect (ROADMAP item 1):
     s11 = (1/pi) int_{wmin}^inf  J(w)/|alpha(w)|^2 coth(w/2T) dw,
     s22 = (1/pi) int_{wmin}^inf  w^2 J(w)/|alpha(w)|^2 coth(w/2T) dw,
 
-their temperature derivatives follow by differentiating under the integral
-(d coth(w/2T)/dT = (w/2T^2)/sinh^2(w/2T)), and the QFI follows from the
+their T-derivatives follow under the integral, and the QFI from the
 derivative formula, the fidelity route being a cross-check.  A steady state
-has wmin = 0; a free probe (omega_0 = 0) of a continuous reservoir has none,
-and free_probe_qfi_limit takes its QFI at cutoffs wmin > 0 to wmin -> 0.  The
-reservoir family picks the route, each doing its T-independent work once per
-star; on every route the state is a gaussian.SingleModeCovariance, which
-refuses det < 1/4 with InvalidStateError:
-
-* poles (Lorentz-Drude): the weight is rational in w^2, so each
-  moment is a digamma sum over a quartic's roots (Grabert, Weiss and
-  Talkner, Z. Phys. B 55, 87 (1984)), every T of a sweep in one numpy pass;
-* normal modes (a discrete star): gaussian's mode sum over sqrt(lam_j) with
-  the probe's weights c_j^2, which mapping._probe_column returns;
-* the real axis (ExponentialCutoff, and the free probe's cutoffs): adaptive
-  quadrature at spectral.QUAD_TOL, with no absolute floor, of _weight
-  (J/|alpha|^2) times _kernel (coth or csch^2), with the breakpoints but T
-  and wmin (_skeleton) and the s11 and s22 tails beyond B >= 1000 T (_tail)
-  kept in the star's memo.  A ladder of cutoffs integrates [wmin_1, inf)
-  once, and each smaller cutoff adds its own segment; a failed QUADPACK call
-  raises IntegrationError.
+has wmin = 0; free_probe_qfi_limit takes a free probe (omega_0 = 0) of a
+continuous reservoir to wmin -> 0.  The reservoir family picks the route,
+each doing its T-independent work once per star, and every state is a
+gaussian.SingleModeCovariance: the poles of a Lorentz-Drude weight, which is
+rational in w^2 (digamma sums over a quartic's roots, Grabert, Weiss and
+Talkner, Z. Phys. B 55, 87 (1984); a free probe's cutoffs add closed forms
+and a Gauss-Legendre sum over [0, wmin]), the normal modes of a discrete
+star (gaussian's mode sum), or QUADPACK on the real axis (ExponentialCutoff,
+from 0 or from a free probe's cutoffs).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -59,6 +49,10 @@ _B2J = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3
 _SERIES_FROM = 10.0
 _ULPS = 8.0 * np.finfo(float).eps  # breakpoints closer than this, relative, are merged
 _EXACT = (DiscreteModes, LorentzDrude)  # the families whose moments need no quadrature
+# (x coth x - 1)/x^2 and (x^2 csch^2 x - 1)/x^2 in x^2, highest power first:
+# c_j and (1 - 2j) c_j, c_j = 4^j B_2j/(2j)!; below x = 1/2, < 1e-19 left
+_XCOTH = ((1 - np.outer([0, 2], np.arange(1, 13))) * 4.0 ** np.arange(1, 13) * _B2J
+          / np.cumprod(np.arange(1.0, 25))[1::2])[:, ::-1]
 
 
 def quad(*args, **kwargs):
@@ -87,9 +81,8 @@ class SteadyStateQuery:
         if not 0.0 < self.T < math.inf:
             raise ValueError("temperature must be positive and finite")
         if self.star.omega0_sq == 0.0 and not isinstance(self.star.sd, DiscreteModes):
-            raise DivergenceError(
-                "omega_0 = 0: s11 diverges; free_probe_qfi_limit takes the infrared-cutoff limit"
-            )
+            raise DivergenceError("omega_0 = 0: s11 diverges; free_probe_qfi_limit takes the"
+                                  " infrared-cutoff limit")
 
 
 def _kept(star: StarSpec, build):
@@ -100,14 +93,13 @@ def _kept(star: StarSpec, build):
 
 
 def _skeleton(star: StarSpec) -> tuple[frozenset[float], float]:
-    """The T-independent interior points and cap B0 of _breakpoints, with the
-    root of Re alpha found by bracketed root finding; _kept runs it."""
+    """The T-independent points of _breakpoints (wc, the knee w0^2/J'(0) of
+    1/|alpha|^2, the root of Re alpha by brentq and its width) and cap B0."""
     sd, wc = star.sd, star.sd.omega_c
     pts = {0.1 * wc, wc, 10.0 * wc}
-    eps = 1e-8 * wc
-    slope = max(float(sd.j(eps)) / eps, 1e-300)
-    if star.omega0_sq > 0.0:
-        knee = star.omega0_sq / slope
+    if star.omega0_sq > 0.0:  # the knee w0^2/J'(0)
+        eps = 1e-8 * wc
+        knee = star.omega0_sq / max(float(sd.j(eps)) / eps, 1e-300)
         pts.update((0.1 * knee, knee, 10.0 * knee, 100.0 * knee))
     lo, hi = 1e-9 * wc, 10.0 * math.sqrt(star.omega0_sq + star.omega_R_sq) + 10.0 * wc
     B0 = 50.0 * wc
@@ -122,17 +114,11 @@ def _skeleton(star: StarSpec) -> tuple[frozenset[float], float]:
 
 
 def _breakpoints(star: StarSpec, T: float, lo: float) -> tuple[list[float], float]:
-    """(interior quad points, finite cap B) for the integrals from lo.
-
-    Seeds every scale the integrand can have: the thermal scale T, the
-    cutoff wc, the low-frequency knee w* = w0^2/J'(0) of 1/|alpha|^2, the
-    resonance peak with its width, and a geometric ladder above a cutoff
-    lo = omega_min > 0 for the 1/w^2-divergent free-probe integrands.  All but
-    T and lo come from the star's skeleton; B = max(B0, 1000 T).  The
-    ladder's x10 steps round, so a point within 8 eps of lo, of B or of the
-    point below it is dropped: QUADPACK refuses so short a subinterval as
-    bad integrand behavior.
-    """
+    """(interior quad points, finite cap B) for the integrals from lo: T, the
+    scales of _skeleton, and a x10 ladder above a cutoff lo > 0 for the
+    1/w^2-divergent free probe; B = max(B0, 1000 T).  A point within 8 eps of
+    lo, of B or of the point below it is dropped: QUADPACK refuses so short a
+    subinterval as bad integrand behavior."""
     skeleton, B0 = _kept(star, _skeleton)
     pts = set(skeleton)
     pts.update((0.1 * T, T, 10.0 * T))
@@ -150,27 +136,20 @@ def _breakpoints(star: StarSpec, T: float, lo: float) -> tuple[list[float], floa
 
 
 def _tail(f, B: float, tails: dict, p: int) -> tuple:
-    """quad's full output for int f from B to inf, or (0.0, 0.0) when f(B)
-    is negligible.  For s11 and s22 only: B >= 1000 T puts w/2T >= 500 on
-    [B, inf), where the coth kernel is exactly 1.0, so the tail of the w^p
-    moment depends on the star and B alone.  It is integrated once and kept
-    in tails under (B, p); a quad exception is not kept."""
-    key = (B, p)
-    if key not in tails:
-        out = (0.0, 0.0)
-        if abs(f(B)) > 1e-280:
-            out = quad(f, B, np.inf, limit=200, epsabs=0.0, epsrel=QUAD_TOL, full_output=1)
-        tails[key] = out
-    return tails[key]
+    """quad's full output for int f from B to inf, or (0.0, 0.0) when f(B) is
+    negligible.  s11 and s22 only: coth is 1.0 on [B, inf) (w/2T >= 500), so the
+    tail depends on the star and B alone; kept in tails, a quad exception not."""
+    if (B, p) not in tails:
+        kw = dict(limit=200, epsabs=0.0, epsrel=QUAD_TOL, full_output=1)
+        tails[B, p] = quad(f, B, np.inf, **kw) if abs(f(B)) > 1e-280 else (0.0, 0.0)
+    return tails[B, p]
 
 
 def _integrate(f, lo: float, pts: list[float], B: float, tails: dict | None, p: int) -> float:
-    """int f from lo to inf: [lo, B] with the interior points pts, plus the
-    w^p moment's tail beyond B from _tail, or none when tails is None (the
-    derivative moments: beyond B the csch^2 kernel is exactly 0.0).  quad
-    reports a failure (ier > 0) in its full output, not as a warning, and it
-    raises here unless the failed tail's |value| + abserr is within QUAD_TOL
-    of the head."""
+    """int f from lo to inf: [lo, B] with the interior points pts, plus the w^p
+    moment's tail from _tail, or none when tails is None (beyond B csch^2 is
+    0.0).  quad's ier > 0 (in its full output, not a warning) raises unless a
+    failed tail's |value| + abserr is within QUAD_TOL of the head."""
     try:
         head = quad(f, lo, B, points=pts, limit=800, epsabs=0.0, epsrel=QUAD_TOL, full_output=1)
         tail = (0.0, 0.0) if tails is None else _tail(f, B, tails, p)
@@ -182,26 +161,6 @@ def _integrate(f, lo: float, pts: list[float], B: float, tails: dict | None, p: 
     if not math.isfinite(total):
         raise IntegrationError(f"steady-state quadrature returned {total!r}")
     return total
-
-
-def _weight(star: StarSpec):
-    """w -> J/|alpha|^2 = Im alpha/|alpha|^2 from spectral's alpha.  A
-    Lorentz-Drude node is one frame: h w (u + wc^2)/(R^2 + h^2 u), u = w^2."""
-    if not isinstance(star.sd, LorentzDrude):
-        def weight(w: float) -> float:
-            re, im = _alpha(star, w)
-            return im / (re * re + im * im)
-
-        return weight
-    r1, r2, wc2, h = _rational_alpha(star)
-    h2 = h * h
-
-    def weight(w: float) -> float:
-        u = w * w
-        re = (r1 - u) * u + r2
-        return h * w * (u + wc2) / (re * re + h2 * u)
-
-    return weight
 
 
 def _kernel(T: float, derivative: bool):
@@ -222,12 +181,17 @@ def _kernel(T: float, derivative: bool):
 
 
 def _weighted_moments(star: StarSpec, T: float, lo: float, hi: float, derivative: bool) -> tuple:
-    """(1/pi) int w^p _weight _kernel dw, p = 0 and 2, over [lo, inf), or over
-    [lo, hi] for any finite hi (the breakpoints below hi, no tail)."""
-    weight, kernel = _weight(star), _kernel(T, derivative)
+    """(1/pi) int w^p J/|alpha|^2 _kernel dw, p = 0 and 2, over [lo, inf), or
+    over [lo, hi] for a finite hi (the breakpoints 8 eps below hi, no tail)."""
+    kernel = _kernel(T, derivative)
+
+    def weight(w: float) -> float:
+        re, im = _alpha(star, w)
+        return im / (re * re + im * im)
+
     pts, B = _breakpoints(star, T, lo)
     if hi < math.inf:
-        pts, B = [p for p in pts if p < hi], hi
+        pts, B = [p for p in pts if p < (1.0 - _ULPS) * hi], hi
     tails = None if derivative or hi < math.inf else star._memo.setdefault(_tail, {})
     m0 = _integrate(lambda w: weight(w) * kernel(w), lo, pts, B, tails, 0) / np.pi
     m2 = _integrate(lambda w: w * w * weight(w) * kernel(w), lo, pts, B, tails, 2) / np.pi
@@ -235,44 +199,43 @@ def _weighted_moments(star: StarSpec, T: float, lo: float, hi: float, derivative
 
 
 def _poles(star: StarSpec) -> tuple:
-    """A Lorentz-Drude star's T-independent data for _pole_moments.
-
-    J/|alpha|^2 = h w N(u)/P(u) in u = w^2, with P = R^2 + h^2 u from
-    spectral._rational_alpha and N = u + wc^2 (w^0 moments) or u (u + wc^2) (w^2).
-    Gives P's roots u_k (np.roots, then Newton), A_k = (h/pi) N(u_k)/P'(u_k),
-    sigma = min |u_k| and the derivative series' 4 pi^2 |B_2j| M_j sigma^(j-1):
-    M_j = sum_k A_k (-u_k)^-j, a Taylor coefficient of N/P at 0 by series division.
-    """
+    """A Lorentz-Drude star's T-independent data for _pole_sums: J/|alpha|^2 =
+    h w N(u)/P(u) in u = w^2, with P = R^2 + h^2 u from spectral._rational_alpha
+    and N = u + wc^2 (w^0 moments) or u (u + wc^2) (w^2).  Gives P's roots u_k
+    (np.roots, then Newton), A_k = (h/pi) N(u_k)/P'(u_k), sigma = min |u_k| and
+    per row the derivative series' 4 pi^2 |B_2j| M_j sigma^(j-1): M_j = sum_k
+    A_k (-u_k)^-j, a Taylor coefficient of N/P at 0 by series division.  A free
+    probe has P = u Q: u_k are Q's roots, its w^2 row's N/P is (u + wc^2)/Q,
+    and its w^0 row (the pole u = 0 left out) has no series."""
     r1, r2, wc2, h = _rational_alpha(star)
+    z = int(r2 == 0.0)  # P's roots at u = 0
     r, g4 = np.array([-1.0, r1, r2]), h**2
     dr, p = np.polyder(r), np.polyadd(np.polymul(r, r), [g4, 0.0])
-    u = np.roots(p).astype(complex)
+    u = np.roots(p[: p.size - z]).astype(complex)
     for _ in range(3):  # Newton on P = R^2 + g4 u, evaluated through R
         ru = np.polyval(r, u)
         u = u - (ru * ru + g4 * u) / (2.0 * ru * np.polyval(dr, u) + g4)
     c = h / np.pi
     dp = 2.0 * np.polyval(r, u) * np.polyval(dr, u) + g4  # P' through R: 1e-12 better in s22
     amps = c * np.stack((u + wc2, u * (u + wc2))) / dp
-    sigma = float(np.min(np.abs(u)))
-    scale = sigma ** np.arange(_B2J.size)
-    n_up = np.pad(c * np.array([[wc2, 1.0, 0.0], [0.0, wc2, 1.0]]), ((0, 0), (0, _B2J.size - 3)))
-    p_up, taylor = p[::-1] * scale[:5], np.zeros((2, _B2J.size + 4))  # 4 leading zeros
-    for m in range(_B2J.size):
+    sigma, n = float(np.min(np.abs(u))), _B2J.size
+    scale = sigma ** np.arange(n)
+    n_up = np.pad(c * np.array([[wc2, 1.0, 0.0], [0.0, wc2, 1.0]])[z:, z:], ((0, 0), (0, n - 3 + z)))
+    p_up, taylor = np.append(p[::-1][z:], [0.0] * z) * scale[:5], np.zeros((2 - z, n + 4))  # 4 leading 0s
+    for m in range(n):
         taylor[:, m + 4] = (n_up[:, m] * scale[m] - taylor[:, m : m + 4] @ p_up[4:0:-1]) / p_up[0]
-    return u, amps, [(4.0 * np.pi**2 * np.abs(_B2J) * row[4:])[::-1] for row in taylor], sigma
+    return u, amps, [None] * z + [(4.0 * np.pi**2 * np.abs(_B2J) * row[4:])[::-1] for row in taylor], sigma
 
 
-def _pole_moments(u, amps, series, sigma, temperatures) -> list[tuple]:
-    """A Lorentz-Drude probe's moments from _poles, one numpy pass over every T.
-
-    With lam_k = sqrt(-u_k) (principal branch) and x_k = lam_k/2 pi T, a moment
-    is -sum_k A_k [ln lam_k + Q(x_k)] and its T-derivative sum_k A_k R(x_k)/T,
-    with Q(x) = psi(1 + x) - ln x - 1/2x and R(x) = x psi'(1 + x) - 1 + 1/2x:
+def _pole_sums(u, amps, series, sigma, temperatures) -> tuple:
+    """Per row of _poles' amplitudes, a moment and its T-derivative at every T
+    in one numpy pass: with lam_k = sqrt(-u_k) (principal branch) and x_k =
+    lam_k/2 pi T, -sum_k A_k [ln lam_k + Q(x_k)] and sum_k A_k R(x_k)/T, where
+    Q(x) = psi(1 + x) - ln x - 1/2x, R(x) = x psi'(1 + x) - 1 + 1/2x, and
     sum_k A_k = 0 cancels the ln x and 1/2x.  Q and R are their series from
     |x| = 10 on; the psi recurrence shifts a smaller x by 10.  Where every |x_k|
-    is large, the sum over R cancels between poles, so the derivatives sum R's
-    series over all poles at once, sum_j B_2j (2 pi T)^2j M_j: a1 ~ T, a2 ~ T^3.
-    """
+    is large, the sum over R cancels between poles, so a row with a series sums
+    R's series over all poles at once, sum_j B_2j (2 pi T)^2j M_j: a1 ~ T, a2 ~ T^3."""
     lam, t = np.sqrt(-u), np.asarray(temperatures, dtype=float)
     x = lam / (2.0 * np.pi * t[:, None])
     big = np.abs(x) >= _SERIES_FROM
@@ -284,20 +247,64 @@ def _pole_moments(u, amps, series, sigma, temperatures) -> list[tuple]:
     dpsi = (1.0 - 0.5 / z + r) / z + np.sum(shifted**-2, axis=-1)
     lq = np.where(big, np.log(lam) + q, psi - 0.5 / x)
     rx = np.where(big, r, x * dpsi - 1.0 + 0.5 / x)
-    s11, s22 = (-np.sum(lq * a, axis=1).real for a in amps)
-    a1, a2 = (np.sum(rx * a, axis=1).real / t for a in amps)
+    moments = [-np.sum(lq * a, axis=1).real for a in amps]
+    derivs = [np.sum(rx * a, axis=1).real / t for a in amps]
     every = np.all(big, axis=1)
     y = np.where(every, (2.0 * np.pi * t) ** 2 / sigma, 0.0)
-    a1, a2 = (np.where(every, t * np.polyval(c, y), a) for c, a in zip(series, (a1, a2)))
-    covs = [SingleModeCovariance(float(v), float(w)) for v, w in zip(s11, s22)]
-    return list(zip(covs, [CovarianceDerivatives(float(v), float(w)) for v, w in zip(a1, a2)]))
+    return moments, [d if c is None else np.where(every, t * np.polyval(c, y), d)
+                     for c, d in zip(series, derivs)]
+
+
+def _states(rows) -> list[tuple]:
+    """The state and T-derivatives of each row (s11, s22, a1, a2)."""
+    return [(SingleModeCovariance(*r[:2]), CovarianceDerivatives(*r[2:])) for r in np.array(rows).tolist()]
+
+
+@cache
+def _gauss_legendre() -> tuple:
+    """20 Gauss-Legendre nodes and weights on [-1, 1]; numpy.polynomial takes ~5 ms to import."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(20)
+
+
+def _free_pole_moments(star: StarSpec, T: float, seq: list[float]) -> np.ndarray:
+    """(s11, s22, a1, a2) of a free Lorentz-Drude probe from each cutoff of seq
+    up, a row per cutoff (README derives it).  Over Q's roots, (1/pi) W = A_0/w
+    + w sum_k A_k/(w^2 + lam_k^2), W = J/|alpha|^2, A_0 = wc^2/(pi h); (m, d)
+    are _pole_sums' rows and S = sum_k A_k arctan(wmin/lam_k)/lam_k:
+      s11 = m_0 + A_0 (gamma_E - ln 2 pi T + 2T/wmin) - 2T S - int_0^wmin (1/pi) W K,
+      a1 = d_0 + A_0 (2/wmin - 1/T) - 2 S - int_0^wmin (1/pi) W dK/dT,
+    K = coth(w/2T) - 2T/w, and s22, a2 = m_1, d_1 - their integrals over [0, wmin],
+    each smooth (_XCOTH below w/2T = 1/2): 20-node Gauss-Legendre on each
+    interval of the ladder.  Above 10 T, where a1 and a2 fall like
+    e^(-wmin/T), or min Re lam_k, where s11's 1/w part cancels, a cutoff is
+    refused; below both, no pole enters an interval's Bernstein ellipse rho = 3."""
+    u, amps, series, sigma = _poles(star)
+    lam, (_, _, wc2, h), (xi, wi) = np.sqrt(-u), _rational_alpha(star), _gauss_legendre()
+    if seq[0] > min(10.0 * T, float(np.min(lam.real))) * (1.0 + _ULPS):
+        raise ValueError("omega_min_sequence: the pole sums need cutoffs <= 10 T and the nearest pole")
+    edges = np.array([0.0, *seq[::-1]])
+    half = np.diff(edges)[:, None] / 2.0
+    nodes = (edges[:-1, None] + half * (1.0 + xi)).ravel()
+    x, (re, im) = nodes / (2.0 * T), _alpha(star, nodes)
+    ends = np.stack((x * (1.0 + 2.0 / np.expm1(2.0 * x)), (x / np.sinh(x)) ** 2))  # x coth x, x^2 csch^2 x
+    diff = np.where(x < 0.5, [np.polyval(c, x * x) for c in _XCOTH], (ends - 1) / np.maximum(x, 0.5) ** 2)
+    kernels = np.stack((diff[0] / (2.0 * T), 2.0 * T * ends[0], diff[1] / (2.0 * T * T), 2.0 * ends[1]))
+    terms = kernels * (nodes * im / (re * re + im * im) / np.pi * (half * wi).ravel())
+    low = np.cumsum(terms.reshape(4, -1, xi.size).sum(axis=-1), axis=1)[:, ::-1]
+    (m0, m1), (d0, d1) = _pole_sums(u, amps, series, sigma, [T])
+    wm, a0 = np.array(seq), wc2 / (np.pi * h)
+    s = (np.arctan(wm[:, None] / lam) / lam @ amps[0]).real
+    s11 = m0 + a0 * (np.euler_gamma - math.log(2.0 * np.pi * T) + 2.0 * T / wm) - 2.0 * T * s
+    a1 = d0 + a0 * (2.0 / wm - 1.0 / T) - 2.0 * s
+    return (np.stack(np.broadcast_arrays(s11, m1, a1, d1)) - low).T
 
 
 def _exact_kernel(star: StarSpec):
-    """temperatures -> moments of a quadrature-free star, kept by _kept: the
-    pole sums over _poles, or the mode sum over the star's normal modes."""
+    """temperatures -> states of a quadrature-free star (pole or mode sums), for _kept."""
     if isinstance(star.sd, LorentzDrude):
-        return partial(_pole_moments, *_poles(star))
+        poles = _poles(star)
+        return lambda ts: _states(np.vstack(_pole_sums(*poles, ts)).T)
     lam, c2 = _probe_column(star)
     return partial(_mode_sums, _mode_frequencies(lam, False, "the probe is free or nearly so"), c2)
 
@@ -327,30 +334,22 @@ def clm_qfi_fidelity(q: SteadyStateQuery, step_fraction: float) -> float:
 
 
 def qfi_curve(star: StarSpec, temperatures) -> QfiCurve:
-    """Sweep the derivative-route QFI over a temperature grid (sorted ascending).
-
-    The curve keeps the steady covariance at each temperature.
-    """
+    """The derivative-route QFI over sorted temperatures, with each steady covariance."""
     ts = sorted(float(t) for t in temperatures)
     qs = [SteadyStateQuery(star=star, T=t) for t in ts]  # checks every T first
     if isinstance(star.sd, _EXACT):
-        moments = _kept(star, _exact_kernel)(ts)
-    else:
-        moments = ((steady_covariances(q), covariance_T_derivatives(q)) for q in qs)
-    return QfiCurve.from_moments(ts, moments)
+        return QfiCurve.from_moments(ts, _kept(star, _exact_kernel)(ts))
+    return QfiCurve.from_moments(ts, ((steady_covariances(q), covariance_T_derivatives(q)) for q in qs))
 
 
 def free_probe_qfi_limit(
     star: StarSpec, T: float, omega_min_sequence=None
 ) -> tuple[float, list[tuple[float, float]]]:
-    """QFI of the omega_0 = 0 probe in the infrared-cutoff limit.
-
-    Evaluates F(T, wmin), the probe trapped by omega_R alone, along a
-    decreasing sequence (default geometric, ratio 10, from 1e-4 to 1e-7):
-    the moments over [wmin_1, inf) once, then each smaller cutoff adds its
-    segment [wmin_k, wmin_(k-1)] to running sums.  A linear fit F = F_inf
-    + c*wmin over the last three points extrapolates wmin -> 0.
-    """
+    """QFI of the omega_0 = 0 probe in the infrared-cutoff limit: F(T, wmin), the
+    probe trapped by omega_R alone, along a decreasing sequence (default ratio
+    10 from 1e-4 to 1e-7), by _free_pole_moments for a Lorentz-Drude star and on
+    the real axis otherwise; a linear fit F = F_inf + c*wmin over the last
+    three points extrapolates wmin -> 0."""
     if not 0.0 < T < math.inf:
         raise ValueError("temperature must be positive and finite")
     if isinstance(star.sd, DiscreteModes) or star.omega0_sq != 0.0:
@@ -360,12 +359,13 @@ def free_probe_qfi_limit(
     seq = [float(w) for w in omega_min_sequence]
     if len(seq) < 3 or not all(0.0 < b < a for a, b in zip([math.inf, *seq], seq)):
         raise ValueError("omega_min_sequence must be >= 3 finite cutoffs > 0, strictly decreasing")
-    sums, hi, samples = [0.0] * 4, math.inf, []
-    for wm in seq:
-        segment = [m for d in (False, True) for m in _weighted_moments(star, T, wm, hi, d)]
-        sums, hi = [s + m for s, m in zip(sums, segment)], wm
-        cov, der = SingleModeCovariance(*sums[:2]), CovarianceDerivatives(*sums[2:])
-        samples.append((wm, qfi_from_derivatives(cov, der)))
+    if isinstance(star.sd, _EXACT):
+        rows = _free_pole_moments(star, T, seq)
+    else:  # the real axis: [wmin_1, inf), then each smaller cutoff's segment, summed
+        segments = [[m for d in (False, True) for m in _weighted_moments(star, T, *b, d)]
+                    for b in zip(seq, [math.inf, *seq])]
+        rows = np.cumsum(segments, axis=0)
+    samples = [(wm, qfi_from_derivatives(*state)) for wm, state in zip(seq, _states(rows))]
     diffs = [abs(b[1] - a[1]) for a, b in zip(samples, samples[1:])]
     if diffs[-1] > 2.0 * diffs[-2] + 1e-12 * abs(samples[-1][1]):
         raise ConvergenceError(f"non-Cauchy tail in omega_min sequence: |dF| = {diffs!r}")

@@ -487,8 +487,9 @@ class TestMainExitCodes:
 # fig5/fig5_desk are left out: they sit ~1e-13 off their tables since the
 # DFT chain reconstruction.  Three route changes moved other tables' last
 # digits: fig2a and fig2b take the Lorentz-Drude pole sums, fig4 the
-# mirror-symmetric half of the chain, and free_probe integrates its cutoff
-# ladder once, segment by segment.  Their bytes are pinned to
+# mirror-symmetric half of the chain, and free_probe's cutoffs the pole sums
+# with closed forms and a Gauss-Legendre sum below each cutoff, with no
+# quadrature.  Their bytes are pinned to
 # tests/reference, within the benchmark's own tolerance of
 # perfbench/reference, until the benchmark's tables are regenerated.
 PINNED_RECIPES = ("fig2a", "fig2b", "fig4_gapless", "fig4_gapped", "free_probe")

@@ -205,6 +205,43 @@ class TestFreeProbeLimit:
         assert spread < 0.05
         assert rels[0] == pytest.approx(math.sqrt(2.0), rel=0.05)
 
+    def test_sweep_converges_to_the_pole_data_limit(self):
+        # F_inf = 1/(2T^2) + a2(0)^2/(2 s22(0)^2), with s22(0) and a2(0) the
+        # full-axis w^2 row of the same pole sums: along the recipe's ladder
+        # |F/F_inf - 1| reads 0.37, 4.9e-2, 5.0e-3, 5.0e-4, and the linear
+        # extrapolation over the last three cutoffs lands 8.3e-5 below F_inf
+        star, t = fig2_star(0.0), 1e-3
+        (_, s22), (_, a2) = clm._pole_sums(*clm._poles(star), [t])
+        f_inf = 1.0 / (2.0 * t * t) + a2[0] ** 2 / (2.0 * s22[0] ** 2)
+        limit, samples = free_probe_qfi_limit(star, t)
+        gaps = [abs(f / f_inf - 1.0) for _, f in samples]
+        assert all(7.0 < a / b < 11.0 for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 1e-3
+        assert limit == pytest.approx(f_inf, rel=1e-4, abs=0.0)
+
+    def test_cutoff_beyond_the_pole_sums_reach_is_refused(self):
+        # above 10 T, a1 and a2 over [wmin, inf) fall like e^(-wmin/T); above
+        # the weight's nearest pole (Re lam = 2e-5 for gamma = 1e-5), s11's
+        # 1/w part cancels against that pole's: either is refused, not summed
+        star = fig2_star(0.0)
+        assert clm._free_pole_moments(star, 1e-5, [1e-4, 1e-5, 1e-6]).shape == (3, 4)
+        with pytest.raises(ValueError, match="10 T"):
+            free_probe_qfi_limit(star, 1e-5, [1.001e-4, 1e-5, 1e-6])
+        with pytest.raises(ValueError, match="nearest pole"):
+            free_probe_qfi_limit(make_star(LorentzDrude(1e-5, 1.0), 0.0), 1.0, [1e-4, 1e-5, 1e-6])
+
+    def test_segment_drops_a_breakpoint_one_ulp_below_its_end(self, monkeypatch):
+        # the x10 ladder from 1e-6 lands on 9.999999999999999e-06, one ulp below
+        # the segment's end 1e-5; like a point that close to lo or B, it goes
+        calls, real_quad = [], clm.quad
+
+        def quad(f, a, b, **kwargs):
+            calls.append((a, b, list(kwargs["points"])))
+            return real_quad(f, a, b, **kwargs)
+
+        monkeypatch.setattr(clm, "quad", quad)
+        clm._weighted_moments(fig2_star(0.0), 1e-3, 1e-6, 1e-5, False)
+        assert calls == [(1e-6, 1e-5, [])] * 2
+
     def test_sequence_validation(self):
         star = fig2_star(0.0)
         with pytest.raises(ValueError):
@@ -325,9 +362,9 @@ class TestWeightEvaluations:
         "derivative", [False, True], ids=["steady_covariances", "covariance_T_derivatives"]
     )
     def test_lorentz_drude_nodes_call_no_library_function(self, monkeypatch, derivative):
-        # a Lorentz-Drude node evaluates J and S inline (clm._weight); off
-        # the nodes J runs only for the low-frequency slope and the
-        # resonance width
+        # a Lorentz-Drude node takes spectral's rational alpha, with no J or
+        # S call; off the nodes J runs only for the low-frequency slope and
+        # the resonance width
         total, at_nodes, nodes = count_weight_calls(monkeypatch)
         real_axis(fig2_star(1.0), 1e-2, derivative)
         assert len(nodes) > 100
@@ -344,9 +381,10 @@ class TestWeightEvaluations:
         assert at_nodes["self_energy"] == len(nodes)
 
     def test_free_probe_sweep_integrates_the_shared_axis_once(self, monkeypatch):
-        # [1e-4, inf) is integrated for the largest cutoff only, and each
-        # smaller cutoff adds only its segment: 9570 nodes when every cutoff
-        # integrated from its own omega_min
+        # a Lorentz-Drude ladder takes the pole sums: no quadrature, and no J
+        # or S call.  The real axis, ExponentialCutoff's route (here with the
+        # pole sums off), integrates [1e-4, inf) for the largest cutoff only
+        # and each smaller cutoff's segment, and gives the same samples
         spans, real_quad = [], clm.quad
 
         def quad(f, a, b, **kwargs):
@@ -354,13 +392,18 @@ class TestWeightEvaluations:
             return real_quad(f, a, b, **kwargs)
 
         monkeypatch.setattr(clm, "quad", quad)
-        _, _, nodes = count_weight_calls(monkeypatch)
-        free_probe_qfi_limit(fig2_star(0.0), 1e-3)
+        total, _, nodes = count_weight_calls(monkeypatch)
+        _, samples = free_probe_qfi_limit(fig2_star(0.0), 1e-3)
+        assert spans == [] and total == {"j": 0, "self_energy": 0}
+        monkeypatch.setattr(clm, "_EXACT", (DiscreteModes,))
+        _, ladder = free_probe_qfi_limit(fig2_star(0.0), 1e-3)
         wm = [1e-4 / 10.0**k for k in range(4)]
         assert len(spans) == 18
         segments = [(wm[k], wm[k - 1]) for k in (1, 2, 3) for _ in range(4)]
         assert [s for s in spans if s[1] <= wm[0]] == segments
         assert len(nodes) <= 4000
+        for (w, f), (v, g) in zip(samples, ladder):
+            assert w == v and f == pytest.approx(g, rel=1e-12, abs=0.0)
 
     def test_sweep_finds_the_resonance_once(self, monkeypatch):
         # the root of Re alpha does not depend on T: one brentq per star,
@@ -575,6 +618,15 @@ class TestMpmathOracle:
         assert len(samples) == 4
         for wm, f in samples:
             assert f == pytest.approx(self.qfi(fig2_star(0.0), 1e-3, wm, dps=30), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-3, 0.1, 1.0])
+    def test_free_probe_pole_moments_at_30_digits(self, t):
+        # the four moments from each cutoff of a ladder from min(T, 0.1) up;
+        # the reach is min(10 T, 0.2) on this star
+        star, seq = fig2_star(0.0), [min(t, 0.1) / 10.0**k for k in range(3)]
+        for wm, row in zip(seq, clm._free_pole_moments(star, t, seq)):
+            for m, oracle in zip(row, self.moments(star, t, wm)):
+                assert m == pytest.approx(float(oracle), rel=1e-12, abs=0.0)
 
     def test_free_probe_moments_past_near_duplicate_breakpoints(self):
         # the x10 ladder from 1e-4/10**3 lands one ulp above the decades that

@@ -258,7 +258,7 @@ def ld_pole_queries(draw):
 @example(SteadyStateQuery(make_star(LorentzDrude(0.125, 1.0), 10.0), T=1e-4))
 def test_pole_sums_are_the_real_axis_integrals(q):
     # the closed form against the quadrature from 0 that it replaces
-    (cov, der), = clm._pole_moments(*clm._poles(q.star), [q.T])
+    (cov, der), = clm._exact_kernel(q.star)([q.T])
     try:
         axis = [m for d in (False, True) for m in real_axis(q.star, q.T, 0.0, d)]
     except IntegrationError as exc:
@@ -412,17 +412,16 @@ def ld_real_axis_queries(draw):
 # the free_probe recipe's star at its smallest cutoff
 @example((make_star(LorentzDrude(0.1, 100.0), 0.0), 1e-3, 1e-7), 1.0)
 def test_real_axis_weight_is_the_40_digit_one(axis, w):
-    # the node and spectral's alpha take the rational Re alpha, with no
-    # subtraction: (w0^2 + wR^2) - w^2 - S(w) lost ~eps wR^2/w0^2 near w = 0
-    # (3.1e-8 on these draws).  Rounding w^2 alone moves W by cond eps/2, which
-    # near a sharp resonance exceeds 1e-14, so the bound scales with cond.
+    # the real axis's node, Im alpha/|alpha|^2 from spectral's alpha, takes the
+    # rational Re alpha, with no subtraction: (w0^2 + wR^2) - w^2 - S(w) lost
+    # ~eps wR^2/w0^2 near w = 0 (3.1e-8 on these draws).  Rounding w^2 alone
+    # moves W by cond eps/2, which near a sharp resonance exceeds 1e-14, so
+    # the bound scales with cond.
     star, _, lo = axis
-    inline = clm._weight(star)
     for v in (w, *np.geomspace(lo, 1e5, 60)):
         expected, cond = mp_weight(star, float(v))
         re, im = _alpha(star, float(v))
         tol = 1e-14 * max(1.0, cond)
-        assert inline(float(v)) == pytest.approx(expected, rel=tol, abs=0.0)
         assert im / (re * re + im * im) == pytest.approx(expected, rel=tol, abs=0.0)
 
 

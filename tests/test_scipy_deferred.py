@@ -46,9 +46,11 @@ def test_import_loads_no_scipy():
 
 
 # fig3a is tihc-qfi; discretize_residual has a Lorentz-Drude reservoir,
-# whose bins have a closed form; fig2a's clm-qfi probe takes the pole sums.
+# whose bins have a closed form; the clm-qfi probes of fig2a and fig2b take
+# the pole sums, and so do free_probe's cutoffs.
 @pytest.mark.parametrize(
-    "recipe", ["fig3a", "gap_error", "heatcap_ising", "discretize_residual", "fig2a"]
+    "recipe",
+    ["fig3a", "gap_error", "heatcap_ising", "discretize_residual", "fig2a", "fig2b", "free_probe"],
 )
 def test_chain_experiments_load_no_scipy(tmp_path, recipe):
     result = probe(str(REPO / "configs" / f"{recipe}.cfg"), str(tmp_path / "out.csv"))
@@ -60,12 +62,8 @@ def test_chain_experiments_load_no_scipy(tmp_path, recipe):
 
 
 def test_brownian_probe_loads_scipy(tmp_path):
-    # the free probe's infrared cutoff puts it on the real axis's quadrature
-    cfg = tmp_path / "probe.cfg"
-    cfg.write_text(
-        "experiment = free-probe-limit\nfamily = lorentz_drude\ngamma = 0.1\nomega_c = 100\n"
-        "T = 1e-3\n"
-    )
-    result = probe(str(cfg), str(tmp_path / "out.csv"))
+    # every Lorentz-Drude probe route is free of scipy; the reservoir that a
+    # chain node sees (chain-to-star) still takes scipy's dense eigh
+    result = probe(str(REPO / "configs" / "fig4_gapless.cfg"), str(tmp_path / "out.csv"))
     assert "scipy" in result["scipy"]
     assert isinstance(result["env"]["scipy"], str) and result["env"]["scipy"]
