@@ -1,18 +1,16 @@
 """Translationally invariant harmonic chains (2N+1 nodes, periodic).
 
-The interaction matrix is circulant, so the squared normal-mode
-frequencies are exact cosine sums,
+The interaction matrix is circulant, so its squared normal-mode
+frequencies are the real DFT of its first row (Om^2, G_1, .., G_N,
+G_N, .., G_1),
 
     Om_a^2 = Om^2 + 2 sum_k G_k cos(2 pi k a / (2N+1)),  a = 0..N,
 
 with a = 1..N doubly degenerate.  A node's state is gaussian's mode sum
 over them with the circulant weights (1/(2N+1) for a = 0, 2/(2N+1) else;
 the sine partner of a degenerate pair has no amplitude on the node): exact,
-with no eigensolver, the spectrum once per sweep, O(N) per temperature.
-The cosine table is symmetric in k and a, so chain_spectrum computes each
-cosine once, in row tiles, and still sums every mode over k in increasing
-order (one-column updates by cumsum, since numpy sums a single column
-pairwise): the values are those of the one-shot table, bit for bit.
+with no eigensolver, the spectrum once per sweep in O(N log N), O(N) per
+temperature.
 """
 
 from __future__ import annotations
@@ -32,10 +30,6 @@ from .gaussian import (
     _mode_sums,
     qfi_from_derivatives,
 )
-
-# Rows k of the cosine table in one chain_spectrum tile.
-_SPECTRUM_BLOCK = 32
-
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -109,44 +103,17 @@ class ChainSpectrum:
         return float(np.sqrt(max(min(self.non_repeated), 0.0)))
 
 
-def _add_rows(head: np.ndarray, g: np.ndarray, cos_rows: np.ndarray) -> np.ndarray:
-    """head + g[0] cos_rows[0] + g[1] cos_rows[1] + ..., added in that order.
-
-    The rows go into one C-contiguous buffer, which numpy reduces over axis 0
-    row by row; a single column it would sum pairwise, so cumsum takes it.
-    """
-    buf = np.empty((g.size + 1, head.size))
-    buf[0] = head
-    np.multiply(g[:, None], cos_rows, out=buf[1:])
-    return np.cumsum(buf)[-1:] if head.size == 1 else buf.sum(axis=0)
-
-
 def chain_spectrum(c: ChainSpec) -> ChainSpectrum:
-    """Exact spectrum by trigonometric evaluation (no eigensolver).
+    """Exact spectrum as one real DFT of the first row (no eigensolver).
 
-    Each Om_a^2 sums g_k cos(2 pi k a / (2N+1)) over k = 1..N in increasing
-    order, bit for bit as a one-shot N x (N+1) table would.  The table is
-    symmetric in k and a >= 1, so only its upper triangle is computed, in
-    tiles of _SPECTRUM_BLOCK rows (memory O(N)).  A tile of rows k0..k1 and
-    modes a >= k0 is used twice: its rows extend the running sums of the
-    modes a > k1, and its transpose adds rows k >= k0 to the modes k0..k1,
-    which completes them.  Running sums start at -0.0, which adds to any
-    first term exactly; mode 0 (cos 0 = 1) is the running sum of g.
+    rfft of (0, G_1, .., G_N, G_N, .., G_1) gives the cosine sums
+    2 sum_k G_k cos(2 pi k a / (2N+1)) for a = 0..N in O(N log N); Om^2 is
+    added afterwards, not as the row's first entry, so the transform's
+    rounding scales with the couplings alone.  This is the exact partner
+    of star_to_chain's irfft.
     """
-    N = c.N
-    k = np.arange(1, N + 1, dtype=float)
     g = c.coupling_array
-    sums = np.full(N + 1, -0.0)
-    sums[0] = np.cumsum(g)[-1]
-    for r0 in range(0, N, _SPECTRUM_BLOCK):
-        r1 = min(r0 + _SPECTRUM_BLOCK, N)
-        t = np.outer(k[r0:r1], k[r0:])
-        np.multiply(2.0 * np.pi, t, out=t)
-        np.divide(t, 2 * N + 1, out=t)
-        np.cos(t, out=t)
-        sums[r1 + 1 :] = _add_rows(sums[r1 + 1 :], g[r0:r1], t[:, r1 - r0 :])
-        sums[r0 + 1 : r1 + 1] = _add_rows(sums[r0 + 1 : r1 + 1], g[r0:], t.T)
-    vals = c.omega_sq + 2.0 * sums
+    vals = c.omega_sq + np.fft.rfft(np.concatenate(([0.0], g, g[::-1]))).real
     floor = -1e-12 * max(1.0, float(np.max(np.abs(vals))))
     if np.min(vals) < floor:
         raise UnstableChainError(

@@ -346,16 +346,16 @@ def free_probe_qfi_limit(
     star: StarSpec, T: float, omega_min_sequence=None
 ) -> tuple[float, list[tuple[float, float]]]:
     """QFI of the omega_0 = 0 probe in the infrared-cutoff limit: F(T, wmin), the
-    probe trapped by omega_R alone, along a decreasing sequence (default ratio
-    10 from 1e-4 to 1e-7), by _free_pole_moments for a Lorentz-Drude star and on
-    the real axis otherwise; a linear fit F = F_inf + c*wmin over the last
-    three points extrapolates wmin -> 0."""
+    probe trapped by omega_R alone, along a decreasing sequence (default: four
+    cutoffs in ratio 10 from min(1e-4, T/10)), by _free_pole_moments for a
+    Lorentz-Drude star and on the real axis otherwise; a linear fit
+    F = F_inf + c*wmin over the last three points extrapolates wmin -> 0."""
     if not 0.0 < T < math.inf:
         raise ValueError("temperature must be positive and finite")
     if isinstance(star.sd, DiscreteModes) or star.omega0_sq != 0.0:
         raise ValueError("free_probe_qfi_limit requires a continuous star with omega0_sq = 0")
     if omega_min_sequence is None:
-        omega_min_sequence = [1e-4 / 10.0**k for k in range(4)]
+        omega_min_sequence = [min(1e-4, T / 10.0) / 10.0**k for k in range(4)]
     seq = [float(w) for w in omega_min_sequence]
     if len(seq) < 3 or not all(0.0 < b < a for a, b in zip([math.inf, *seq], seq)):
         raise ValueError("omega_min_sequence must be >= 3 finite cutoffs > 0, strictly decreasing")

@@ -282,6 +282,16 @@ class TestMainExitCodes:
         assert payload["message"] == "ValueError: temperature must be positive and finite"
         assert not out.exists()
 
+    def test_free_probe_default_ladder_serves_low_temperature(self, tmp_path):
+        # the default ladder starts at min(1e-4, T/10): a ladder fixed at 1e-4
+        # lies above the pole sums' 10 T bound for T < 1e-5 and exited 3
+        cfg_path = tmp_path / "free.cfg"
+        cfg_path.write_text("experiment = free-probe-limit\ngamma = 0.1\nomega_c = 100\nT = 1e-6\n")
+        out = tmp_path / "free.csv"
+        assert main(["free-probe-limit", "--config", str(cfg_path), "--out", str(out)]) == 0
+        summary = json.loads(out.with_suffix(".summary.json").read_text())
+        assert summary["two_T_sq_F"] == pytest.approx(1.0, abs=1e-3)
+
     @pytest.mark.parametrize(
         "experiment, text, message",
         [
@@ -485,14 +495,17 @@ class TestMainExitCodes:
 
 # Recipe tables committed with the benchmark (perfbench/reference, seed 0).
 # fig5/fig5_desk are left out: they sit ~1e-13 off their tables since the
-# DFT chain reconstruction.  Three route changes moved other tables' last
+# DFT chain reconstruction.  Four route changes moved other tables' last
 # digits: fig2a and fig2b take the Lorentz-Drude pole sums, fig4 the
-# mirror-symmetric half of the chain, and free_probe's cutoffs the pole sums
+# mirror-symmetric half of the chain, free_probe's cutoffs the pole sums
 # with closed forms and a Gauss-Legendre sum below each cutoff, with no
-# quadrature.  Their bytes are pinned to
-# tests/reference, within the benchmark's own tolerance of
-# perfbench/reference, until the benchmark's tables are regenerated.
-PINNED_RECIPES = ("fig2a", "fig2b", "fig4_gapless", "fig4_gapped", "free_probe")
+# quadrature, and fig3a, fig3b and chain_n1000 the chain spectrum as one
+# real FFT.  Their bytes are pinned to tests/reference, within the
+# benchmark's own tolerance of perfbench/reference, until the benchmark's
+# tables are regenerated.
+PINNED_RECIPES = (
+    "chain_n1000", "fig2a", "fig2b", "fig3a", "fig3b", "fig4_gapless", "fig4_gapped", "free_probe"
+)
 REFERENCE_RECIPES = {
     name: REPO / "configs" / f"{name}.cfg"
     for name in (
