@@ -10,14 +10,14 @@ in spectral; Im alpha = J is an open defect (ROADMAP item 1):
 their T-derivatives follow under the integral, and the QFI from the
 derivative formula, the fidelity route being a cross-check.  A steady state
 has wmin = 0; free_probe_qfi_limit takes a free probe (omega_0 = 0) of a
-continuous reservoir to wmin -> 0.  The reservoir family picks the route,
-each doing its T-independent work once per star, and every state is a
-gaussian.SingleModeCovariance: the poles of a Lorentz-Drude weight, which is
-rational in w^2 (digamma sums over a quartic's roots, Grabert, Weiss and
-Talkner, Z. Phys. B 55, 87 (1984); a free probe's cutoffs add closed forms
-and a Gauss-Legendre sum over [0, wmin]), the normal modes of a discrete
-star (gaussian's mode sum), or QUADPACK on the real axis (ExponentialCutoff,
-from 0 or from a free probe's cutoffs).
+continuous reservoir to wmin -> 0.  _route picks a star's route once, from
+its family, and keeps it and its T-independent work in the star's memo: the
+poles of a Lorentz-Drude weight, which is rational in w^2 (digamma sums over
+a quartic's roots, Grabert, Weiss and Talkner, Z. Phys. B 55, 87 (1984); a
+free probe's cutoffs add closed forms and a Gauss-Legendre sum over [0,
+wmin]), the normal modes of a discrete star (gaussian's mode sum), or
+QUADPACK on the real axis (ExponentialCutoff, from 0 or from a free probe's
+cutoffs).  Every state is a gaussian.SingleModeCovariance.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ _B2J = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3
                  43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730])
 _SERIES_FROM = 10.0
 _ULPS = 8.0 * np.finfo(float).eps  # breakpoints closer than this, relative, are merged
-_EXACT = (DiscreteModes, LorentzDrude)  # the families whose moments need no quadrature
 # (x coth x - 1)/x^2 and (x^2 csch^2 x - 1)/x^2 in x^2, highest power first:
 # c_j and (1 - 2j) c_j, c_j = 4^j B_2j/(2j)!; below x = 1/2, < 1e-19 left
 _XCOTH = ((1 - np.outer([0, 2], np.arange(1, 13))) * 4.0 ** np.arange(1, 13) * _B2J
@@ -279,7 +278,7 @@ def _free_pole_moments(star: StarSpec, T: float, seq: list[float]) -> np.ndarray
     interval of the ladder.  Above 10 T, where a1 and a2 fall like
     e^(-wmin/T), or min Re lam_k, where s11's 1/w part cancels, a cutoff is
     refused; below both, no pole enters an interval's Bernstein ellipse rho = 3."""
-    u, amps, series, sigma = _poles(star)
+    u, amps, series, sigma = _kept(star, _poles)
     lam, (_, _, wc2, h), (xi, wi) = np.sqrt(-u), _rational_alpha(star), _gauss_legendre()
     if seq[0] > min(10.0 * T, float(np.min(lam.real))) * (1.0 + _ULPS):
         raise ValueError("omega_min_sequence: the pole sums need cutoffs <= 10 T and the nearest pole")
@@ -300,27 +299,37 @@ def _free_pole_moments(star: StarSpec, T: float, seq: list[float]) -> np.ndarray
     return (np.stack(np.broadcast_arrays(s11, m1, a1, d1)) - low).T
 
 
-def _exact_kernel(star: StarSpec):
-    """temperatures -> states of a quadrature-free star (pole or mode sums), for _kept."""
+def _real_axis(star: StarSpec) -> tuple:
+    """_route's quadrature: each T's parts asked for, and a free ladder's segments summed."""
+    axis = partial(_weighted_moments, star)
+    return (lambda ts, cov, der: [(SingleModeCovariance(*axis(t, 0.0, math.inf, False)) if cov else None,
+                                   CovarianceDerivatives(*axis(t, 0.0, math.inf, True)) if der else None)
+                                  for t in ts],
+            lambda T, seq: np.cumsum([[m for d in (False, True) for m in axis(T, *b, d)]
+                                      for b in zip(seq, [math.inf, *seq])], axis=0))
+
+
+def _route(star: StarSpec) -> tuple:
+    """The star's route, chosen by its family once (_kept): states(ts, cov=, der=), each T's
+    (cov, der), None where the real axis was not asked; ladder(T, seq), a free probe's rows or None."""
+    if isinstance(star.sd, DiscreteModes):
+        lam, c2 = _probe_column(star)
+        modes = partial(_mode_sums, _mode_frequencies(lam, False, "the probe is free or nearly so"), c2)
+        return lambda ts, **_: modes(ts), None
     if isinstance(star.sd, LorentzDrude):
-        poles = _poles(star)
-        return lambda ts: _states(np.vstack(_pole_sums(*poles, ts)).T)
-    lam, c2 = _probe_column(star)
-    return partial(_mode_sums, _mode_frequencies(lam, False, "the probe is free or nearly so"), c2)
+        poles = _kept(star, _poles)
+        return lambda ts, **_: _states(np.vstack(_pole_sums(*poles, ts)).T), partial(_free_pole_moments, star)
+    return _real_axis(star)
 
 
 def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
     """Stationary probe covariance for the query's reservoir and temperature."""
-    if isinstance(q.star.sd, _EXACT):
-        return _kept(q.star, _exact_kernel)([q.T])[0][0]
-    return SingleModeCovariance(*_weighted_moments(q.star, q.T, 0.0, math.inf, False))
+    return _kept(q.star, _route)[0]([q.T], cov=True, der=False)[0][0]
 
 
 def covariance_T_derivatives(q: SteadyStateQuery) -> CovarianceDerivatives:
     """d(s11)/dT and d(s22)/dT by differentiating under the integral."""
-    if isinstance(q.star.sd, _EXACT):
-        return _kept(q.star, _exact_kernel)([q.T])[0][1]
-    return CovarianceDerivatives(*_weighted_moments(q.star, q.T, 0.0, math.inf, True))
+    return _kept(q.star, _route)[0]([q.T], cov=False, der=True)[0][1]
 
 
 def clm_qfi(q: SteadyStateQuery) -> float:
@@ -335,11 +344,8 @@ def clm_qfi_fidelity(q: SteadyStateQuery, step_fraction: float) -> float:
 
 def qfi_curve(star: StarSpec, temperatures) -> QfiCurve:
     """The derivative-route QFI over sorted temperatures, with each steady covariance."""
-    ts = sorted(float(t) for t in temperatures)
-    qs = [SteadyStateQuery(star=star, T=t) for t in ts]  # checks every T first
-    if isinstance(star.sd, _EXACT):
-        return QfiCurve.from_moments(ts, _kept(star, _exact_kernel)(ts))
-    return QfiCurve.from_moments(ts, ((steady_covariances(q), covariance_T_derivatives(q)) for q in qs))
+    ts = sorted(SteadyStateQuery(star=star, T=float(t)).T for t in temperatures)  # checks every T first
+    return QfiCurve.from_moments(ts, _kept(star, _route)[0](ts, cov=True, der=True))
 
 
 def free_probe_qfi_limit(
@@ -347,9 +353,9 @@ def free_probe_qfi_limit(
 ) -> tuple[float, list[tuple[float, float]]]:
     """QFI of the omega_0 = 0 probe in the infrared-cutoff limit: F(T, wmin), the
     probe trapped by omega_R alone, along a decreasing sequence (default: four
-    cutoffs in ratio 10 from min(1e-4, T/10)), by _free_pole_moments for a
-    Lorentz-Drude star and on the real axis otherwise; a linear fit
-    F = F_inf + c*wmin over the last three points extrapolates wmin -> 0."""
+    cutoffs in ratio 10 from min(1e-4, T/10)), by the ladder of the star's _route
+    (the pole sums or the real axis); a linear fit F = F_inf + c*wmin over the
+    last three points extrapolates wmin -> 0."""
     if not 0.0 < T < math.inf:
         raise ValueError("temperature must be positive and finite")
     if isinstance(star.sd, DiscreteModes) or star.omega0_sq != 0.0:
@@ -359,13 +365,7 @@ def free_probe_qfi_limit(
     seq = [float(w) for w in omega_min_sequence]
     if len(seq) < 3 or not all(0.0 < b < a for a, b in zip([math.inf, *seq], seq)):
         raise ValueError("omega_min_sequence must be >= 3 finite cutoffs > 0, strictly decreasing")
-    if isinstance(star.sd, _EXACT):
-        rows = _free_pole_moments(star, T, seq)
-    else:  # the real axis: [wmin_1, inf), then each smaller cutoff's segment, summed
-        segments = [[m for d in (False, True) for m in _weighted_moments(star, T, *b, d)]
-                    for b in zip(seq, [math.inf, *seq])]
-        rows = np.cumsum(segments, axis=0)
-    samples = [(wm, qfi_from_derivatives(*state)) for wm, state in zip(seq, _states(rows))]
+    samples = [(w, qfi_from_derivatives(*s)) for w, s in zip(seq, _states(_kept(star, _route)[1](T, seq)))]
     diffs = [abs(b[1] - a[1]) for a, b in zip(samples, samples[1:])]
     if diffs[-1] > 2.0 * diffs[-2] + 1e-12 * abs(samples[-1][1]):
         raise ConvergenceError(f"non-Cauchy tail in omega_min sequence: |dF| = {diffs!r}")

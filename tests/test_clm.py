@@ -302,7 +302,7 @@ class TestCliTable:
     def test_quadrature_sweep_matches_each_point(self, monkeypatch):
         # with the pole sums off, qfi_curve takes the real axis at each T and
         # shares the star's skeleton and tails; a fresh star per T has none
-        monkeypatch.setattr(clm, "_EXACT", (DiscreteModes,))
+        monkeypatch.setattr(clm, "_route", clm._real_axis)
         ts = (0.5, 0.7, 1.0)
         curve = qfi_curve(fig2_star(1.0), ts)
         for t, f, cov in zip(ts, curve.qfi, curve.covariances):
@@ -395,7 +395,7 @@ class TestWeightEvaluations:
         total, _, nodes = count_weight_calls(monkeypatch)
         _, samples = free_probe_qfi_limit(fig2_star(0.0), 1e-3)
         assert spans == [] and total == {"j": 0, "self_energy": 0}
-        monkeypatch.setattr(clm, "_EXACT", (DiscreteModes,))
+        monkeypatch.setattr(clm, "_route", clm._real_axis)
         _, ladder = free_probe_qfi_limit(fig2_star(0.0), 1e-3)
         wm = [1e-4 / 10.0**k for k in range(4)]
         assert len(spans) == 18
@@ -719,6 +719,59 @@ class TestDiscreteStar:
         cov = steady_covariances(SteadyStateQuery(star=make_star(sd, 0.04), T=0.05))
         assert cov.s11 == pytest.approx(2.0 * c4000.s11 - c2000.s11, rel=1e-4)
         assert cov.s22 == pytest.approx(2.0 * c4000.s22 - c2000.s22, rel=1e-4)
+
+
+class TestRoute:
+    """Each star takes one route, chosen once from its family: a
+    Lorentz-Drude star solves its quartic once for every steady state and
+    free ladder, and ExponentialCutoff takes the real axis."""
+
+    @staticmethod
+    def count_poles(monkeypatch):
+        calls, real_poles = [], clm._poles
+
+        def poles(star):
+            calls.append(star)
+            return real_poles(star)
+
+        monkeypatch.setattr(clm, "_poles", poles)
+        return calls
+
+    def test_trapped_star_solves_its_quartic_once(self, monkeypatch):
+        calls = self.count_poles(monkeypatch)
+        star = fig2_star(1.0)
+        q = SteadyStateQuery(star=star, T=1e-2)
+        qfi_curve(star, [1e-3, 1e-2])
+        clm_qfi(q)
+        clm_qfi_fidelity(q, step_fraction=1e-3)
+        steady_covariances(q)
+        assert calls == [star]
+
+    def test_free_star_solves_its_quartic_once(self, monkeypatch):
+        # two ladders at two temperatures share the star's poles
+        calls = self.count_poles(monkeypatch)
+        star = fig2_star(0.0)
+        free_probe_qfi_limit(star, 1e-3)
+        free_probe_qfi_limit(star, 1e-2)
+        assert calls == [star]
+
+    def test_exponential_cutoff_sweep_matches_each_point(self):
+        # the real axis loops over T, and each point's own calls agree
+        star, ts = make_star(ExponentialCutoff(0.1, 2.0, 1.0), 1.0), [0.2, 0.5]
+        curve = qfi_curve(star, ts)
+        for t, f, cov in zip(ts, curve.qfi, curve.covariances):
+            q = SteadyStateQuery(star=star, T=t)
+            assert cov == steady_covariances(q)
+            assert f == clm_qfi(q)
+
+    def test_exponential_cutoff_free_ladder_is_the_real_axis(self):
+        # the ladder sums segments down to its smallest cutoff; a fresh star
+        # integrates from that cutoff in one piece
+        sd, t = ExponentialCutoff(0.1, 2.0, 1.0), 0.1
+        _, samples = free_probe_qfi_limit(make_star(sd, 0.0), t)
+        assert len(samples) == 4
+        wm, f = samples[-1]
+        assert f == pytest.approx(real_axis_qfi(make_star(sd, 0.0), t, wm), rel=1e-12, abs=0.0)
 
 
 class TestErrors:

@@ -258,13 +258,13 @@ def ld_pole_queries(draw):
 @example(SteadyStateQuery(make_star(LorentzDrude(0.125, 1.0), 10.0), T=1e-4))
 def test_pole_sums_are_the_real_axis_integrals(q):
     # the closed form against the quadrature from 0 that it replaces
-    (cov, der), = clm._exact_kernel(q.star)([q.T])
+    (s11, s22), (a1, a2) = clm._pole_sums(*clm._poles(q.star), [q.T])
     try:
         axis = [m for d in (False, True) for m in real_axis(q.star, q.T, 0.0, d)]
     except IntegrationError as exc:
         assert refused(exc)
         reject()
-    for pole, real in zip((cov.s11, cov.s22, der.a1, der.a2), axis):
+    for pole, real in zip((s11[0], s22[0], a1[0], a2[0]), axis):
         assert pole == pytest.approx(real, rel=1e-8, abs=0.0)
 
 

@@ -16,6 +16,9 @@ the acceptance tests or the benchmark harness, and every defaulted public
 parameter or field is left out by at least one call there (a dataclass
 field by a call of its class).  The modules import each
 other without a cycle, counting the imports made inside functions.
+One more rule keeps the Brownian probe's routes in one place: outside
+``clm._route``, ``clm`` names a reservoir family only in its two input
+checks.
 """
 
 import ast
@@ -30,6 +33,10 @@ MAX_EXPORTS = 63
 MAX_PUBLIC_DEFAULTS = 8
 MAX_PUBLIC_FIELD_DEFAULTS = 2
 MAX_SOURCE_LINES = 2245
+MAX_CLM_ISINSTANCE = 4
+FAMILIES = frozenset({"DiscreteModes", "ExponentialCutoff", "LorentzDrude"})
+# (class or function, method) of the input checks that may name a family
+INPUT_CHECKS = frozenset({("SteadyStateQuery", "__post_init__"), ("free_probe_qfi_limit",)})
 
 
 def _exports() -> list[str]:
@@ -311,3 +318,31 @@ def test_modules_import_without_a_cycle():
     graph = _import_graph(sources)
     assert "spectral" in graph["clm"] and "chain" in graph["__init__"]
     assert _cycle(graph) is None, f"import cycle: {' -> '.join(_cycle(graph))}"
+
+
+def _scoped(node: ast.AST, scope: tuple = ()):
+    """(scope, node) for every node below node, scope the names of the
+    classes and functions that enclose it, outermost first."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _scoped(child, scope + (child.name,) if named else scope)
+
+
+def _named(node: ast.AST) -> str | None:
+    """The name an ast.Name or ast.Attribute reads or binds, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_clm_picks_the_route_in_one_place():
+    scoped = list(_scoped(ast.parse((SRC / "clm.py").read_text(encoding="utf-8"))))
+    family = {scope for scope, node in scoped if _named(node) in FAMILIES}
+    # guards the check against a scan that misses the route's own reads
+    assert ("_route",) in family
+    outside = {scope for scope in family if "_route" not in scope} - INPUT_CHECKS
+    assert not outside, f"clm names a reservoir family outside _route: {sorted(outside)}"
+    assert not [node for _, node in scoped if _named(node) == "_EXACT"]
+    tests = [node for _, node in scoped if isinstance(node, ast.Call) and _named(node.func) == "isinstance"]
+    assert len(tests) <= MAX_CLM_ISINSTANCE, f"{len(tests)} isinstance tests in clm > {MAX_CLM_ISINSTANCE}"
