@@ -11,34 +11,26 @@ their T-derivatives follow under the integral, and the QFI from the
 derivative formula, the fidelity route being a cross-check.  A steady state
 has wmin = 0; free_probe_qfi_limit takes a free probe (omega_0 = 0) of a
 continuous reservoir to wmin -> 0.  _route picks a star's route once, from
-its family, and keeps it and its T-independent work in the star's memo: the
-poles of a Lorentz-Drude weight, which is rational in w^2 (digamma sums over
-a quartic's roots, Grabert, Weiss and Talkner, Z. Phys. B 55, 87 (1984); a
-free probe's cutoffs add closed forms and a Gauss-Legendre sum over [0,
-wmin]), the normal modes of a discrete star (gaussian's mode sum), or
-QUADPACK on the real axis (ExponentialCutoff, from 0 or from a free probe's
-cutoffs).  Every state is a gaussian.SingleModeCovariance.
+its family, and keeps it in the star's memo: the pole sums of a Lorentz-Drude
+weight, rational in w^2 (digamma sums over a quartic's roots, Grabert, Weiss
+and Talkner, Z. Phys. B 55, 87 (1984); a free probe's cutoffs add closed
+forms and a Gauss-Legendre sum over [0, wmin]), a discrete star's normal
+modes (gaussian's mode sum), or QUADPACK on the real axis (ExponentialCutoff).
+Every state is a gaussian.SingleModeCovariance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache, partial, reduce
 
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, IntegrationError
 from .fits import _linear_fit
-from .gaussian import (
-    CovarianceDerivatives,
-    QfiCurve,
-    SingleModeCovariance,
-    _mode_frequencies,
-    _mode_sums,
-    qfi_from_derivatives,
-    qfi_from_fidelity,
-)
+from .gaussian import (CovarianceDerivatives, QfiCurve, SingleModeCovariance, _mode_frequencies, _mode_sums,
+                       qfi_from_derivatives, qfi_from_fidelity)
 from .mapping import _probe_column
 from .spectral import QUAD_TOL, DiscreteModes, LorentzDrude, StarSpec, _alpha, _quad_value, _rational_alpha
 
@@ -47,6 +39,8 @@ from .spectral import QUAD_TOL, DiscreteModes, LorentzDrude, StarSpec, _alpha, _
 _B2J = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
                  43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730])
 _SERIES_FROM = 10.0
+# Q's and R's series in x^-2 (_pole_sums), highest power first, then their constant 0
+_PSI = np.vstack((np.stack((-_B2J / np.arange(2, 25, 2), _B2J), 1)[::-1], [0.0, 0.0]))[..., None, None]
 _ULPS = 8.0 * np.finfo(float).eps  # breakpoints closer than this, relative, are merged
 # (x coth x - 1)/x^2 and (x^2 csch^2 x - 1)/x^2 in x^2, highest power first:
 # c_j and (1 - 2j) c_j, c_j = 4^j B_2j/(2j)!; below x = 1/2, < 1e-19 left
@@ -201,29 +195,35 @@ def _poles(star: StarSpec) -> tuple:
     """A Lorentz-Drude star's T-independent data for _pole_sums: J/|alpha|^2 =
     h w N(u)/P(u) in u = w^2, with P = R^2 + h^2 u from spectral._rational_alpha
     and N = u + wc^2 (w^0 moments) or u (u + wc^2) (w^2).  Gives P's roots u_k
-    (np.roots, then Newton), A_k = (h/pi) N(u_k)/P'(u_k), sigma = min |u_k| and
-    per row the derivative series' 4 pi^2 |B_2j| M_j sigma^(j-1): M_j = sum_k
-    A_k (-u_k)^-j, a Taylor coefficient of N/P at 0 by series division.  A free
-    probe has P = u Q: u_k are Q's roots, its w^2 row's N/P is (u + wc^2)/Q,
-    and its w^0 row (the pole u = 0 left out) has no series."""
+    (companion eigenvalues and Newton, ConvergenceError if it does not settle or
+    leaves a root on u > 0, where P > 0), A_k = (h/pi) N(u_k)/P'(u_k), sigma =
+    min |u_k| and per row the derivative series' 4 pi^2 |B_2j| M_j sigma^(j-1):
+    M_j = sum_k A_k (-u_k)^-j, a Taylor coefficient of N/P at 0 by series
+    division.  A free probe has P = u Q: u_k are Q's roots, its w^2 row's N/P is
+    (u + wc^2)/Q, and its w^0 row (the pole u = 0 left out) has no series."""
     r1, r2, wc2, h = _rational_alpha(star)
-    z = int(r2 == 0.0)  # P's roots at u = 0
-    r, g4 = np.array([-1.0, r1, r2]), h**2
-    dr, p = np.polyder(r), np.polyadd(np.polymul(r, r), [g4, 0.0])
-    u = np.roots(p[: p.size - z]).astype(complex)
-    for _ in range(3):  # Newton on P = R^2 + g4 u, evaluated through R
-        ru = np.polyval(r, u)
-        u = u - (ru * ru + g4 * u) / (2.0 * ru * np.polyval(dr, u) + g4)
-    c = h / np.pi
-    dp = 2.0 * np.polyval(r, u) * np.polyval(dr, u) + g4  # P' through R: 1e-12 better in s22
-    amps = c * np.stack((u + wc2, u * (u + wc2))) / dp
-    sigma, n = float(np.min(np.abs(u))), _B2J.size
-    scale = sigma ** np.arange(n)
-    n_up = np.pad(c * np.array([[wc2, 1.0, 0.0], [0.0, wc2, 1.0]])[z:, z:], ((0, 0), (0, n - 3 + z)))
-    p_up, taylor = np.append(p[::-1][z:], [0.0] * z) * scale[:5], np.zeros((2 - z, n + 4))  # 4 leading 0s
-    for m in range(n):
-        taylor[:, m + 4] = (n_up[:, m] * scale[m] - taylor[:, m : m + 4] @ p_up[4:0:-1]) / p_up[0]
-    return u, amps, [None] * z + [(4.0 * np.pi**2 * np.abs(_B2J) * row[4:])[::-1] for row in taylor], sigma
+    z, g4, c = int(r2 == 0.0), h**2, h / np.pi  # z: P's roots at u = 0
+    p = [1.0, -r1 - r1, (-r2 + r1 * r1) - r2, (r1 * r2 + r2 * r1) + g4, r2 * r2]  # P, as np.polymul sums
+    u = np.linalg.eigvals(np.vstack((np.negative(p[1 : 5 - z]), np.eye(3 - z, 4 - z)))).astype(complex)
+    for k in range(13):  # Newton through R: 3 steps, then until a step is within rounding
+        ru, au = (r1 - u) * u + r2, abs(u)
+        dp = 2.0 * ru * (r1 - 2 * u) + g4  # P' through R
+        if k >= 3:  # within 4 ulps of |u|, or within P's rounding error over |P'|
+            bound = _ULPS * (2.0 * abs(ru) * ((abs(r1) + au) * au + abs(r2)) + g4 * au) / abs(dp)
+            if done := np.all(abs(step) <= np.maximum(4.0 * np.spacing(au), bound)):
+                break
+        u = u - (step := (ru * ru + g4 * u) / dp)
+    if not done or np.any((u.imag == 0.0) & (u.real > 0.0)):
+        raise ConvergenceError(f"quartic R^2 + h^2 u: Newton did not settle off u > 0, roots {u.tolist()}")
+    amps, sigma = c * np.array((u + wc2, u * (u + wc2))) / dp, float(abs(u).min())
+    scale, series = (sigma ** np.arange(_B2J.size)).tolist(), [None] * z
+    p0, p1, p2, p3, p4 = (x * s for x, s in zip(p[4 - z :: -1] + [0.0] * z, scale))  # P's (Q's), rising
+    for row in ([wc2, 1.0], [0.0, wc2, 1.0])[z:]:  # N's (N/u's) coefficients, rising
+        t, row = [0.0] * 4, [c * x for x in row[z:]] + [0.0] * 10
+        for m, s in enumerate(scale):  # series division, summed in numpy's (2, 4) @ (4,) order
+            t.append((row[m] * s - (t[m] * p4 + t[m + 1] * p3 + t[m + 2] * p2 + t[m + 3] * p1)) / p0)
+        series.append((4.0 * np.pi**2 * np.abs(_B2J) * t[4:])[::-1])
+    return u, amps, series, sigma
 
 
 def _pole_sums(u, amps, series, sigma, temperatures) -> tuple:
@@ -239,15 +239,15 @@ def _pole_sums(u, amps, series, sigma, temperatures) -> tuple:
     x = lam / (2.0 * np.pi * t[:, None])
     big = np.abs(x) >= _SERIES_FROM
     z = np.where(big, x, x + _SERIES_FROM)
-    q = np.polyval(np.append((-_B2J / np.arange(2, 25, 2))[::-1], 0.0), z**-2)
-    r = np.polyval(np.append(_B2J[::-1], 0.0), z**-2)
-    shifted = x[..., None] + np.arange(1.0, _SERIES_FROM + 1.0)
-    psi = np.log(2.0 * np.pi * t[:, None] * z) + 0.5 / z + q - np.sum(1.0 / shifted, axis=-1)
-    dpsi = (1.0 - 0.5 / z + r) / z + np.sum(shifted**-2, axis=-1)
+    z2 = z**-2
+    q, r = reduce(lambda y, c: y * z2 + c, _PSI, 0.0)  # Horner, both series at once
+    inv = 1.0 / (x[..., None] + np.arange(1.0, _SERIES_FROM + 1.0))
+    psi = np.log(2.0 * np.pi * t[:, None] * z) + 0.5 / z + q - np.sum(inv, axis=-1)
+    dpsi = (1.0 - 0.5 / z + r) / z + np.sum(inv * inv, axis=-1)
     lq = np.where(big, np.log(lam) + q, psi - 0.5 / x)
     rx = np.where(big, r, x * dpsi - 1.0 + 0.5 / x)
-    moments = [-np.sum(lq * a, axis=1).real for a in amps]
-    derivs = [np.sum(rx * a, axis=1).real / t for a in amps]
+    moments = -np.sum(lq * amps[:, None], axis=-1).real
+    derivs = np.sum(rx * amps[:, None], axis=-1).real / t
     every = np.all(big, axis=1)
     y = np.where(every, (2.0 * np.pi * t) ** 2 / sigma, 0.0)
     return moments, [d if c is None else np.where(every, t * np.polyval(c, y), d)

@@ -40,7 +40,7 @@ class ZeroModeError(QThermoError):
 
 
 class ConvergenceError(QThermoError):
-    """A limiting sequence did not converge (non-Cauchy tail)."""
+    """A limiting sequence did not converge (a non-Cauchy tail, or Newton steps)."""
 
 
 class FitError(QThermoError):

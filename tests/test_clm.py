@@ -648,6 +648,97 @@ class TestMpmathOracle:
         self.check(SteadyStateQuery(star=star, T=1.2974440670251866e-4), dps=40)
 
 
+class TestPoles:
+    """_poles against mpmath: the quartic P = R^2 + h^2 u's roots, their
+    amplitudes and the derivative series, and a stiff probe's roots polished
+    by Newton or refused."""
+
+    @staticmethod
+    def exact(star, dps):
+        """(roots, amplitude rows, series rows or None) of _poles, in mpmath:
+        polyroots of P (of Q = P/u for a free probe), (h/pi) N/P' at each
+        root, and the Taylor coefficients of (h/pi) N/P at 0 (of (h/pi)
+        (u + wc^2)/Q for a free probe's w^2 row) by exact series division."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(dps):
+            r1, r2, wc2, h = (mp.mpf(v) for v in spectral._rational_alpha(star))
+            p = [1, -2 * r1, r1**2 - 2 * r2, 2 * r1 * r2 + h**2, r2**2]  # P, highest power first
+            free = r2 == 0
+            roots = mp.polyroots(p[:4] if free else p, maxsteps=200, extraprec=4 * dps)
+            dp = [(4 - i) * a for i, a in enumerate(p[:4])]
+            amps = [[h / mp.pi * n(u) / mp.polyval(dp, u) for u in roots]
+                    for n in (lambda u: u + wc2, lambda u: u * (u + wc2))]
+            rising = p[::-1][1:] + [0] if free else p[::-1]
+            series = [None] if free else []
+            for n in ([wc2, 1], [0, wc2, 1])[int(free):]:
+                n = [h / mp.pi * a for a in n[int(free):]] + [0] * 12
+                taylor = []
+                for m in range(12):
+                    known = mp.fsum(taylor[m - i] * rising[i] for i in range(1, min(m, 4) + 1))
+                    taylor.append((n[m] - known) / rising[0])
+                series.append(taylor)
+            return roots, amps, series
+
+    @staticmethod
+    def pole_sums(star, T, dps):
+        """s11, s22, a1, a2 at T from mpmath's roots: the digamma sums of
+        _pole_sums, term by term, with no series and no Newton."""
+        mp = pytest.importorskip("mpmath")
+        roots, amps, _ = TestPoles.exact(star, dps)
+        with mp.workdps(dps):
+            T = mp.mpf(T)
+            lam = [mp.sqrt(-u) for u in roots]
+            x = [v / (2 * mp.pi * T) for v in lam]
+            q = [mp.log(v) + mp.digamma(1 + y) - mp.log(y) - 1 / (2 * y) for v, y in zip(lam, x)]
+            r = [y * mp.psi(1, 1 + y) - 1 + 1 / (2 * y) for y in x]
+            moments = [-mp.fsum(a * b for a, b in zip(row, q)) for row in amps]
+            derivs = [mp.fsum(a * b for a, b in zip(row, r)) / T for row in amps]
+            return [float(mp.re(v)) for v in moments + derivs]
+
+    @pytest.mark.parametrize("omega0_sq", [1.0, 1e-6, 0.0], ids=["fig2a", "fig2b", "free_probe"])
+    def test_poles_at_40_digits(self, omega0_sq):
+        # measured: roots 2.4e-16, amplitudes 4.0e-14 (the pair near u = -wc^2,
+        # where N = u + wc^2 cancels), series coefficients 1.4e-15
+        mp = pytest.importorskip("mpmath")
+        star = fig2_star(omega0_sq)
+        u, amps, series, sigma = clm._poles(star)
+        roots, exact_amps, exact_series = self.exact(star, 40)
+        near = [min(range(len(roots)), key=lambda k: abs(roots[k] - v)) for v in u]
+        assert sorted(near) == list(range(len(roots)))
+
+        def rel(a, b):
+            return float(abs(a - b) / abs(b)) if b else float(abs(a))
+
+        errors = [rel(v, roots[k]) for v, k in zip(u, near)]
+        errors += [rel(a, exact[k]) for row, exact in zip(amps, exact_amps) for a, k in zip(row, near)]
+        assert sigma == pytest.approx(float(min(abs(v) for v in roots)), rel=1e-12, abs=0.0)
+        weights = [4 * mp.pi**2 * abs(mp.bernoulli(2 * j)) * mp.mpf(sigma) ** (j - 1) for j in range(1, 13)]
+        for row, exact in zip(series, exact_series):
+            assert (row is None) == (exact is None)
+            if row is not None:
+                errors += [rel(a, w * t) for a, w, t in zip(row[::-1], weights, exact)]
+        assert max(errors) <= 1e-12
+
+    @pytest.mark.parametrize("omega0_sq", [2e7, 1e8])
+    def test_stiff_probe_roots_are_polished(self, omega0_sq):
+        # the companion eigenvalues miss the narrow resonance pair near u =
+        # omega0^2 by some 5e7 ulps and three Newton steps stop short: s11 was
+        # 1.1e-5 (2e7) and 22% (1e8) off; the steps that follow reach 2.2e-8
+        # and 5.8e-8, the cancellation at the near-double root u ~ -wc^2
+        star, t = fig2_star(omega0_sq), 1e-3
+        moments, derivs = clm._pole_sums(*clm._poles(star), [t])
+        for got, want in zip([*moments, *derivs], self.pole_sums(star, t, dps=60)):
+            assert float(got[0]) == pytest.approx(want, rel=1e-7, abs=0.0)
+
+    @pytest.mark.parametrize("omega0_sq", [5e7, 1e9])
+    def test_stiff_probe_without_roots_is_refused(self, omega0_sq):
+        # the eigenvalues put the resonance pair on u > 0, where P = R^2 +
+        # h^2 u > 0 has no root and real Newton steps cannot leave the axis;
+        # the state used to be refused as unphysical (InvalidStateError)
+        with pytest.raises(ConvergenceError, match="quartic"):
+            steady_covariances(SteadyStateQuery(star=fig2_star(omega0_sq), T=1e-3))
+
+
 class TestDiscreteStar:
     """A discrete star's probe is the mode sum over the star's normal modes."""
 

@@ -18,7 +18,8 @@ field by a call of its class).  The modules import each
 other without a cycle, counting the imports made inside functions.
 One more rule keeps the Brownian probe's routes in one place: outside
 ``clm._route``, ``clm`` names a reservoir family only in its two input
-checks.
+checks.  And ``clm._poles`` solves its quartic with no call to numpy's
+polynomial helpers, whose overhead on four coefficients was most of its time.
 """
 
 import ast
@@ -37,6 +38,7 @@ MAX_CLM_ISINSTANCE = 4
 FAMILIES = frozenset({"DiscreteModes", "ExponentialCutoff", "LorentzDrude"})
 # (class or function, method) of the input checks that may name a family
 INPUT_CHECKS = frozenset({("SteadyStateQuery", "__post_init__"), ("free_probe_qfi_limit",)})
+POLYNOMIAL_HELPERS = frozenset({"np.roots", "np.polyval", "np.polymul", "np.polyadd", "np.polyder"})
 
 
 def _exports() -> list[str]:
@@ -346,3 +348,20 @@ def test_clm_picks_the_route_in_one_place():
     assert not [node for _, node in scoped if _named(node) == "_EXACT"]
     tests = [node for _, node in scoped if isinstance(node, ast.Call) and _named(node.func) == "isinstance"]
     assert len(tests) <= MAX_CLM_ISINSTANCE, f"{len(tests)} isinstance tests in clm > {MAX_CLM_ISINSTANCE}"
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """The dotted name of an ast.Name or a chain of ast.Attribute, else None."""
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_poles_call_no_polynomial_helper():
+    tree = ast.parse((SRC / "clm.py").read_text(encoding="utf-8"))
+    poles = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_poles")
+    called = {_dotted(node.func) for node in ast.walk(poles) if isinstance(node, ast.Call)}
+    # guards the check against a scan that misreads numpy's dotted calls
+    assert "np.linalg.eigvals" in called or "np.polyval" in called
+    assert not called & POLYNOMIAL_HELPERS, f"_poles calls {sorted(called & POLYNOMIAL_HELPERS)}"
