@@ -145,29 +145,26 @@ def _node_mode_data(c: ChainSpec, regularize_gapless: bool) -> tuple[np.ndarray,
 
 def node_moments(
     c: ChainSpec, temperatures, regularize_gapless: bool
-) -> list[tuple[SingleModeCovariance, CovarianceDerivatives]]:
-    """Node covariance and its analytic T-derivatives at each temperature.
+) -> tuple[SingleModeCovariance, CovarianceDerivatives]:
+    """Node covariance and its analytic T-derivatives, as columns over the
+    temperatures (row i at temperatures[i]).
 
     The spectrum and the probe weights do not depend on T, so they are
     built once per chain (ChainSpec.spectrum); each temperature then costs
     one O(N) mode sum.
     """
-    ts = [float(t) for t in temperatures]
-    if not all(0.0 < t < math.inf for t in ts):
+    ts = np.asarray(temperatures, dtype=float)
+    if not np.all((ts > 0.0) & (ts < math.inf)):
         raise ValueError("temperature must be positive and finite")
     return _mode_sums(*_node_mode_data(c, regularize_gapless), ts)
 
 
-def node_covariances(
-    c: ChainSpec, T: float, regularize_gapless: bool = False
-) -> SingleModeCovariance:
+def node_covariances(c: ChainSpec, T: float, regularize_gapless: bool = False) -> SingleModeCovariance:
     """Reduced covariance of one node of the thermal chain at temperature T."""
     return node_moments(c, [T], regularize_gapless)[0][0]
 
 
-def node_covariance_derivatives(
-    c: ChainSpec, T: float, regularize_gapless: bool
-) -> CovarianceDerivatives:
+def node_covariance_derivatives(c: ChainSpec, T: float, regularize_gapless: bool) -> CovarianceDerivatives:
     """Analytic temperature derivatives of the node covariance.
 
     Library code and tests take them from node_moments; this function stays
@@ -175,12 +172,12 @@ def node_covariance_derivatives(
     chain.node_covariance_derivatives.self_s, which perfbench's tracer
     reports for an existing public function alone.
     """
-    return node_moments(c, [T], regularize_gapless)[0][1]
+    return node_moments(c, [T], regularize_gapless)[1][0]
 
 
 def node_qfi(c: ChainSpec, T: float, regularize_gapless: bool = False) -> float:
     """Local thermometric QFI of a single chain node."""
-    return qfi_from_derivatives(*node_moments(c, [T], regularize_gapless)[0])
+    return qfi_from_derivatives(*(m[0] for m in node_moments(c, [T], regularize_gapless)))
 
 
 def gap_error(N: int, s: float, G: float) -> float:

@@ -237,8 +237,7 @@ def _run_tihc_qfi(cfg: _Config) -> ExperimentResult:
     if fit_kind not in fits:
         raise ConfigError(f"unknown fit kind {fit_kind!r}; choose from {tuple(fits)}")
     fit = fits[fit_kind]
-    moments = chain_mod.node_moments(chain, ts, regularize_gapless=regularize)
-    curve = QfiCurve.from_moments(ts, moments)
+    curve = QfiCurve.from_moments(ts, chain_mod.node_moments(chain, ts, regularize_gapless=regularize))
     fit_list = [fit(curve, window)] if fit else []
     extra = {"omega_sq": chain.omega_sq, "gap": chain.spectrum.gap}
     return QFI_COLUMNS, curve.rows(), fit_list, [], extra

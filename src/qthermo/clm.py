@@ -16,7 +16,7 @@ weight, rational in w^2 (digamma sums over a quartic's roots, Grabert, Weiss
 and Talkner, Z. Phys. B 55, 87 (1984); a free probe's cutoffs add closed
 forms and a Gauss-Legendre sum over [0, wmin]), a discrete star's normal
 modes (gaussian's mode sum), or QUADPACK on the real axis (ExponentialCutoff).
-Every state is a gaussian.SingleModeCovariance.
+Every state, and a sweep's column of them over T, is a gaussian.SingleModeCovariance.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ _B2J = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3
 _SERIES_FROM = 10.0
 # Q's and R's series in x^-2 (_pole_sums), highest power first, then their constant 0
 _PSI = np.vstack((np.stack((-_B2J / np.arange(2, 25, 2), _B2J), 1)[::-1], [0.0, 0.0]))[..., None, None]
+_PAIR = (SingleModeCovariance, CovarianceDerivatives)  # a route's columns, in order
 _ULPS = 8.0 * np.finfo(float).eps  # breakpoints closer than this, relative, are merged
 # (x coth x - 1)/x^2 and (x^2 csch^2 x - 1)/x^2 in x^2, highest power first:
 # c_j and (1 - 2j) c_j, c_j = 4^j B_2j/(2j)!; below x = 1/2, < 1e-19 left
@@ -232,31 +233,31 @@ def _pole_sums(u, amps, series, sigma, temperatures) -> tuple:
     lam_k/2 pi T, -sum_k A_k [ln lam_k + Q(x_k)] and sum_k A_k R(x_k)/T, where
     Q(x) = psi(1 + x) - ln x - 1/2x, R(x) = x psi'(1 + x) - 1 + 1/2x, and
     sum_k A_k = 0 cancels the ln x and 1/2x.  Q and R are their series from
-    |x| = 10 on; the psi recurrence shifts a smaller x by 10.  Where every |x_k|
-    is large, the sum over R cancels between poles, so a row with a series sums
-    R's series over all poles at once, sum_j B_2j (2 pi T)^2j M_j: a1 ~ T, a2 ~ T^3."""
+    |x| = 10 on; the psi recurrence shifts a smaller x by 10, and is skipped when
+    no x needs it.  Where every |x_k| is large, the sum over R cancels between
+    poles, so a row with a series sums R's series over all poles at once,
+    sum_j B_2j (2 pi T)^2j M_j: a1 ~ T, a2 ~ T^3; with no such T, no series."""
     lam, t = np.sqrt(-u), np.asarray(temperatures, dtype=float)
     x = lam / (2.0 * np.pi * t[:, None])
     big = np.abs(x) >= _SERIES_FROM
-    z = np.where(big, x, x + _SERIES_FROM)
+    shift = not big.all()
+    z = np.where(big, x, x + _SERIES_FROM) if shift else x
     z2 = z**-2
     q, r = reduce(lambda y, c: y * z2 + c, _PSI, 0.0)  # Horner, both series at once
-    inv = 1.0 / (x[..., None] + np.arange(1.0, _SERIES_FROM + 1.0))
-    psi = np.log(2.0 * np.pi * t[:, None] * z) + 0.5 / z + q - np.sum(inv, axis=-1)
-    dpsi = (1.0 - 0.5 / z + r) / z + np.sum(inv * inv, axis=-1)
-    lq = np.where(big, np.log(lam) + q, psi - 0.5 / x)
-    rx = np.where(big, r, x * dpsi - 1.0 + 0.5 / x)
+    lq, rx = np.log(lam) + q, r
+    if shift:
+        inv = 1.0 / (x[..., None] + np.arange(1.0, _SERIES_FROM + 1.0))
+        psi = np.log(2.0 * np.pi * t[:, None] * z) + 0.5 / z + q - np.sum(inv, axis=-1)
+        dpsi = (1.0 - 0.5 / z + r) / z + np.sum(inv * inv, axis=-1)
+        lq, rx = np.where(big, lq, psi - 0.5 / x), np.where(big, r, x * dpsi - 1.0 + 0.5 / x)
     moments = -np.sum(lq * amps[:, None], axis=-1).real
     derivs = np.sum(rx * amps[:, None], axis=-1).real / t
     every = np.all(big, axis=1)
+    if not every.any():
+        return moments, derivs
     y = np.where(every, (2.0 * np.pi * t) ** 2 / sigma, 0.0)
     return moments, [d if c is None else np.where(every, t * np.polyval(c, y), d)
                      for c, d in zip(series, derivs)]
-
-
-def _states(rows) -> list[tuple]:
-    """The state and T-derivatives of each row (s11, s22, a1, a2)."""
-    return [(SingleModeCovariance(*r[:2]), CovarianceDerivatives(*r[2:])) for r in np.array(rows).tolist()]
 
 
 @cache
@@ -300,25 +301,25 @@ def _free_pole_moments(star: StarSpec, T: float, seq: list[float]) -> np.ndarray
 
 
 def _real_axis(star: StarSpec) -> tuple:
-    """_route's quadrature: each T's parts asked for, and a free ladder's segments summed."""
+    """_route's quadrature: the parts asked for at each T, and a free ladder's segments summed."""
     axis = partial(_weighted_moments, star)
-    return (lambda ts, cov, der: [(SingleModeCovariance(*axis(t, 0.0, math.inf, False)) if cov else None,
-                                   CovarianceDerivatives(*axis(t, 0.0, math.inf, True)) if der else None)
-                                  for t in ts],
+    return (lambda ts, cov, der: tuple(k(*np.reshape([axis(t, 0.0, math.inf, d) for t in ts], (-1, 2)).T)
+                                       if want else None for k, d, want in zip(_PAIR, (False, True), (cov, der))),
             lambda T, seq: np.cumsum([[m for d in (False, True) for m in axis(T, *b, d)]
                                       for b in zip(seq, [math.inf, *seq])], axis=0))
 
 
 def _route(star: StarSpec) -> tuple:
-    """The star's route, chosen by its family once (_kept): states(ts, cov=, der=), each T's
-    (cov, der), None where the real axis was not asked; ladder(T, seq), a free probe's rows or None."""
+    """The star's route, chosen by its family once (_kept): states(ts, cov=, der=), the (cov, der)
+    columns over ts, None where the real axis was not asked; ladder(T, seq), a free probe's rows or None."""
     if isinstance(star.sd, DiscreteModes):
         lam, c2 = _probe_column(star)
         modes = partial(_mode_sums, _mode_frequencies(lam, False, "the probe is free or nearly so"), c2)
         return lambda ts, **_: modes(ts), None
     if isinstance(star.sd, LorentzDrude):
         poles = _kept(star, _poles)
-        return lambda ts, **_: _states(np.vstack(_pole_sums(*poles, ts)).T), partial(_free_pole_moments, star)
+        return (lambda ts, **_: tuple(k(*m) for k, m in zip(_PAIR, _pole_sums(*poles, ts))),
+                partial(_free_pole_moments, star))
     return _real_axis(star)
 
 
@@ -329,7 +330,7 @@ def steady_covariances(q: SteadyStateQuery) -> SingleModeCovariance:
 
 def covariance_T_derivatives(q: SteadyStateQuery) -> CovarianceDerivatives:
     """d(s11)/dT and d(s22)/dT by differentiating under the integral."""
-    return _kept(q.star, _route)[0]([q.T], cov=False, der=True)[0][1]
+    return _kept(q.star, _route)[0]([q.T], cov=False, der=True)[1][0]
 
 
 def clm_qfi(q: SteadyStateQuery) -> float:
@@ -343,8 +344,10 @@ def clm_qfi_fidelity(q: SteadyStateQuery, step_fraction: float) -> float:
 
 
 def qfi_curve(star: StarSpec, temperatures) -> QfiCurve:
-    """The derivative-route QFI over sorted temperatures, with each steady covariance."""
-    ts = sorted(SteadyStateQuery(star=star, T=float(t)).T for t in temperatures)  # checks every T first
+    """The derivative-route QFI over sorted temperatures, with the column of steady covariances."""
+    ts = np.asarray(sorted(temperatures), dtype=float)
+    for t in (ts.min(), ts.max()) if ts.size else ():  # every T before any work: a NaN is both
+        SteadyStateQuery(star=star, T=float(t))
     return QfiCurve.from_moments(ts, _kept(star, _route)[0](ts, cov=True, der=True))
 
 
@@ -365,7 +368,9 @@ def free_probe_qfi_limit(
     seq = [float(w) for w in omega_min_sequence]
     if len(seq) < 3 or not all(0.0 < b < a for a, b in zip([math.inf, *seq], seq)):
         raise ValueError("omega_min_sequence must be >= 3 finite cutoffs > 0, strictly decreasing")
-    samples = [(w, qfi_from_derivatives(*s)) for w, s in zip(seq, _states(_kept(star, _route)[1](T, seq)))]
+    r = _kept(star, _route)[1](T, seq).T  # s11, s22, a1, a2 over the cutoffs
+    f = qfi_from_derivatives(SingleModeCovariance(*r[:2]), CovarianceDerivatives(*r[2:]))
+    samples = list(zip(seq, f.tolist()))
     diffs = [abs(b[1] - a[1]) for a, b in zip(samples, samples[1:])]
     if diffs[-1] > 2.0 * diffs[-2] + 1e-12 * abs(samples[-1][1]):
         raise ConvergenceError(f"non-Cauchy tail in omega_min sequence: |dF| = {diffs!r}")

@@ -5,9 +5,11 @@ covariance matrix; every state here (thermal modes, chain nodes, the
 Brownian probe) is diagonal by construction.  A mode of a harmonic system
 is one thermal sum over its normal modes Om_a, weighted by its squared
 amplitude w_a in each (_mode_sums; one zero-mode rule, _mode_frequencies).
-This module also provides the Uhlmann fidelity between two such states
-and the quantum Fisher information (QFI) for temperature estimation
-through two independent routes:
+A temperature sweep is one set of float columns over T, (s11, s22) and
+(a1, a2) in one SingleModeCovariance and CovarianceDerivatives, checked
+as one; state[i] is row i as floats.  This module also provides the
+Uhlmann fidelity between two states and the quantum Fisher information
+(QFI) for temperature estimation through two independent routes:
 
 * a central finite difference of the fidelity,
       F_T = 4 (1 - F(rho_T, rho_{T+d})) / d^2   as d -> 0,
@@ -38,9 +40,24 @@ PHYSICALITY_TOL = 1e-12
 _MIN_STEP_FACTOR = 1e3 * np.finfo(float).eps
 
 
+def _first_failure(ok, **values) -> str:
+    """The values where ok first fails, after that row's index for columns over T."""
+    row = np.unravel_index(np.argmin(ok), np.shape(ok))
+    shown = " ".join(f"{k}={float(np.broadcast_to(v, np.shape(ok))[row])!r}" for k, v in values.items())
+    return f"{f' at row {row[0]}' if row else ''}: {shown}"
+
+
+class _Rows:
+    """state[i]: row i of columns over T, as floats."""
+
+    def __getitem__(self, i: int):
+        return type(self)(*(float(np.asarray(v)[i]) for v in vars(self).values()))
+
+
 @dataclass(frozen=True)
-class SingleModeCovariance:
-    """Diagonal covariance matrix diag(s11, s22) of one bosonic mode.
+class SingleModeCovariance(_Rows):
+    """Diagonal covariance matrix diag(s11, s22) of one bosonic mode, or a
+    column of them over T (float arrays).
 
     s11 is the position variance (units 1/energy), s22 the momentum
     variance (units energy).  A state is physical when it is made: s11 and
@@ -51,19 +68,18 @@ class SingleModeCovariance:
     s22: float
 
     def __post_init__(self) -> None:
-        if not (self.s11 > 0.0 and self.s22 > 0.0 and self.det() >= 0.25 - PHYSICALITY_TOL):
-            raise InvalidStateError(
-                f"covariance violates uncertainty relation: "
-                f"s11={self.s11!r} s22={self.s22!r} det={self.det()!r} < 1/4"
-            )
+        s11, s22, det = self.s11, self.s22, self.det()
+        if not np.all(ok := (s11 > 0.0) & (s22 > 0.0) & (det >= 0.25 - PHYSICALITY_TOL)):
+            raise InvalidStateError("covariance violates uncertainty relation det >= 1/4"
+                                    + _first_failure(ok, s11=s11, s22=s22, det=det))
 
     def det(self) -> float:
         return self.s11 * self.s22
 
 
 @dataclass(frozen=True)
-class CovarianceDerivatives:
-    """Temperature derivatives (a1, a2) = (d s11/dT, d s22/dT)."""
+class CovarianceDerivatives(_Rows):
+    """Temperature derivatives (a1, a2) = (d s11/dT, d s22/dT), or their columns."""
 
     a1: float
     a2: float
@@ -83,9 +99,9 @@ def _mode_frequencies(om_sq: np.ndarray, regularize_gapless: bool, hint: str) ->
     return om
 
 
-def _mode_sums(om: np.ndarray, w: np.ndarray, temperatures) -> list[tuple]:
-    """(s11, s22) and (a1, a2) of the mode sum over om > 0 with weights w, every
-    T in one numpy pass; coth and csch^2 are exactly 1.0 and 0.0 beyond x = 350."""
+def _mode_sums(om: np.ndarray, w: np.ndarray, temperatures) -> tuple:
+    """The (s11, s22) and (a1, a2) columns of the mode sum over om > 0 with weights
+    w, every T in one numpy pass; coth and csch^2 are exactly 1.0 and 0.0 beyond x = 350."""
     t = np.asarray(temperatures, dtype=float)[:, None]
     x = om / (2.0 * t)
     small = x <= 350.0
@@ -94,16 +110,14 @@ def _mode_sums(om: np.ndarray, w: np.ndarray, temperatures) -> list[tuple]:
     dnu = np.zeros_like(x)
     dnu[small] = 1.0 / np.sinh(x[small]) ** 2
     dnu = (om / (2.0 * t * t)) * dnu
-    s11, s22 = np.sum(w * nu / (2.0 * om), axis=1), np.sum(w * om * nu / 2.0, axis=1)
-    a1, a2 = np.sum(w * dnu / (2.0 * om), axis=1), np.sum(w * om * dnu / 2.0, axis=1)
-    covs = [SingleModeCovariance(float(v), float(u)) for v, u in zip(s11, s22)]
-    return list(zip(covs, [CovarianceDerivatives(float(v), float(u)) for v, u in zip(a1, a2)]))
+    return (SingleModeCovariance(np.sum(w * nu / (2.0 * om), axis=1), np.sum(w * om * nu / 2.0, axis=1)),
+            CovarianceDerivatives(np.sum(w * dnu / (2.0 * om), axis=1), np.sum(w * om * dnu / 2.0, axis=1)))
 
 
 def _thermal_mode(omega: float, T: float) -> tuple[SingleModeCovariance, CovarianceDerivatives]:
     if not (0.0 < omega < math.inf and 0.0 < T < math.inf):
         raise ValueError("a thermal mode requires finite omega > 0 and finite T > 0")
-    return _mode_sums(np.array([float(omega)]), np.ones(1), [float(T)])[0]
+    return tuple(m[0] for m in _mode_sums(np.array([float(omega)]), np.ones(1), [float(T)]))
 
 
 def thermal_mode_covariance(omega: float, T: float) -> SingleModeCovariance:
@@ -143,11 +157,7 @@ def uhlmann_fidelity(a: SingleModeCovariance, b: SingleModeCovariance) -> float:
     return min(f, 1.0)
 
 
-def qfi_from_fidelity(
-    cov_at: Callable[[float], SingleModeCovariance],
-    T: float,
-    step_fraction: float,
-) -> float:
+def qfi_from_fidelity(cov_at: Callable[[float], SingleModeCovariance], T: float, step_fraction: float) -> float:
     """QFI from a central finite difference of the fidelity.
 
     Evaluates 4(1 - F(sigma(T - d/2), sigma(T + d/2)))/d^2 with
@@ -174,31 +184,24 @@ def qfi_from_fidelity(
     return max((4.0 * f2 - f1) / 3.0, 0.0)
 
 
-def qfi_from_derivatives(
-    cov: SingleModeCovariance, deriv: CovarianceDerivatives
-) -> float:
-    """QFI from the covariance and its temperature derivatives.
+def qfi_from_derivatives(cov: SingleModeCovariance, deriv: CovarianceDerivatives) -> float:
+    """QFI from the covariance and its temperature derivatives, a float for
+    a state and a column for columns over T.
 
     F_T = 4 (a1 a2 + 2 s11^2 a2^2 + 2 s22^2 a1^2) / (16 s11^2 s22^2 - 1),
     which needs no second-order Taylor coefficients.  The pure-state
     boundary (denominator <= 0) is rejected rather than regularized since
     the finite-difference route stays available there.
     """
-    if not (math.isfinite(deriv.a1) and math.isfinite(deriv.a2)):
-        raise ValueError("derivatives must be finite")
-    p = cov.s11 * cov.s22
+    s11, s22, a1, a2 = cov.s11, cov.s22, deriv.a1, deriv.a2
+    if not np.all(ok := np.isfinite(a1) & np.isfinite(a2)):
+        raise ValueError("derivatives must be finite" + _first_failure(ok, a1=a1, a2=a2))
+    p = s11 * s22
     denom = 16.0 * p * p - 1.0
-    if denom <= 0.0:
-        raise DegenerateStateError(
-            f"16 s11^2 s22^2 - 1 = {denom!r} <= 0: state at the "
-            "minimal-uncertainty boundary"
-        )
-    num = (
-        deriv.a1 * deriv.a2
-        + 2.0 * cov.s11 * cov.s11 * deriv.a2 * deriv.a2
-        + 2.0 * cov.s22 * cov.s22 * deriv.a1 * deriv.a1
-    )
-    return 4.0 * num / denom
+    if not np.all(ok := denom > 0.0):
+        raise DegenerateStateError("16 s11^2 s22^2 - 1 <= 0: state at the minimal-uncertainty boundary"
+                                   + _first_failure(ok, denom=denom))
+    return 4.0 * (a1 * a2 + 2.0 * s11 * s11 * a2 * a2 + 2.0 * s22 * s22 * a1 * a1) / denom
 
 
 QFI_COLUMNS = ("T", "beta", "sigma11", "sigma22", "qfi", "rel_error_M1")
@@ -208,21 +211,22 @@ QFI_COLUMNS = ("T", "beta", "sigma11", "sigma22", "qfi", "rel_error_M1")
 class QfiCurve:
     """Sampled (T, F_T) data with the single-shot relative error 1/(T sqrt(F)).
 
-    Temperatures are strictly increasing; QFI values finite and >= 0.
-    covariances, when given, holds the state at each temperature.
+    Temperatures are positive, finite and strictly increasing; QFI values
+    finite and >= 0.  covariances, when given, is the states' column over T.
     """
 
     temperatures: tuple[float, ...]
     qfi: tuple[float, ...]
-    covariances: tuple[SingleModeCovariance, ...] = ()
+    covariances: SingleModeCovariance | None = None
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.temperatures, dtype=float)
-        f = np.asarray(self.qfi, dtype=float)
+        t, f = self.t_array, self.qfi_array
         if t.size != f.size:
             raise ValueError("temperatures and qfi must have equal length")
-        if self.covariances and len(self.covariances) != t.size:
+        if self.covariances is not None and np.shape(self.covariances.s11) != t.shape:
             raise ValueError("one covariance per temperature required")
+        if not np.all((t > 0.0) & (t < math.inf)):
+            raise ValueError("temperatures must be positive and finite")
         if t.size and not np.all(np.diff(t) > 0.0):
             raise ValueError("temperatures must be strictly increasing")
         if not np.all(np.isfinite(f)) or np.any(f < 0.0):
@@ -230,19 +234,17 @@ class QfiCurve:
 
     @classmethod
     def from_moments(cls, temperatures, moments) -> "QfiCurve":
-        """Curve from one (covariance, derivatives) pair per temperature."""
-        covs, qs = [], []
-        for cov, der in moments:
-            covs.append(cov)
-            qs.append(qfi_from_derivatives(cov, der))
-        return cls(tuple(float(t) for t in temperatures), tuple(qs), tuple(covs))
+        """Curve from the (covariance, derivatives) columns over the temperatures."""
+        cov, der = moments
+        qfi = qfi_from_derivatives(cov, der).tolist()
+        return cls(tuple(np.asarray(temperatures, dtype=float).tolist()), tuple(qfi), cov)
 
     def rows(self) -> list[list[float]]:
         """Table rows in QFI_COLUMNS order; needs the covariances."""
-        if len(self.covariances) != len(self.temperatures):
-            raise ValueError("rows need one covariance per temperature")
-        cols = zip(self.temperatures, self.qfi, self.covariances, self.rel_error_single_shot())
-        return [[t, 1.0 / t, c.s11, c.s22, f, float(r)] for t, f, c, r in cols]
+        c, t = self.covariances, self.t_array
+        if c is None:
+            raise ValueError("rows need the covariances")
+        return np.column_stack((t, 1.0 / t, c.s11, c.s22, self.qfi_array, self.rel_error_single_shot())).tolist()
 
     @property
     def t_array(self) -> np.ndarray:
@@ -257,9 +259,5 @@ class QfiCurve:
 
         inf where F = 0.
         """
-        t = self.t_array
-        f = self.qfi_array
-        out = np.full_like(t, np.inf)
-        ok = f > 0.0
-        out[ok] = 1.0 / (t[ok] * np.sqrt(f[ok]))
-        return out
+        with np.errstate(divide="ignore"):
+            return 1.0 / (self.t_array * np.sqrt(self.qfi_array))

@@ -82,12 +82,10 @@ def _check_temperature(T: float) -> None:
 
 def _mode_c_array(statistics: Statistics, eps: np.ndarray, T: float) -> np.ndarray:
     x = eps / T
-    out = np.zeros_like(x)
-    ok = x < _EXP_FLOOR
-    e = np.exp(-x[ok])
+    y = np.minimum(x, _EXP_FLOOR)  # x itself below the floor; no overflow beyond it
+    e = np.exp(-y)
     sign = -1.0 if statistics == "bosonic" else 1.0
-    out[ok] = x[ok] ** 2 * e / (1.0 + sign * e) ** 2
-    return out
+    return np.where(x < _EXP_FLOOR, y**2 * e / (1.0 + sign * e) ** 2, 0.0)
 
 
 def mode_heat_capacity(statistics: Statistics, epsilon: float, T: float) -> float:

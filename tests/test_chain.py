@@ -245,7 +245,7 @@ class TestNodeCovariances:
     def test_derivatives_match_finite_differences(self):
         c = gapped_fig3_chain(N=40)
         t, h = 0.05, 1e-6
-        der = node_moments(c, [t], regularize_gapless=False)[0][1]
+        der = node_moments(c, [t], regularize_gapless=False)[1][0]
         up = node_covariances(c, t + h)
         dn = node_covariances(c, t - h)
         assert der.a1 == pytest.approx((up.s11 - dn.s11) / (2 * h), rel=1e-6)
@@ -260,14 +260,14 @@ class TestNodeMoments:
         built = []
         spectrum = chain_mod.chain_spectrum
         monkeypatch.setattr(chain_mod, "chain_spectrum", lambda x: built.append(x) or spectrum(x))
-        moments = node_moments(c, ts, regularize_gapless=gapless)
+        covs, ders = node_moments(c, ts, regularize_gapless=gapless)
         assert len(built) == 1  # the spectrum is built once per sweep
-        assert len(moments) == ts.size
-        for t, (cov, der) in zip(ts, moments):
-            t = float(t)
-            assert cov == node_covariances(c, t, regularize_gapless=gapless)
-            assert der == node_moments(c, [t], regularize_gapless=gapless)[0][1]
-            assert qfi_from_derivatives(cov, der) == node_qfi(c, t, regularize_gapless=gapless)
+        assert covs.s11.shape == covs.s22.shape == ders.a1.shape == ders.a2.shape == ts.shape
+        qfis = qfi_from_derivatives(covs, ders)
+        for i, t in enumerate(ts.tolist()):
+            assert covs[i] == node_covariances(c, t, regularize_gapless=gapless)
+            assert ders[i] == node_moments(c, [t], regularize_gapless=gapless)[1][0]
+            assert qfis[i] == qfi_from_derivatives(covs[i], ders[i]) == node_qfi(c, t, regularize_gapless=gapless)
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
@@ -281,7 +281,7 @@ def test_bad_temperature_is_rejected(T):
     calls = (
         lambda: node_moments(c, [0.1, T], regularize_gapless=False),
         lambda: node_covariances(c, T),
-        lambda: node_moments(c, [T], regularize_gapless=False)[0][1],
+        lambda: node_moments(c, [T], regularize_gapless=False)[1][0],
         lambda: node_qfi(c, T),
         lambda: SteadyStateQuery(star=star, T=T),
         lambda: thermal_mode_covariance(1.0, T),

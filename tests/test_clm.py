@@ -290,6 +290,32 @@ class TestCliTable:
             assert f == clm_qfi(q)
             assert rel == 1.0 / (t * math.sqrt(f))
 
+    @pytest.mark.parametrize(
+        "star",
+        [fig2_star(1.0), fig2_star(1e-6), make_star(DiscreteModes((0.5, 1.5, 2.0), (0.1, 0.2, 0.3)), 1.0)],
+        ids=["fig2a", "fig2b", "discrete"],
+    )
+    def test_sweep_rows_are_the_scalar_route(self, star):
+        # one QFI evaluation over the sweep's columns gives, bit for bit, each
+        # temperature's own states and QFI; the sweep is sorted first
+        ts = np.geomspace(0.05, 1.0, 9)
+        rows = qfi_curve(star, ts[::-1]).rows()
+        assert len(rows) == ts.size
+        for row, t in zip(rows, ts.tolist()):
+            q = SteadyStateQuery(star=star, T=t)
+            cov, f = steady_covariances(q), clm_qfi(q)
+            assert row == [t, 1.0 / t, cov.s11, cov.s22, f, 1.0 / (t * math.sqrt(f))]
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+    def test_sweep_checks_every_temperature(self, T):
+        # one check per sweep, with SteadyStateQuery's own error, wherever the
+        # bad T sits in the grid
+        for grid in ([T, 0.1, 1.0], [0.1, T, 1.0], [0.1, 1.0, T]):
+            with pytest.raises(ValueError, match="temperature must be positive and finite"):
+                qfi_curve(fig2_star(1.0), grid)
+        with pytest.raises(DivergenceError, match="free_probe_qfi_limit"):
+            qfi_curve(fig2_star(0.0), [0.1, 1.0])
+
     def test_qfi_curve_keeps_covariances(self):
         star = fig2_star(1.0)
         ts = (0.5, 1.0)
@@ -516,6 +542,28 @@ class TestPoleSums:
             q = SteadyStateQuery(star=fresh, T=float(t))
             assert cov == steady_covariances(q)
             assert f == qfi_from_derivatives(cov, covariance_T_derivatives(q)) == clm_qfi(q)
+
+    @pytest.mark.parametrize(
+        "omega0_sq, ts, branches",
+        [
+            (1.0, np.geomspace(1e-3, 1e-2, 12), (True, True)),
+            (1e-6, np.geomspace(1e-3, 1e-1, 12), (False, False)),
+            (1.0, np.geomspace(1e-3, 1.0, 31), (False, True)),
+        ],
+        ids=["fig2a", "fig2b", "mixed"],
+    )
+    def test_skipped_branches_change_no_bit(self, omega0_sq, ts, branches):
+        # fig2a's sweep has every |x_k| >= 10 and skips the psi recurrence,
+        # fig2b's has no T with every |x_k| >= 10 and skips the derivative
+        # series; one T alone skips what it does not use, and the sweep's
+        # rows are those calls bit for bit
+        poles = clm._poles(fig2_star(omega0_sq))
+        big = np.abs(np.sqrt(-poles[0]) / (2.0 * np.pi * ts[:, None])) >= clm._SERIES_FROM
+        assert (bool(big.all()), bool(big.all(axis=1).any())) == branches
+        moments, derivs = clm._pole_sums(*poles, ts)
+        for i, t in enumerate(ts.tolist()):
+            m, d = clm._pole_sums(*poles, [t])
+            assert [x[i] for x in (*moments, *derivs)] == [x[0] for x in (*m, *d)]
 
     def test_clm_qfi_sweep_makes_no_quadrature(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
@@ -764,10 +812,10 @@ class TestDiscreteStar:
         curve = qfi_curve(star, ts)
         assert sorted(calls) == [0, 1, 2, 3]
         assert len(curve.qfi) == 80
-        for t, cov, f in zip(ts[::20], curve.covariances[::20], curve.qfi[::20]):
-            q = SteadyStateQuery(star=star, T=float(t))
-            assert cov == steady_covariances(q)
-            assert f == clm_qfi(q)
+        for i in range(0, 80, 20):
+            q = SteadyStateQuery(star=star, T=float(ts[i]))
+            assert curve.covariances[i] == steady_covariances(q)
+            assert curve.qfi[i] == clm_qfi(q)
 
     def test_star_keeps_its_normal_modes(self, monkeypatch):
         # the fidelity route takes four steady states and clm_qfi two calls;
@@ -867,8 +915,8 @@ class TestRoute:
 
 class TestErrors:
     def test_non_cauchy_tail_raises_convergence_error(self, monkeypatch):
-        values = iter([1.0, 1.1, 1.3, 2.0])
-        monkeypatch.setattr(clm, "qfi_from_derivatives", lambda cov, der: next(values))
+        values = np.array([1.0, 1.1, 1.3, 2.0])  # F at the four cutoffs, one call
+        monkeypatch.setattr(clm, "qfi_from_derivatives", lambda cov, der: values)
         with pytest.raises(ConvergenceError, match="non-Cauchy"):
             free_probe_qfi_limit(fig2_star(0.0), 1e-3)
 

@@ -219,6 +219,50 @@ class TestQfiFromDerivatives:
             qfi_from_derivatives(vacuum, CovarianceDerivatives(1.0, 1.0))
 
 
+class TestColumns:
+    """A sweep's states are columns over T: one check, one QFI evaluation."""
+
+    s11 = np.array([1.0, 0.6, 0.1, 2.0, 0.2])
+    s22 = np.array([1.0, 0.5, 0.1, 0.2, 0.2])
+
+    def test_unphysical_row_is_named(self):
+        # rows 2 and 4 have det < 1/4: the error names the first
+        with pytest.raises(InvalidStateError, match=r"at row 2: s11=0\.1 s22=0\.1 det="):
+            SingleModeCovariance(self.s11, self.s22)
+        with pytest.raises(InvalidStateError, match=r"relation det >= 1/4: s11=0\.1 s22=0\.1 det="):
+            SingleModeCovariance(0.1, 0.1)  # a state has no row
+
+    def test_non_positive_variance_row_is_named(self):
+        with pytest.raises(InvalidStateError, match="at row 1: s11=-1.0"):
+            SingleModeCovariance(np.array([1.0, -1.0]), np.array([1.0, -1.0]))
+        with pytest.raises(InvalidStateError, match="at row 0: s11=0.1 s22=0.1"):
+            SingleModeCovariance(np.array([0.1, 1.0]), 0.1)  # a float broadcasts over the column
+
+    def test_rows_are_float_states(self):
+        cov = SingleModeCovariance(self.s11[:2], self.s22[:2])
+        assert [cov[0], cov[1]] == list(cov) == [SingleModeCovariance(1.0, 1.0), SingleModeCovariance(0.6, 0.5)]
+        assert type(cov[1].s11) is float
+        with pytest.raises(IndexError):
+            cov[2]
+
+    def test_qfi_column_is_each_row_bit_for_bit(self):
+        omegas, ts = (0.3, 1.0, 4.0), np.geomspace(0.2, 20.0, 7)
+        for omega in omegas:
+            states = [(thermal_mode_covariance(omega, t), thermal_mode_derivatives(omega, t)) for t in ts]
+            cov = SingleModeCovariance(*np.array([(c.s11, c.s22) for c, _ in states]).T)
+            der = CovarianceDerivatives(*np.array([(d.a1, d.a2) for _, d in states]).T)
+            column = qfi_from_derivatives(cov, der)
+            assert column.tolist() == [qfi_from_derivatives(c, d) for c, d in states]
+            assert type(qfi_from_derivatives(*states[0])) is float
+
+    def test_bad_rows_are_named_by_the_qfi(self):
+        cov = SingleModeCovariance(np.array([1.0, 1.0, 0.5]), np.array([1.0, 1.0, 0.5]))
+        with pytest.raises(ValueError, match="derivatives must be finite at row 1: a1=nan"):
+            qfi_from_derivatives(cov, CovarianceDerivatives(np.array([1.0, math.nan, 1.0]), np.ones(3)))
+        with pytest.raises(DegenerateStateError, match="at row 2: denom=0.0"):
+            qfi_from_derivatives(cov, CovarianceDerivatives(np.ones(3), np.ones(3)))
+
+
 class TestRouteAgreement:
     def test_thermal_families_agree(self):
         # grid spans T in [1e-3, 1e2], w in [1e-2, 1e2]; points with
@@ -257,20 +301,30 @@ class TestQfiCurve:
             QfiCurve((0.5, 1.0), (1.0, -1.0))  # negative qfi
         with pytest.raises(ValueError, match="equal length"):
             QfiCurve((0.5, 1.0), (1.0,))
+        # a temperature <= 0 used to give a negative or infinite error (and a
+        # RuntimeWarning), and NaN or inf passed
+        for ts in ((-1.0, 1.0), (0.0, 1.0), (math.nan,), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                QfiCurve(ts, (1.0,) * len(ts))
 
     def test_covariance_count_must_match(self):
-        with pytest.raises(ValueError):
-            QfiCurve((0.5, 1.0), (1.0, 1.0), (thermal_mode_covariance(1.0, 0.5),))
+        with pytest.raises(ValueError, match="one covariance per temperature"):
+            QfiCurve((0.5, 1.0), (1.0, 1.0), SingleModeCovariance(np.ones(1), np.ones(1)))
+        with pytest.raises(ValueError, match="one covariance per temperature"):
+            QfiCurve((0.5,), (1.0,), thermal_mode_covariance(1.0, 0.5))  # a state, not a column
 
     def test_from_moments_and_rows(self):
         ts = (0.5, 1.0)
         moments = [(thermal_mode_covariance(1.0, t), thermal_mode_derivatives(1.0, t)) for t in ts]
-        curve = QfiCurve.from_moments(ts, moments)
-        assert curve.covariances == tuple(cov for cov, _ in moments)
+        cov = SingleModeCovariance(*np.array([(c.s11, c.s22) for c, _ in moments]).T)
+        der = CovarianceDerivatives(*np.array([(d.a1, d.a2) for _, d in moments]).T)
+        curve = QfiCurve.from_moments(np.array(ts), (cov, der))
+        assert curve.covariances is cov
+        assert curve.temperatures == ts
         assert curve.qfi == tuple(qfi_from_derivatives(*m) for m in moments)
         rows = curve.rows()
-        for row, t, f, (cov, _) in zip(rows, ts, curve.qfi, moments):
-            assert row == [t, 1.0 / t, cov.s11, cov.s22, f, 1.0 / (t * math.sqrt(f))]
+        for row, t, f, (c, _) in zip(rows, ts, curve.qfi, moments):
+            assert row == [t, 1.0 / t, c.s11, c.s22, f, 1.0 / (t * math.sqrt(f))]
         with pytest.raises(ValueError):
             QfiCurve(ts, curve.qfi).rows()  # no covariances to tabulate
 

@@ -217,7 +217,7 @@ def test_chain_node_is_the_probe_of_its_effective_star(chain):
     # and no absolute floor lets tiny derivatives pass unchecked
     ts = [0.01, 0.1, 1.0]
     rel = min(1e-10, 1e-12 * spec[0] / spec[-1])
-    for t, (cov, der) in zip(ts, node_moments(chain, ts, regularize_gapless=False)):
+    for t, cov, der in zip(ts, *node_moments(chain, ts, regularize_gapless=False)):
         q = SteadyStateQuery(star=star, T=t)
         probe = steady_covariances(q), covariance_T_derivatives(q)
         assert (cov.s11, cov.s22) == pytest.approx(
