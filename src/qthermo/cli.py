@@ -8,7 +8,7 @@ deterministic for a fixed BLAS thread count (chain-to-star's dense eigh
 may round per thread count, though fig4's 100-mode half block does not;
 star-to-chain tables are the same for any count):
 rows sorted by the sweep variable, floats as repr.  The config is the only
-file a run reads.
+file a run reads; a rerun writes its outputs over their old bytes.
 
 Exit codes: 0 success, 2 config validation, 3 computation, 4 I/O (reading
 the config, or writing the table or the summary); failures emit a
@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -347,11 +348,25 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 def _write_outputs(out_path: Path, columns: Sequence[str], rows: Rows, summary: dict) -> None:
+    """Write the table, then the summary beside it, each over its old bytes.
+
+    A file is cut only when its new text is shorter: truncating a non-empty
+    file on open frees its blocks and forces their reallocation at close,
+    which costs more than the rest of the write.  Like a truncating write,
+    this is not atomic: a kill mid-write leaves new text over old bytes, and
+    one between the write and the cut leaves the old tail after the new text.
+    """
     lines = [",".join(columns)]
     lines += [",".join(map(repr, map(float, row))) for row in rows]
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    summary_path = out_path.with_suffix(".summary.json")
-    summary_path.write_text(json.dumps(summary, indent=1, default=str) + "\n", encoding="utf-8")
+    texts = ("\n".join(lines), json.dumps(summary, indent=1, default=str))
+    for path, text in zip((out_path, out_path.with_suffix(".summary.json")), texts):
+        data = (text + "\n").encode("utf-8")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            old_size = os.fstat(f.fileno()).st_size  # 0 for /dev/null and FIFOs
+            f.write(data)
+            f.flush()
+            if len(data) < old_size:
+                os.ftruncate(f.fileno(), len(data))
 
 
 @functools.cache

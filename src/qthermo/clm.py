@@ -32,7 +32,8 @@ from .fits import _linear_fit
 from .gaussian import (CovarianceDerivatives, QfiCurve, SingleModeCovariance, _mode_frequencies, _mode_sums,
                        qfi_from_derivatives, qfi_from_fidelity)
 from .mapping import _probe_column
-from .spectral import QUAD_TOL, DiscreteModes, LorentzDrude, StarSpec, _alpha, _quad_value, _rational_alpha
+from .spectral import (QUAD_TOL, DiscreteModes, LorentzDrude, StarSpec, _alpha, _module, _quad_value,
+                       _rational_alpha)
 
 # B_2j, j = 1..12, of the asymptotic series of psi and psi' (DLMF 5.11.2,
 # 5.15.8): from |x| = 10 on, 12 terms leave < 1e-17 of the first
@@ -50,17 +51,11 @@ _XCOTH = ((1 - np.outer([0, 2], np.arange(1, 13))) * 4.0 ** np.arange(1, 13) * _
 
 
 def quad(*args, **kwargs):
-    """scipy's quad, imported on first call: scipy takes ~0.5 s to import."""
-    from scipy.integrate import quad
-
-    return quad(*args, **kwargs)
+    return _module("scipy.integrate").quad(*args, **kwargs)
 
 
 def brentq(*args, **kwargs):
-    """scipy's brentq, imported on first call: scipy takes ~0.5 s to import."""
-    from scipy.optimize import brentq
-
-    return brentq(*args, **kwargs)
+    return _module("scipy.optimize").brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)

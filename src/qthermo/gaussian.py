@@ -48,13 +48,19 @@ def _first_failure(ok, **values) -> str:
 
 
 class _Rows:
-    """state[i]: row i of columns over T, as floats."""
+    """state[i]: row i of columns over T, as floats.  States compare field by
+    field with np.array_equal, and are unhashable."""
 
     def __getitem__(self, i: int):
         return type(self)(*(float(np.asarray(v)[i]) for v in vars(self).values()))
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values()))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SingleModeCovariance(_Rows):
     """Diagonal covariance matrix diag(s11, s22) of one bosonic mode, or a
     column of them over T (float arrays).
@@ -77,7 +83,7 @@ class SingleModeCovariance(_Rows):
         return self.s11 * self.s22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceDerivatives(_Rows):
     """Temperature derivatives (a1, a2) = (d s11/dT, d s22/dT), or their columns."""
 

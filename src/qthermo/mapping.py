@@ -19,14 +19,14 @@ chain -> star uses a dense eigh, of the N x N half.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .chain import ChainSpec, gapless_frequency_sq, power_law_chain
 from .errors import ConvergenceError
 from .fits import ScalingFit, _r_squared
-from .spectral import DiscreteModes, StarSpec
+from .spectral import DiscreteModes, StarSpec, _module
 
 # Star-mode indices n (ascending frequency) at which star_coupling_scaling
 # fits g_n ~ n N^(-3/2).
@@ -34,20 +34,12 @@ COUPLING_FIT_INDICES = (3, 5, 8)
 
 
 def eigh(*args, **kwargs):
-    """scipy's eigh, imported on first call: scipy takes ~0.5 s to import."""
-    from scipy.linalg import eigh
-
-    return eigh(*args, **kwargs)
+    return _module("scipy.linalg").eigh(*args, **kwargs)
 
 
 def dlasd4(*args, **kwargs):
-    """LAPACK's dlasd4 secular-equation root, from scipy on first call.
-
-    Returns (delta, sigma, work, info); the root index is 0-based.
-    """
-    from scipy.linalg.lapack import dlasd4
-
-    return dlasd4(*args, **kwargs)
+    """LAPACK's dlasd4 secular-equation root: (delta, sigma, work, info), 0-based index."""
+    return _module("scipy.linalg.lapack").dlasd4(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -224,16 +216,9 @@ def star_coupling_scaling(s: float, N_list) -> tuple[ScalingFit, ScalingFit]:
         raise ValueError(f"mode indices {COUPLING_FIT_INDICES} must lie below the smallest size")
     rows = []
     for size in sizes:
-        chain = power_law_chain(size, 0.0, G=1.0, t=s)
-        chain = ChainSpec(
-            N=size,
-            omega_sq=gapless_frequency_sq(size, chain.couplings),
-            couplings=chain.couplings,
-        )
-        star = chain_to_star(chain)
-        gs = star.g_array  # ascending frequency order
-        for n in COUPLING_FIT_INDICES:
-            rows.append((float(n), float(size), float(gs[n - 1])))
+        g = power_law_chain(size, 0.0, G=1.0, t=s).couplings
+        gs = chain_to_star(ChainSpec(size, gapless_frequency_sq(size, g), g)).g_array  # ascending
+        rows += [(float(n), float(size), float(gs[n - 1])) for n in COUPLING_FIT_INDICES]
     pts = np.array(rows)
     design = np.column_stack([np.log(pts[:, 0]), np.log(pts[:, 1]), np.ones(len(pts))])
     target = np.log(pts[:, 2])
@@ -247,12 +232,5 @@ def star_coupling_scaling(s: float, N_list) -> tuple[ScalingFit, ScalingFit]:
         window=(float(min(COUPLING_FIT_INDICES)), float(max(COUPLING_FIT_INDICES))),
         n_points=len(rows),
     )
-    size_fit = ScalingFit(
-        kind="power_law",
-        exponent_or_gap=float(coef[1]),
-        prefactor=float(np.exp(coef[2])),
-        r_squared=r2,
-        window=(float(sizes[0]), float(sizes[-1])),
-        n_points=len(rows),
-    )
+    size_fit = replace(n_fit, exponent_or_gap=float(coef[1]), window=(float(sizes[0]), float(sizes[-1])))
     return n_fit, size_fit

@@ -16,6 +16,8 @@ defect, as this Re alpha's Kramers-Kronig partner is J/2 (ROADMAP item 1).
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -27,12 +29,12 @@ from .errors import IntegrationError
 # Relative tolerance of every adaptive quadrature in the package.
 QUAD_TOL = 1e-9
 
+# A module by name, imported on first use: scipy takes ~0.5 s to import.
+_module = functools.cache(importlib.import_module)
+
 
 def quad(*args, **kwargs):
-    """scipy's quad, imported on first call: scipy takes ~0.5 s to import."""
-    from scipy.integrate import quad
-
-    return quad(*args, **kwargs)
+    return _module("scipy.integrate").quad(*args, **kwargs)
 
 
 def _quad_value(out: tuple, what: str) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qthermo
-from qthermo.cli import main, parse_config_text, run_experiment
+from qthermo.cli import _write_outputs, main, parse_config_text, run_experiment
 from qthermo.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -491,6 +491,56 @@ class TestMainExitCodes:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "computation-error"
         assert not out.exists() and not out.with_suffix(".summary.json").exists()
+
+
+GAP_ERROR_CFG = REPO / "configs" / "gap_error.cfg"
+
+
+def _run_gap_error(out: Path) -> tuple[bytes, dict]:
+    """The gap_error recipe through main: its table bytes and its summary
+    without wall_time_s."""
+    assert main(["gap-error", "--config", str(GAP_ERROR_CFG), "--out", str(out)]) == 0
+    summary = json.loads(out.with_suffix(".summary.json").read_text())
+    summary.pop("wall_time_s")
+    return out.read_bytes(), summary
+
+
+class TestOutputRewrite:
+    """A run writes its outputs over the old bytes and cuts off any tail."""
+
+    @pytest.mark.parametrize("stale_bytes", [100_000, 3], ids=["longer", "shorter"])
+    def test_stale_outputs_end_as_a_fresh_run(self, tmp_path, stale_bytes):
+        fresh = _run_gap_error(tmp_path / "fresh.csv")
+        out = tmp_path / "stale.csv"
+        out.write_bytes(b"9" * stale_bytes)
+        out.with_suffix(".summary.json").write_bytes(b"{" * stale_bytes)
+        assert _run_gap_error(out) == fresh
+
+    def test_symlinked_out_is_written_through(self, tmp_path):
+        fresh = _run_gap_error(tmp_path / "fresh.csv")
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"9" * 100_000)
+        link.symlink_to(target)
+        assert _run_gap_error(link) == fresh
+        assert link.is_symlink() and target.read_bytes() == fresh[0]
+
+    def test_directory_out_is_4_and_writes_no_summary(self, tmp_path, capsys):
+        out = tmp_path / "table"
+        out.mkdir()
+        assert main(["gap-error", "--config", str(GAP_ERROR_CFG), "--out", str(out)]) == 4
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "io-error" and payload["exit_code"] == 4
+        assert not out.with_suffix(".summary.json").exists()
+
+    def test_same_length_rewrite_makes_no_truncate_call(self, tmp_path, monkeypatch):
+        out, summary = tmp_path / "t.csv", {"experiment": "gap-error"}
+        _write_outputs(out, ("N", "x"), [[1.0, 2.0], [3.0, 4.0]], summary)
+        calls, ftruncate = [], os.ftruncate
+        monkeypatch.setattr(os, "ftruncate", lambda fd, size: calls.append(size) or ftruncate(fd, size))
+        _write_outputs(out, ("N", "x"), [[1.0, 2.0], [3.0, 4.0]], summary)
+        assert calls == []
+        _write_outputs(out, ("N", "x"), [[1.0, 2.0]], summary)
+        assert len(calls) == 1 and out.read_text() == "N,x\n1.0,2.0\n"
 
 
 # Recipe tables committed with the benchmark (perfbench/reference, seed 0).

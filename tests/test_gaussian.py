@@ -245,6 +245,26 @@ class TestColumns:
         with pytest.raises(IndexError):
             cov[2]
 
+    def test_equal_columns_compare_equal(self):
+        cov = SingleModeCovariance(self.s11[:2], self.s22[:2])
+        der = CovarianceDerivatives(self.s11, self.s22)
+        assert cov == SingleModeCovariance(self.s11[:2].copy(), self.s22[:2].copy())
+        assert der == CovarianceDerivatives(self.s11.copy(), self.s22.copy())
+        assert der != CovarianceDerivatives(self.s22, self.s11)
+
+    def test_one_row_difference_breaks_equality(self):
+        s22 = self.s22[:2].copy()
+        s22[1] = np.nextafter(s22[1], 1.0)
+        assert SingleModeCovariance(self.s11[:2], self.s22[:2]) != SingleModeCovariance(self.s11[:2], s22)
+        assert SingleModeCovariance(self.s11[:2], self.s22[:2]) != SingleModeCovariance(self.s11[:1], self.s22[:1])
+
+    def test_float_states_compare_by_value_and_do_not_hash(self):
+        assert SingleModeCovariance(1.0, 0.5) == SingleModeCovariance(1.0, 0.5)
+        assert SingleModeCovariance(1.0, 0.5) != SingleModeCovariance(1.0, 0.6)
+        assert CovarianceDerivatives(1.0, 0.5) != SingleModeCovariance(1.0, 0.5)  # another class
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(SingleModeCovariance(1.0, 0.5))
+
     def test_qfi_column_is_each_row_bit_for_bit(self):
         omegas, ts = (0.3, 1.0, 4.0), np.geomspace(0.2, 20.0, 7)
         for omega in omegas:
