@@ -210,8 +210,8 @@ def gap_error_scaling(s: float, G: float, N_list) -> ScalingFit:
     if not 1.0 < s < math.inf:
         raise ValueError(f"gap_error_scaling requires power-law decay 1 < s < inf, got s={s!r}")
     ns = sorted(int(n) for n in N_list)
-    if any(n < 1 for n in ns):
-        raise ValueError(f"N_list entries must be positive chain sizes, got {ns}")
+    if any(n < 1 for n in ns) or len(set(ns)) < len(ns):
+        raise ValueError(f"N_list entries must be positive, distinct chain sizes, got {ns}")
     if len(ns) < 4:
         raise FitError("need at least 4 chain sizes to fit the gap error")
     xi = [abs(gap_error(N, s, G)) for N in ns]

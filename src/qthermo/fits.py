@@ -3,7 +3,10 @@
 Power laws are fitted by least squares on (ln x, ln y); exponential gaps by
 least squares on (beta, ln y) with the gap reported as minus the slope.
 These formalize the guide lines superimposed on log-log and semilog
-sensitivity plots.
+sensitivity plots.  Every fit in qthermo, the star couplings' joint fit in
+(ln n, ln N) and the free probe's extrapolation included, is one
+least-squares solve in _linear_fit, which refuses a rank-deficient design
+with FitError rather than return an arbitrary minimum-norm answer.
 """
 
 from __future__ import annotations
@@ -36,23 +39,27 @@ class ScalingFit:
     n_points: int
 
 
-def _r_squared(y: np.ndarray, resid: np.ndarray) -> float:
-    """Coefficient of determination of a least-squares fit, clipped to [0, 1]."""
+def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[list[float], float, float]:
+    """Least squares of y on the columns of x plus an intercept: (slopes, intercept, r^2).
+
+    r^2 is clipped to [0, 1].  A design of lower rank than its parameter
+    count (too few distinct x) has no unique fit and raises FitError.
+    """
+    design = np.column_stack((x, np.ones_like(y)))
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:
+        raise FitError(f"degenerate design: rank {rank} below {design.shape[1]} parameters")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return min(max(r2, 0.0), 1.0)
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum((y - design @ coef) ** 2)) / ss_tot
+    *slopes, intercept = coef.tolist()
+    return slopes, intercept, min(max(r2, 0.0), 1.0)
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope, intercept, r^2."""
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(slope), float(intercept), _r_squared(y, y - (slope * x + intercept))
-
-
-def _select_window(
-    x: np.ndarray, y: np.ndarray, window: tuple[float, float] | None
-) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+def _fit(kind: FitKind, x, y, window: tuple[float, float] | None) -> ScalingFit:
+    """The one scaling fit: a power law on (ln x, ln y), an exponential gap on (1/x, ln y)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise FitError(f"x and y must be 1-D of equal length, got shapes {x.shape} and {y.shape}")
     if window is None:
         lo, hi = float(np.min(x)), float(np.max(x))
     else:
@@ -62,30 +69,27 @@ def _select_window(
     mask = (x >= lo) & (x <= hi)
     if int(mask.sum()) < 4:
         raise FitError(f"only {int(mask.sum())} points inside window [{lo!r}, {hi!r}]")
-    return x[mask], y[mask], (lo, hi)
+    xs, ys = x[mask], y[mask]
+    if kind == "power_law":
+        if not np.all((xs > 0.0) & (ys > 0.0) & np.isfinite(xs) & np.isfinite(ys)):
+            raise FitError("power-law fit requires strictly positive, finite data")
+        (slope,), intercept, r2 = _linear_fit(np.log(xs), np.log(ys))
+    else:
+        if not np.all(ys > 0.0):
+            raise FitError("exponential fit requires strictly positive QFI values")
+        (slope,), intercept, r2 = _linear_fit(1.0 / xs, np.log(ys))
+        slope = -slope
+    return ScalingFit(kind, slope, float(np.exp(intercept)), r2, (lo, hi), int(xs.size))
 
 
 def loglog_fit(x, y, window: tuple[float, float] | None = None) -> ScalingFit:
     """Power-law fit y = prefactor * x^exponent on arbitrary positive data."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xs, ys, win = _select_window(x, y, window)
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise FitError("power-law fit requires strictly positive data")
-    slope, intercept, r2 = _linear_fit(np.log(xs), np.log(ys))
-    return ScalingFit(
-        kind="power_law",
-        exponent_or_gap=slope,
-        prefactor=float(np.exp(intercept)),
-        r_squared=r2,
-        window=win,
-        n_points=int(xs.size),
-    )
+    return _fit("power_law", x, y, window)
 
 
 def fit_power_law(curve: QfiCurve, window: tuple[float, float] | None = None) -> ScalingFit:
     """Fit F = prefactor * T^exponent over a temperature window."""
-    return loglog_fit(curve.t_array, curve.qfi_array, window)
+    return _fit("power_law", curve.temperatures, curve.qfi, window)
 
 
 def fit_exponential_gap(
@@ -96,17 +100,4 @@ def fit_exponential_gap(
     Least squares on (beta, ln F) with beta = 1/T; the window is given in
     temperature like fit_power_law.
     """
-    t = curve.t_array
-    f = curve.qfi_array
-    ts, fs, win = _select_window(t, f, window)
-    if np.any(fs <= 0.0):
-        raise FitError("exponential fit requires strictly positive QFI values")
-    slope, intercept, r2 = _linear_fit(1.0 / ts, np.log(fs))
-    return ScalingFit(
-        kind="exponential_gap",
-        exponent_or_gap=-slope,
-        prefactor=float(np.exp(intercept)),
-        r_squared=r2,
-        window=win,
-        n_points=int(ts.size),
-    )
+    return _fit("exponential_gap", curve.temperatures, curve.qfi, window)

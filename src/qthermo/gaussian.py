@@ -213,21 +213,22 @@ def qfi_from_derivatives(cov: SingleModeCovariance, deriv: CovarianceDerivatives
 QFI_COLUMNS = ("T", "beta", "sigma11", "sigma22", "qfi", "rel_error_M1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QfiCurve:
     """Sampled (T, F_T) data with the single-shot relative error 1/(T sqrt(F)).
 
     Temperatures are positive, finite and strictly increasing; QFI values
-    finite and >= 0.  covariances, when given, is the states' column over T.
+    finite and >= 0.  Both are kept as read-only float arrays.  covariances,
+    when given, is the states' column over T.
     """
 
-    temperatures: tuple[float, ...]
-    qfi: tuple[float, ...]
+    temperatures: np.ndarray
+    qfi: np.ndarray
     covariances: SingleModeCovariance | None = None
 
     def __post_init__(self) -> None:
-        t, f = self.t_array, self.qfi_array
-        if t.size != f.size:
+        t, f = np.array(self.temperatures, dtype=float), np.array(self.qfi, dtype=float)
+        if t.ndim != 1 or t.shape != f.shape:
             raise ValueError("temperatures and qfi must have equal length")
         if self.covariances is not None and np.shape(self.covariances.s11) != t.shape:
             raise ValueError("one covariance per temperature required")
@@ -237,28 +238,21 @@ class QfiCurve:
             raise ValueError("temperatures must be strictly increasing")
         if not np.all(np.isfinite(f)) or np.any(f < 0.0):
             raise ValueError("qfi samples must be finite and non-negative")
+        t.flags.writeable = f.flags.writeable = False
+        object.__setattr__(self, "temperatures", t)
+        object.__setattr__(self, "qfi", f)
 
     @classmethod
     def from_moments(cls, temperatures, moments) -> "QfiCurve":
         """Curve from the (covariance, derivatives) columns over the temperatures."""
-        cov, der = moments
-        qfi = qfi_from_derivatives(cov, der).tolist()
-        return cls(tuple(np.asarray(temperatures, dtype=float).tolist()), tuple(qfi), cov)
+        return cls(temperatures, qfi_from_derivatives(*moments), moments[0])
 
     def rows(self) -> list[list[float]]:
         """Table rows in QFI_COLUMNS order; needs the covariances."""
-        c, t = self.covariances, self.t_array
+        c, t = self.covariances, self.temperatures
         if c is None:
             raise ValueError("rows need the covariances")
-        return np.column_stack((t, 1.0 / t, c.s11, c.s22, self.qfi_array, self.rel_error_single_shot())).tolist()
-
-    @property
-    def t_array(self) -> np.ndarray:
-        return np.asarray(self.temperatures, dtype=float)
-
-    @property
-    def qfi_array(self) -> np.ndarray:
-        return np.asarray(self.qfi, dtype=float)
+        return np.column_stack((t, 1.0 / t, c.s11, c.s22, self.qfi, self.rel_error_single_shot())).tolist()
 
     def rel_error_single_shot(self) -> np.ndarray:
         """Best-case relative error dT/T = 1/(T sqrt(F)) for one shot (M = 1).
@@ -266,4 +260,4 @@ class QfiCurve:
         inf where F = 0.
         """
         with np.errstate(divide="ignore"):
-            return 1.0 / (self.t_array * np.sqrt(self.qfi_array))
+            return 1.0 / (self.temperatures * np.sqrt(self.qfi))

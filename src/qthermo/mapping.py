@@ -14,7 +14,7 @@ That spectrum is the secular equation of the star's arrowhead potential,
 solved root by root with LAPACK's dlasd4: O(N^2) time, O(N) memory and
 no BLAS, so the same bits for any BLAS thread count.  The probe's weight
 c^2 in each normal mode follows from the same roots in closed form.  Only
-chain -> star uses a dense eigh, of the N x N half.
+chain -> star uses a dense eigh (numpy's), of the N x N half.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import ChainSpec, gapless_frequency_sq, power_law_chain
 from .errors import ConvergenceError
-from .fits import ScalingFit, _r_squared
+from .fits import ScalingFit, _linear_fit
 from .spectral import DiscreteModes, StarSpec, _module
 
 # Star-mode indices n (ascending frequency) at which star_coupling_scaling
@@ -34,7 +34,8 @@ COUPLING_FIT_INDICES = (3, 5, 8)
 
 
 def eigh(*args, **kwargs):
-    return _module("scipy.linalg").eigh(*args, **kwargs)
+    """numpy's dense symmetric eigensolver, named here so its calls can be traced."""
+    return np.linalg.eigh(*args, **kwargs)
 
 
 def dlasd4(*args, **kwargs):
@@ -212,6 +213,8 @@ def star_coupling_scaling(s: float, N_list) -> tuple[ScalingFit, ScalingFit]:
     sizes = sorted(int(x) for x in N_list)
     if len(sizes) < 2:
         raise ValueError("need at least two chain sizes")
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"N_list repeats a chain size: {sizes}")
     if max(COUPLING_FIT_INDICES) >= min(sizes):
         raise ValueError(f"mode indices {COUPLING_FIT_INDICES} must lie below the smallest size")
     rows = []
@@ -219,18 +222,9 @@ def star_coupling_scaling(s: float, N_list) -> tuple[ScalingFit, ScalingFit]:
         g = power_law_chain(size, 0.0, G=1.0, t=s).couplings
         gs = chain_to_star(ChainSpec(size, gapless_frequency_sq(size, g), g)).g_array  # ascending
         rows += [(float(n), float(size), float(gs[n - 1])) for n in COUPLING_FIT_INDICES]
-    pts = np.array(rows)
-    design = np.column_stack([np.log(pts[:, 0]), np.log(pts[:, 1]), np.ones(len(pts))])
-    target = np.log(pts[:, 2])
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    r2 = _r_squared(target, target - design @ coef)
-    n_fit = ScalingFit(
-        kind="power_law",
-        exponent_or_gap=float(coef[0]),
-        prefactor=float(np.exp(coef[2])),
-        r_squared=r2,
-        window=(float(min(COUPLING_FIT_INDICES)), float(max(COUPLING_FIT_INDICES))),
-        n_points=len(rows),
-    )
-    size_fit = replace(n_fit, exponent_or_gap=float(coef[1]), window=(float(sizes[0]), float(sizes[-1])))
+    pts = np.log(rows)
+    (p, q), c, r2 = _linear_fit(pts[:, :2], pts[:, 2])
+    n_window = (float(COUPLING_FIT_INDICES[0]), float(COUPLING_FIT_INDICES[-1]))
+    n_fit = ScalingFit("power_law", p, float(np.exp(c)), r2, n_window, len(rows))
+    size_fit = replace(n_fit, exponent_or_gap=q, window=(float(sizes[0]), float(sizes[-1])))
     return n_fit, size_fit

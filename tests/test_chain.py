@@ -405,7 +405,7 @@ class TestGapErrorScaling:
         with pytest.raises(ValueError, match="s="):
             gap_error_scaling(s, 1.0, [50, 100, 200, 400])
 
-    @pytest.mark.parametrize("n_list", [[-5, 10, 20, 40], [0, 10, 20, 40]])
+    @pytest.mark.parametrize("n_list", [[-5, 10, 20, 40], [0, 10, 20, 40], [50, 50, 100, 200]])
     def test_non_positive_chain_size_is_rejected(self, n_list):
         with pytest.raises(ValueError, match="N_list"):
             gap_error_scaling(3.0, 1.0, n_list)

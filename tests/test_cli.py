@@ -547,12 +547,12 @@ class TestOutputRewrite:
 # fig5/fig5_desk are left out: they sit ~1e-13 off their tables since the
 # DFT chain reconstruction.  Four route changes moved other tables' last
 # digits: fig2a and fig2b take the Lorentz-Drude pole sums, fig4 the
-# mirror-symmetric half of the chain, free_probe's cutoffs the pole sums
-# with closed forms and a Gauss-Legendre sum below each cutoff, with no
-# quadrature, and fig3a, fig3b and chain_n1000 the chain spectrum as one
-# real FFT.  Their bytes are pinned to tests/reference, within the
-# benchmark's own tolerance of perfbench/reference, until the benchmark's
-# tables are regenerated.
+# mirror-symmetric half of the chain on numpy's eigh, free_probe's cutoffs
+# the pole sums with closed forms and a Gauss-Legendre sum below each
+# cutoff, with no quadrature, and fig3a, fig3b and chain_n1000 the chain
+# spectrum as one real FFT.  Their bytes are pinned to tests/reference,
+# within the benchmark's own tolerance of perfbench/reference, until the
+# benchmark's tables are regenerated.
 PINNED_RECIPES = (
     "chain_n1000", "fig2a", "fig2b", "fig3a", "fig3b", "fig4_gapless", "fig4_gapped", "free_probe"
 )

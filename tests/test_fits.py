@@ -50,6 +50,10 @@ class TestPowerLawFit:
             fit_power_law(make_curve([1, 2, 3], [1, 1, 1]))  # too few
         with pytest.raises(FitError):
             fit_power_law(make_curve(ts, np.zeros_like(ts)))  # non-positive
+        with pytest.raises(FitError, match="equal length"):
+            loglog_fit([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+        with pytest.raises(FitError, match="degenerate"):
+            loglog_fit([2.0] * 4, [1.0, 2.0, 3.0, 4.0], window=(1.0, 3.0))  # one x in the window
 
 
 class TestExponentialGapFit:
@@ -84,6 +88,11 @@ class TestLogLogFit:
     def test_rejects_nonpositive_x(self):
         with pytest.raises(FitError):
             loglog_fit([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(FitError, match="strictly positive, finite"):
+                loglog_fit([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 4.0])
+        with pytest.raises(FitError, match="strictly positive, finite"):
+            loglog_fit([1.0, 2.0, 3.0, float("inf")], [1.0, 2.0, 3.0, 4.0])
 
 
 class TestChainGapRecovery:

@@ -340,8 +340,9 @@ class TestQfiCurve:
         der = CovarianceDerivatives(*np.array([(d.a1, d.a2) for _, d in moments]).T)
         curve = QfiCurve.from_moments(np.array(ts), (cov, der))
         assert curve.covariances is cov
-        assert curve.temperatures == ts
-        assert curve.qfi == tuple(qfi_from_derivatives(*m) for m in moments)
+        assert np.array_equal(curve.temperatures, ts)
+        assert np.array_equal(curve.qfi, [qfi_from_derivatives(*m) for m in moments])
+        assert not curve.temperatures.flags.writeable and not curve.qfi.flags.writeable
         rows = curve.rows()
         for row, t, f, (c, _) in zip(rows, ts, curve.qfi, moments):
             assert row == [t, 1.0 / t, c.s11, c.s22, f, 1.0 / (t * math.sqrt(f))]

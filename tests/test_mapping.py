@@ -429,7 +429,9 @@ class TestProbeDelocalizationSecular:
 
 class TestStarCouplingScaling:
     @pytest.mark.parametrize(
-        "sizes, match", [([20], "at least two"), ([8, 20], "must lie below")], ids=["one", "8"]
+        "sizes, match",
+        [([20], "at least two"), ([8, 20], "must lie below"), ([50, 50], "N_list")],
+        ids=["one", "8", "repeated"],
     )
     def test_bad_sizes_are_rejected(self, sizes, match):
         # the fit takes modes 3, 5 and 8 of each size, and a slope in N

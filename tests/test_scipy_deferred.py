@@ -47,10 +47,14 @@ def test_import_loads_no_scipy():
 
 # fig3a is tihc-qfi; discretize_residual has a Lorentz-Drude reservoir,
 # whose bins have a closed form; the clm-qfi probes of fig2a and fig2b take
-# the pole sums, and so do free_probe's cutoffs.
+# the pole sums, and so do free_probe's cutoffs; fig4's chain-to-star takes
+# numpy's eigh.
 @pytest.mark.parametrize(
     "recipe",
-    ["fig3a", "gap_error", "heatcap_ising", "discretize_residual", "fig2a", "fig2b", "free_probe"],
+    [
+        "fig3a", "gap_error", "heatcap_ising", "discretize_residual", "fig2a", "fig2b", "free_probe",
+        "fig4_gapless", "fig4_gapped",
+    ],
 )
 def test_chain_experiments_load_no_scipy(tmp_path, recipe):
     result = probe(str(REPO / "configs" / f"{recipe}.cfg"), str(tmp_path / "out.csv"))
@@ -62,8 +66,8 @@ def test_chain_experiments_load_no_scipy(tmp_path, recipe):
 
 
 def test_brownian_probe_loads_scipy(tmp_path):
-    # every Lorentz-Drude probe route is free of scipy; the reservoir that a
-    # chain node sees (chain-to-star) still takes scipy's dense eigh
-    result = probe(str(REPO / "configs" / "fig4_gapless.cfg"), str(tmp_path / "out.csv"))
+    # every Lorentz-Drude probe route and chain-to-star are free of scipy;
+    # star-to-chain's normal modes still take LAPACK's dlasd4 from scipy
+    result = probe(str(REPO / "configs" / "fig5_desk.cfg"), str(tmp_path / "out.csv"))
     assert "scipy" in result["scipy"]
     assert isinstance(result["env"]["scipy"], str) and result["env"]["scipy"]

@@ -33,7 +33,7 @@ REPO = Path(__file__).resolve().parent.parent
 MAX_EXPORTS = 63
 MAX_PUBLIC_DEFAULTS = 8
 MAX_PUBLIC_FIELD_DEFAULTS = 2
-MAX_SOURCE_LINES = 2238
+MAX_SOURCE_LINES = 2217
 MAX_CLM_ISINSTANCE = 4
 FAMILIES = frozenset({"DiscreteModes", "ExponentialCutoff", "LorentzDrude"})
 # (class or function, method) of the input checks that may name a family
