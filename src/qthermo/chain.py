@@ -207,6 +207,11 @@ def gap_error_scaling(s: float, G: float, N_list) -> ScalingFit:
     |gap_error(N, s, G)| is fitted against N on log-log axes; expected
     exponents: -2 for s > 2 (log-degraded at s = 2) and -s for 1 < s < 2.
     """
+    return _gap_error_fit(s, G, N_list)[0]
+
+
+def _gap_error_fit(s: float, G: float, N_list) -> tuple[ScalingFit, np.ndarray, np.ndarray]:
+    """gap_error_scaling's fit with the sorted sizes and |Xi(N)| it fitted, each computed once."""
     if not 1.0 < s < math.inf:
         raise ValueError(f"gap_error_scaling requires power-law decay 1 < s < inf, got s={s!r}")
     ns = sorted(int(n) for n in N_list)
@@ -214,6 +219,5 @@ def gap_error_scaling(s: float, G: float, N_list) -> ScalingFit:
         raise ValueError(f"N_list entries must be positive, distinct chain sizes, got {ns}")
     if len(ns) < 4:
         raise FitError("need at least 4 chain sizes to fit the gap error")
-    xi = [abs(gap_error(N, s, G)) for N in ns]
-    return loglog_fit(np.asarray(ns, dtype=float), np.asarray(xi), window=(ns[0], ns[-1]))
-
+    x, xi = np.asarray(ns, dtype=float), np.array([abs(gap_error(N, s, G)) for N in ns])
+    return loglog_fit(x, xi, window=(ns[0], ns[-1])), x, xi

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -65,9 +66,7 @@ def parse_config_text(text: str) -> dict[str, str]:
     if "experiment" not in cfg:
         raise ConfigError("config is missing the 'experiment' key")
     if cfg["experiment"] not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {cfg['experiment']!r}; choose from {EXPERIMENTS}"
-        )
+        raise ConfigError(f"unknown experiment {cfg['experiment']!r}; choose from {EXPERIMENTS}")
     return cfg
 
 
@@ -116,10 +115,8 @@ class _Config:
         raise ConfigError(f"key {key!r}: {v!r} is not a boolean")
 
     def int_list(self, key: str, default) -> list[int]:
-        def parse(v: str) -> list[int]:
-            return [int(tok) for tok in v.split(",") if tok.strip()]
-
-        return self._parsed(key, default, parse, "an int list")
+        return self._parsed(key, default, lambda v: [int(tok) for tok in v.split(",") if tok.strip()],
+                            "an int list")
 
     def reject_unknown(self) -> None:
         unknown = set(self.raw) - self._used
@@ -196,7 +193,7 @@ def _chain_spec(cfg: _Config) -> tuple[chain_mod.ChainSpec, bool]:
     return chain, gapless
 
 
-Rows = list[list[float]]
+Rows = list[Sequence[float]]
 ExperimentResult = tuple[Sequence[str], Rows, list[fits_mod.ScalingFit], list[str], dict]
 
 
@@ -230,11 +227,8 @@ def _run_tihc_qfi(cfg: _Config) -> ExperimentResult:
     if window and fit_kind == "none":
         raise ConfigError("fit_window_lo and fit_window_hi need fit = power_law or exponential_gap")
     cfg.reject_unknown()
-    fits = {
-        "none": None,
-        "power_law": fits_mod.fit_power_law,
-        "exponential_gap": fits_mod.fit_exponential_gap,
-    }
+    fits = {"none": None, "power_law": fits_mod.fit_power_law,
+            "exponential_gap": fits_mod.fit_exponential_gap}
     if fit_kind not in fits:
         raise ConfigError(f"unknown fit kind {fit_kind!r}; choose from {tuple(fits)}")
     fit = fits[fit_kind]
@@ -296,7 +290,7 @@ def _run_discretize(cfg: _Config) -> ExperimentResult:
     cfg.reject_unknown()
     star = spectral_mod.discretize_clm(sd, n_modes, omega_max)
     modes = star.sd
-    rows = [[w, g] for w, g in zip(modes.omegas, modes.gs)]
+    rows = list(zip(modes.omegas, modes.gs))
     extra = {"omega_R_sq": star.omega_R_sq}
     if isinstance(sd, spectral_mod.LorentzDrude):
         # omega_R^2's deficit and its leading term (N >> omega_max/omega_c >> 1)
@@ -318,8 +312,7 @@ def _run_heatcap(cfg: _Config) -> ExperimentResult:
             c_asym = heatcap_mod.ising_heat_capacity(spec, float(t), "asymptotic")
         except ValueError:
             c_asym = np.nan
-        ratio = c_exact / c_asym if c_asym > 0 else np.nan
-        rows.append([float(t), 1.0 / t, c_exact, float(c_asym), float(ratio)])
+        rows.append([t, 1.0 / t, c_exact, c_asym, c_exact / c_asym if c_asym > 0 else np.nan])
     extra = {"gap": spec.gap}
     return ["T", "beta", "C_exact", "C_asymptotic", "ratio"], rows, [], [], extra
 
@@ -329,9 +322,8 @@ def _run_gap_error(cfg: _Config) -> ExperimentResult:
     g = cfg.float_("G", 1.0)
     n_list = cfg.int_list("N_list", _REQUIRED)
     cfg.reject_unknown()
-    fit = chain_mod.gap_error_scaling(s, g, n_list)
-    rows = [[float(n), abs(chain_mod.gap_error(n, s, g))] for n in sorted(n_list)]
-    return ["N", "abs_gap_error"], rows, [fit], [], {"s": s}
+    fit, ns, xi = chain_mod._gap_error_fit(s, g, n_list)
+    return ["N", "abs_gap_error"], np.column_stack((ns, xi)).tolist(), [fit], [], {"s": s}
 
 
 _RUNNERS: dict[str, Callable[[_Config], ExperimentResult]] = {
@@ -355,10 +347,14 @@ def _write_outputs(out_path: Path, columns: Sequence[str], rows: Rows, summary: 
     which costs more than the rest of the write.  Like a truncating write,
     this is not atomic: a kill mid-write leaves new text over old bytes, and
     one between the write and the cut leaves the old tail after the new text.
+    The table is one %r pass over every entry as a float (%r of an np.float64 is
+    not its repr); a ragged row raises ValueError first, as it would shift entries.
     """
-    lines = [",".join(columns)]
-    lines += [",".join(map(repr, map(float, row))) for row in rows]
-    texts = ("\n".join(lines), json.dumps(summary, indent=1, default=str))
+    if set(map(len, rows)) - {len(columns)}:
+        raise ValueError(f"every row needs {len(columns)} entries, one per column")
+    values = tuple(map(float, itertools.chain.from_iterable(rows)))
+    table = ",".join(columns) + ("\n" + ",".join(["%r"] * len(columns))) * len(rows) % values
+    texts = (table, json.dumps(summary, indent=1, default=str))
     for path, text in zip((out_path, out_path.with_suffix(".summary.json")), texts):
         data = (text + "\n").encode("utf-8")
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
@@ -396,9 +392,7 @@ def run_experiment(raw_cfg: dict[str, str], out: str | None, slow_ok: bool) -> d
     cfg = _Config(raw_cfg)
     experiment = raw_cfg["experiment"]
     if cfg.bool_("requires_slow", False) and not slow_ok:
-        raise ConfigError(
-            f"experiment {experiment!r} is marked slow; re-run with --slow to confirm"
-        )
+        raise ConfigError(f"experiment {experiment!r} is marked slow; re-run with --slow to confirm")
     out_path = Path(out if out is not None else cfg.str_("out", f"{experiment}.csv"))
 
     start = time.perf_counter()
@@ -442,10 +436,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"config {args.config} is not UTF-8 text: {exc}") from exc
         cfg = parse_config_text(text)
         if cfg["experiment"] != args.experiment:
-            raise ConfigError(
-                f"config declares experiment {cfg['experiment']!r}, "
-                f"command line says {args.experiment!r}"
-            )
+            raise ConfigError(f"config declares experiment {cfg['experiment']!r}, "
+                              f"command line says {args.experiment!r}")
         run_experiment(cfg, out=args.out, slow_ok=args.slow)
     except ConfigError as exc:
         return _fail(2, "config-error", str(exc))

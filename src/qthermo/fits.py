@@ -61,7 +61,7 @@ def _fit(kind: FitKind, x, y, window: tuple[float, float] | None) -> ScalingFit:
     if x.ndim != 1 or x.shape != y.shape:
         raise FitError(f"x and y must be 1-D of equal length, got shapes {x.shape} and {y.shape}")
     if window is None:
-        lo, hi = float(np.min(x)), float(np.max(x))
+        lo, hi = float(np.min(x, initial=np.inf)), float(np.max(x, initial=-np.inf))
     else:
         lo, hi = float(window[0]), float(window[1])
         if not lo < hi:

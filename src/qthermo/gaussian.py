@@ -107,17 +107,18 @@ def _mode_frequencies(om_sq: np.ndarray, regularize_gapless: bool, hint: str) ->
 
 def _mode_sums(om: np.ndarray, w: np.ndarray, temperatures) -> tuple:
     """The (s11, s22) and (a1, a2) columns of the mode sum over om > 0 with weights
-    w, every T in one numpy pass; coth and csch^2 are exactly 1.0 and 0.0 beyond x = 350."""
+    w, every T in one numpy pass: one expm1 per mode gives r = coth x - 1 = 2/expm1(2x),
+    x = om/2T, and csch^2 x = r(2 + r); coth and csch^2 are exactly 1.0 and 0.0 beyond
+    x = 350.  r and x are reused in place: each fresh (T, mode) array costs page faults."""
     t = np.asarray(temperatures, dtype=float)[:, None]
     x = om / (2.0 * t)
-    small = x <= 350.0
-    nu = np.ones_like(x)
-    nu[small] = 1.0 + 2.0 / np.expm1(2.0 * x[small])
-    dnu = np.zeros_like(x)
-    dnu[small] = 1.0 / np.sinh(x[small]) ** 2
-    dnu = (om / (2.0 * t * t)) * dnu
-    return (SingleModeCovariance(np.sum(w * nu / (2.0 * om), axis=1), np.sum(w * om * nu / 2.0, axis=1)),
-            CovarianceDerivatives(np.sum(w * dnu / (2.0 * om), axis=1), np.sum(w * om * dnu / 2.0, axis=1)))
+    r = np.where(x <= 350.0, 2.0 * x, np.inf)  # expm1(inf) = inf: r = 0.0 beyond x = 350
+    np.divide(2.0, np.expm1(r, out=r), out=r)
+    nu = 1.0 + r
+    dnu = np.multiply(np.divide(x, t, out=x), np.multiply(r, 2.0 + r, out=r), out=x)  # (x/T) csch^2 x
+    wq, wp = w / (2.0 * om), w * om / 2.0
+    return (SingleModeCovariance(np.sum(nu * wq, axis=1), np.sum(nu * wp, axis=1)),
+            CovarianceDerivatives(np.sum(dnu * wq, axis=1), np.sum(dnu * wp, axis=1)))
 
 
 def _thermal_mode(omega: float, T: float) -> tuple[SingleModeCovariance, CovarianceDerivatives]:

@@ -113,8 +113,9 @@ def low_temperature_bound(m: ModeSystem, T: float) -> float:
 def ising_spectrum(spec: IsingSpec) -> np.ndarray:
     """Free-fermion energies eps_k = 2 sqrt(J^2 + h^2 - 2hJ cos(2 pi k/N)).
 
-    Momentum grid k in {-floor(N/2), ..., floor(N/2) - 1}; the minimum
-    approaches the gap 2|h - J| up to O(1/N^2) discretization.
+    Momentum grid k in {-floor(N/2), ..., ceil(N/2) - 1}; the minimum
+    approaches the gap 2|h - J| up to O(1/N^2) discretization.  +-k give
+    equal levels bit for bit, so k <= 0, spectrum[:N//2 + 1], holds each once.
     """
     k = np.arange(-(spec.N // 2), spec.N - spec.N // 2)
     return 2.0 * np.sqrt(
@@ -125,14 +126,16 @@ def ising_spectrum(spec: IsingSpec) -> np.ndarray:
 def ising_heat_capacity(spec: IsingSpec, T: float, mode: Literal["exact", "asymptotic"]) -> float:
     """Heat capacity of the Ising chain, exact sum or low-T asymptotic form.
 
-    exact: sum of the fermionic capacities over the free-fermion spectrum.
+    exact: twice the fermionic capacities summed over k <= 0, less the
+    unpaired k = 0 and, for even N, k = -N/2 (ising_spectrum).
     asymptotic: N (beta Delta)^(3/2) e^(-beta Delta) sqrt(Delta^2/(8 pi h J)),
     valid only for N >> 1 and beta Delta >> 1 (enforced: beta Delta >= 5
     and a finite gap).
     """
     _check_temperature(T)
     if mode == "exact":
-        return float(np.sum(_mode_c_array("fermionic", spec.spectrum, T)))
+        c = _mode_c_array("fermionic", spec.spectrum[: spec.N // 2 + 1], T)
+        return float(2.0 * np.sum(c) - c[-1] - (c[0] if spec.N % 2 == 0 else 0.0))
     if mode != "asymptotic":
         raise ValueError(f"unknown mode {mode!r}")
     delta = spec.gap

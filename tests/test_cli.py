@@ -229,6 +229,14 @@ class TestRunExperiment:
         assert gated.any() and not gated.all()
         assert np.all(np.isnan(rows[gated, 3:])) and np.all(np.isfinite(rows[~gated, 2:]))
 
+    def test_gap_error_computes_each_size_once(self, tmp_path, monkeypatch):
+        # the table's rows are the values the fit was made from
+        calls, gap_error = [], qthermo.chain.gap_error
+        monkeypatch.setattr(qthermo.chain, "gap_error", lambda N, s, G: calls.append(N) or gap_error(N, s, G))
+        cfg = parse_config_text(GAP_ERROR_CFG.read_text())
+        run_experiment(cfg, out=str(tmp_path / "gap_error.csv"), slow_ok=False)
+        assert calls == [50, 100, 200, 400, 800]
+
     def test_slow_gating(self, tmp_path):
         cfg = parse_config_text(CLM_CFG + "\nrequires_slow = true\n")
         with pytest.raises(ConfigError):
@@ -542,6 +550,29 @@ class TestOutputRewrite:
         _write_outputs(out, ("N", "x"), [[1.0, 2.0]], summary)
         assert len(calls) == 1 and out.read_text() == "N,x\n1.0,2.0\n"
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 4])
+    def test_table_bytes_are_the_repr_of_each_entry_as_a_float(self, tmp_path, n_rows):
+        entries = [0.1, np.float64(1 / 3), 7, np.nan, np.inf, -np.inf, -0.0, 1e16, 1e-5, np.float64(-2.5e-300),
+                   np.int64(3), 2.0**0.5]
+        rows = [[entries[(3 * i + j) % len(entries)] for j in range(3)] for i in range(n_rows)]
+        out = tmp_path / "t.csv"
+        _write_outputs(out, ("a", "b", "c"), rows, {})
+        expected = "\n".join(["a,b,c"] + [",".join(map(repr, map(float, row))) for row in rows]) + "\n"
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0], [4.0]], [[1.0], [2.0, 3.0, 4.0], [5.0, 6.0]]],
+        ids=["short", "balanced", "balanced-3"],
+    )
+    def test_ragged_rows_are_refused_before_writing(self, tmp_path, rows):
+        # one format over every entry would shift a balanced pair of ragged rows silently
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"old")
+        with pytest.raises(ValueError, match="every row needs 2 entries"):
+            _write_outputs(out, ("a", "b"), rows, {})
+        assert out.read_bytes() == b"old" and not out.with_suffix(".summary.json").exists()
+
 
 # Recipe tables committed with the benchmark (perfbench/reference, seed 0).
 # fig5/fig5_desk are left out: they sit ~1e-13 off their tables since the
@@ -549,12 +580,14 @@ class TestOutputRewrite:
 # digits: fig2a and fig2b take the Lorentz-Drude pole sums, fig4 the
 # mirror-symmetric half of the chain on numpy's eigh, free_probe's cutoffs
 # the pole sums with closed forms and a Gauss-Legendre sum below each
-# cutoff, with no quadrature, and fig3a, fig3b and chain_n1000 the chain
-# spectrum as one real FFT.  Their bytes are pinned to tests/reference,
-# within the benchmark's own tolerance of perfbench/reference, until the
-# benchmark's tables are regenerated.
+# cutoff, with no quadrature, fig3a, fig3b and chain_n1000 the chain
+# spectrum as one real FFT and one expm1 per mode, and heatcap_ising the
+# Ising levels of k <= 0 summed once per +-k pair.  Their bytes are pinned
+# to tests/reference, within the benchmark's own tolerance of
+# perfbench/reference, until the benchmark's tables are regenerated.
 PINNED_RECIPES = (
-    "chain_n1000", "fig2a", "fig2b", "fig3a", "fig3b", "fig4_gapless", "fig4_gapped", "free_probe"
+    "chain_n1000", "fig2a", "fig2b", "fig3a", "fig3b", "fig4_gapless", "fig4_gapped", "free_probe",
+    "heatcap_ising",
 )
 REFERENCE_RECIPES = {
     name: REPO / "configs" / f"{name}.cfg"

@@ -94,6 +94,13 @@ class TestLogLogFit:
         with pytest.raises(FitError, match="strictly positive, finite"):
             loglog_fit([1.0, 2.0, 3.0, float("inf")], [1.0, 2.0, 3.0, 4.0])
 
+    def test_empty_data_is_a_fit_error(self):
+        # the default window of no points used to raise numpy's zero-size reduction error
+        with pytest.raises(FitError, match="only 0 points inside window"):
+            loglog_fit([], [])
+        with pytest.raises(FitError, match="only 0 points inside window"):
+            fit_power_law(make_curve([], []))
+
 
 class TestChainGapRecovery:
     def test_wide_gap_chain_fit(self):

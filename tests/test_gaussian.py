@@ -8,6 +8,7 @@ Oracles used here and nowhere else:
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,7 @@ from qthermo import (
     thermal_mode_derivatives,
     uhlmann_fidelity,
 )
+from qthermo.gaussian import _mode_sums
 
 
 def fock_thermal_fidelity(omega, T_a, T_b, n_max=200):
@@ -281,6 +283,26 @@ class TestColumns:
             qfi_from_derivatives(cov, CovarianceDerivatives(np.array([1.0, math.nan, 1.0]), np.ones(3)))
         with pytest.raises(DegenerateStateError, match="at row 2: denom=0.0"):
             qfi_from_derivatives(cov, CovarianceDerivatives(np.ones(3), np.ones(3)))
+
+
+class TestModeSums:
+    """One expm1 per mode: coth x = 1 + r and csch^2 x = r(2 + r), r = 2/expm1(2x)."""
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-3, 1.0, 349.9, 350.0])
+    def test_matches_closed_form_coth_and_csch_sq(self, x):
+        # om = x at T = 1/2 makes x = om/2T exact; d coth x/dT = 2x csch^2 x there
+        cov, der = _mode_sums(np.array([x]), np.ones(1), [0.5])
+        with mpmath.workdps(30):
+            coth, csch_sq = mpmath.coth(x), mpmath.csch(x) ** 2
+            expected = (coth / (2 * x), x * coth / 2, csch_sq, x * x * csch_sq)
+        for got, want in zip((cov.s11, cov.s22, der.a1, der.a2), expected):
+            assert float(got[0]) == pytest.approx(float(want), rel=1e-15)
+
+    @pytest.mark.parametrize("x", [350.1, 1e4])
+    def test_coth_and_csch_sq_are_exactly_one_and_zero_past_350(self, x):
+        cov, der = _mode_sums(np.array([x]), np.ones(1), [0.5])
+        assert cov.s11[0] == 1.0 / (2.0 * x) and cov.s22[0] == x / 2.0
+        assert der.a1[0] == 0.0 and der.a2[0] == 0.0
 
 
 class TestRouteAgreement:

@@ -180,6 +180,21 @@ class TestIsingHeatCapacity:
         direct = sum(mode_heat_capacity("fermionic", e, t) for e in ising_spectrum(spec))
         assert ising_heat_capacity(spec, t, "exact") == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 100, 101, 10**4, 10**4 + 1])
+    def test_levels_of_k_and_minus_k_are_equal_bit_for_bit(self, N):
+        # the exact sum takes each +-k pair once, from the levels of k <= 0
+        eps = IsingSpec(J=0.7, h=1.1, N=N).spectrum
+        k0 = N // 2  # index of k = 0
+        assert np.array_equal(eps[k0 + 1:], eps[k0 - 1::-1][: N - k0 - 1])
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 101, 10**4])
+    @pytest.mark.parametrize("J, h", [(0.7, 1.1), (1.0, 0.999), (1.3, 0.2)])
+    def test_level_sum_equals_the_sum_over_every_mode(self, N, J, h):
+        spec = IsingSpec(J=J, h=h, N=N)
+        for t in (0.05, 0.3, 1.0, 10.0):
+            full = math.fsum(mode_heat_capacity("fermionic", float(e), t) for e in spec.spectrum)
+            assert ising_heat_capacity(spec, t, "exact") == pytest.approx(full, rel=1e-14, abs=1e-300)
+
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
 def test_bad_temperature_is_rejected(T):
