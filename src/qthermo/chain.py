@@ -31,7 +31,7 @@ from .gaussian import (
     qfi_from_derivatives,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainSpec:
     """Chain of 2N+1 identical oscillators with distance-dependent couplings.
 
@@ -41,17 +41,18 @@ class ChainSpec:
 
     N: int
     omega_sq: float
-    couplings: tuple[float, ...]
+    couplings: np.ndarray
 
     def __post_init__(self) -> None:
+        g = np.array(self.couplings, dtype=float)
         if self.N < 1:
             raise ValueError("chain half-size N must be >= 1")
-        if len(self.couplings) != self.N:
-            raise ValueError(f"need exactly N={self.N} couplings, got {len(self.couplings)}")
-        g = np.asarray(self.couplings, dtype=float)
+        if g.ndim != 1 or g.size != self.N:
+            raise ValueError(f"need exactly N={self.N} couplings, got {g.size}")
         if not (abs(self.omega_sq) < math.inf and np.all(np.abs(g) < math.inf)):
             raise ValueError("omega_sq and the couplings must be finite")
-        object.__setattr__(self, "couplings", tuple(g.tolist()))
+        g.flags.writeable = False
+        object.__setattr__(self, "couplings", g)
 
     @property
     def n_nodes(self) -> int:
@@ -59,7 +60,7 @@ class ChainSpec:
 
     @property
     def coupling_array(self) -> np.ndarray:
-        return np.asarray(self.couplings, dtype=float)
+        return self.couplings
 
     @cached_property
     def spectrum(self) -> "ChainSpectrum":
@@ -70,37 +71,38 @@ class ChainSpec:
 def power_law_chain(N: int, omega_sq: float, G: float, t: float) -> ChainSpec:
     """ChainSpec with algebraic couplings G_n = G / n^t."""
     n = np.arange(1, N + 1, dtype=float)
-    return ChainSpec(N=N, omega_sq=omega_sq, couplings=tuple(G / n**t))
+    return ChainSpec(N=N, omega_sq=omega_sq, couplings=G / n**t)
 
 
 def exponential_chain(N: int, omega_sq: float, G: float, c: float) -> ChainSpec:
     """ChainSpec with exponentially decaying couplings G_n = G e^{-c n}."""
     n = np.arange(1, N + 1, dtype=float)
-    return ChainSpec(N=N, omega_sq=omega_sq, couplings=tuple(G * np.exp(-c * n)))
+    return ChainSpec(N=N, omega_sq=omega_sq, couplings=G * np.exp(-c * n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainSpectrum:
     """Non-repeated squared normal-mode frequencies Om_0^2 .. Om_N^2."""
 
-    non_repeated: tuple[float, ...]
+    array: np.ndarray
 
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.non_repeated, dtype=float)
+    def __post_init__(self) -> None:
+        a = np.array(self.array, dtype=float)
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
 
     @property
     def node_weights(self) -> np.ndarray:
         """Each mode's weight on one node: 1/(2N+1) for a = 0, 2/(2N+1) else."""
-        n_nodes = 2 * len(self.non_repeated) - 1
-        w = np.full(len(self.non_repeated), 2.0 / n_nodes)
+        n_nodes = 2 * self.array.size - 1
+        w = np.full(self.array.size, 2.0 / n_nodes)
         w[0] = 1.0 / n_nodes
         return w
 
     @property
     def gap(self) -> float:
         """Lowest normal-mode frequency Delta."""
-        return float(np.sqrt(max(min(self.non_repeated), 0.0)))
+        return float(np.sqrt(max(self.array.min(), 0.0)))
 
 
 def chain_spectrum(c: ChainSpec) -> ChainSpectrum:
@@ -112,14 +114,14 @@ def chain_spectrum(c: ChainSpec) -> ChainSpectrum:
     rounding scales with the couplings alone.  This is the exact partner
     of star_to_chain's irfft.
     """
-    g = c.coupling_array
+    g = c.couplings
     vals = c.omega_sq + np.fft.rfft(np.concatenate(([0.0], g, g[::-1]))).real
     floor = -1e-12 * max(1.0, float(np.max(np.abs(vals))))
     if np.min(vals) < floor:
         raise UnstableChainError(
             f"spectrum not bounded below: min Om_a^2 = {float(np.min(vals))!r}"
         )
-    return ChainSpectrum(tuple(np.maximum(vals, 0.0).tolist()))
+    return ChainSpectrum(np.maximum(vals, 0.0))
 
 
 def gapless_frequency_sq(N: int, couplings) -> float:
@@ -136,13 +138,6 @@ def gapless_frequency_sq(N: int, couplings) -> float:
     return float(-2.0 * np.sum(g * np.cos(2.0 * np.pi * k * N / (2 * N + 1))))
 
 
-def _node_mode_data(c: ChainSpec, regularize_gapless: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(frequencies, probe-node weights), by gaussian's zero-mode rule."""
-    hint = "pass regularize_gapless=True to clamp it to the gap floor"
-    om = _mode_frequencies(c.spectrum.array, regularize_gapless, hint)
-    return om, c.spectrum.node_weights
-
-
 def node_moments(
     c: ChainSpec, temperatures, regularize_gapless: bool
 ) -> tuple[SingleModeCovariance, CovarianceDerivatives]:
@@ -156,7 +151,9 @@ def node_moments(
     ts = np.asarray(temperatures, dtype=float)
     if not np.all((ts > 0.0) & (ts < math.inf)):
         raise ValueError("temperature must be positive and finite")
-    return _mode_sums(*_node_mode_data(c, regularize_gapless), ts)
+    hint = "pass regularize_gapless=True to clamp it to the gap floor"
+    om = _mode_frequencies(c.spectrum.array, regularize_gapless, hint)
+    return _mode_sums(om, c.spectrum.node_weights, ts)
 
 
 def node_covariances(c: ChainSpec, T: float, regularize_gapless: bool = False) -> SingleModeCovariance:

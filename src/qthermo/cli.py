@@ -242,7 +242,7 @@ def _run_chain_to_star(cfg: _Config) -> ExperimentResult:
     chain, _ = _chain_spec(cfg)
     cfg.reject_unknown()
     star = mapping_mod.chain_to_star(chain)
-    rows = [[w, g] for w, g in star.coupled_modes]
+    rows = list(zip(star.omega_array.tolist(), star.g_array.tolist()))
     extra = {
         "probe_omega_sq": chain.omega_sq,
         "omega0_sq": star.omega0_sq,
@@ -262,17 +262,16 @@ def _run_star_to_chain(cfg: _Config) -> ExperimentResult:
     window = _window("fit_n", cfg.int_)
     if window and window[0] < 1:
         raise ConfigError("fit_n_lo must be >= 1")
-    n_couplings = len(star.sd.omegas)  # the chain has one coupling per reservoir mode
+    n_couplings = star.sd.omega_array.size  # the chain has one coupling per reservoir mode
     if window and window[1] > n_couplings:
         raise ConfigError(f"fit_n_hi = {window[1]} exceeds the chain's {n_couplings} couplings")
     cfg.reject_unknown()
     freqs = mapping_mod.clm_normal_modes(star)
     rec = mapping_mod.star_to_chain(freqs)
-    rows = [[float(i + 1), float(g)] for i, g in enumerate(rec.chain.couplings)]
+    n_idx, g = np.arange(1, rec.chain.N + 1, dtype=float), rec.chain.couplings
+    rows = list(zip(n_idx.tolist(), g.tolist()))
     fit_list = []
     if window:
-        n_idx = np.arange(1, rec.chain.N + 1, dtype=float)
-        g = rec.chain.coupling_array
         fit_list = [fits_mod.loglog_fit(n_idx[g > 0.0], g[g > 0.0], window=window)]
     extra = {
         "omega_sq": rec.chain.omega_sq,
@@ -290,7 +289,7 @@ def _run_discretize(cfg: _Config) -> ExperimentResult:
     cfg.reject_unknown()
     star = spectral_mod.discretize_clm(sd, n_modes, omega_max)
     modes = star.sd
-    rows = list(zip(modes.omegas, modes.gs))
+    rows = list(zip(modes.omega_array.tolist(), modes.g_array.tolist()))
     extra = {"omega_R_sq": star.omega_R_sq}
     if isinstance(sd, spectral_mod.LorentzDrude):
         # omega_R^2's deficit and its leading term (N >> omega_max/omega_c >> 1)

@@ -25,28 +25,26 @@ Statistics = Literal["bosonic", "fermionic"]
 _EXP_FLOOR = 700.0  # beta*eps beyond which C underflows to exactly 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSystem:
     """Collection of free modes with energies sorted ascending; gap = min."""
 
     statistics: Statistics
-    energies: tuple[float, ...]
+    energies: np.ndarray
 
     def __post_init__(self) -> None:
         if self.statistics not in ("bosonic", "fermionic"):
             raise ValueError(f"unknown statistics {self.statistics!r}")
-        e = np.asarray(self.energies, dtype=float)
-        if e.size == 0 or not np.all((e > 0.0) & (e < np.inf)):
+        e = np.array(self.energies, dtype=float)
+        if e.ndim != 1 or e.size == 0 or not np.all((e > 0.0) & (e < np.inf)):
             raise ValueError("energies must be finite, positive and non-empty")
-        object.__setattr__(self, "energies", tuple(float(x) for x in np.sort(e)))
+        e.sort()
+        e.flags.writeable = False
+        object.__setattr__(self, "energies", e)
 
     @property
     def gap(self) -> float:
-        return self.energies[0]
-
-    @property
-    def energy_array(self) -> np.ndarray:
-        return np.asarray(self.energies, dtype=float)
+        return float(self.energies[0])
 
 
 @dataclass(frozen=True)
@@ -99,15 +97,18 @@ def mode_heat_capacity(statistics: Statistics, epsilon: float, T: float) -> floa
 def lattice_heat_capacity(m: ModeSystem, T: float) -> float:
     """Total heat capacity: the modes are independent, so capacities add."""
     _check_temperature(T)
-    return float(np.sum(_mode_c_array(m.statistics, m.energy_array, T)))
+    return float(np.sum(_mode_c_array(m.statistics, m.energies, T)))
 
 
 def low_temperature_bound(m: ModeSystem, T: float) -> float:
-    """N-mode bound N C(Delta, T), valid once beta*Delta >= 4.
+    """N-mode bound N C(Delta, T), valid once beta*Delta >= 4 (ValueError below).
 
     Follows from the single-mode capacity decreasing in beta*eps there.
     """
-    return len(m.energies) * mode_heat_capacity(m.statistics, m.gap, T)
+    _check_temperature(T)
+    if m.gap / T < 4.0:
+        raise ValueError(f"the bound needs beta*Delta >= 4, got {m.gap / T!r}")
+    return m.energies.size * mode_heat_capacity(m.statistics, m.gap, T)
 
 
 def ising_spectrum(spec: IsingSpec) -> np.ndarray:

@@ -43,21 +43,29 @@ def dlasd4(*args, **kwargs):
     return _module("scipy.linalg.lapack").dlasd4(*args, **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveStar:
-    """Star picture of one chain node against the rest of the chain."""
+    """Star picture of one chain node against the rest of the chain; each row
+    of coupled_modes is one coupled mode's (omega, g)."""
 
     omega0_sq: float
-    coupled_modes: tuple[tuple[float, float], ...]
+    coupled_modes: np.ndarray
     decoupled_count: int
+
+    def __post_init__(self) -> None:
+        m = np.array(self.coupled_modes, dtype=float)
+        if m.shape[1:] != (2,):
+            raise ValueError(f"coupled_modes must have shape (n, 2), got {m.shape}")
+        m.flags.writeable = False
+        object.__setattr__(self, "coupled_modes", m)
 
     @property
     def omega_array(self) -> np.ndarray:
-        return np.array([w for w, _ in self.coupled_modes])
+        return self.coupled_modes[:, 0]
 
     @property
     def g_array(self) -> np.ndarray:
-        return np.array([g for _, g in self.coupled_modes])
+        return self.coupled_modes[:, 1]
 
 
 @dataclass(frozen=True)
@@ -82,10 +90,10 @@ def chain_to_star(c: ChainSpec) -> EffectiveStar:
     lose ~eps Om^2/Delta^2 relative on a small gap Delta.
     """
     n = c.n_nodes
-    row = np.concatenate(([c.omega_sq], c.coupling_array, c.coupling_array[::-1]))
+    row = np.concatenate(([c.omega_sq], c.couplings, c.couplings[::-1]))
     idx = np.arange(1, c.N + 1)
     vals, vecs = eigh(row[(idx[:, None] - idx) % n] + row[(idx[:, None] + idx) % n])
-    g = np.abs(vecs.T @ (np.sqrt(2.0) * c.coupling_array))
+    g = np.abs(vecs.T @ (np.sqrt(2.0) * c.couplings))
     coupled = g != 0.0
     omegas = np.sqrt(np.maximum(vals[coupled], 0.0))
     spec = c.spectrum
@@ -93,7 +101,7 @@ def chain_to_star(c: ChainSpec) -> EffectiveStar:
         omega0_sq = 1.0 / float(np.sum(spec.node_weights / spec.array))
     return EffectiveStar(
         omega0_sq=omega0_sq,
-        coupled_modes=tuple(zip(omegas.tolist(), g[coupled].tolist())),
+        coupled_modes=np.column_stack((omegas, g[coupled])),
         decoupled_count=2 * c.N - int(np.count_nonzero(coupled)),
     )
 
@@ -114,9 +122,9 @@ def star_to_chain(normal_freqs_sq) -> ChainReconstruction:
     for every N.  Unphysical couplings (sign-mixed) are returned flagged,
     not rejected.
     """
-    freqs = np.asarray(list(normal_freqs_sq), dtype=float)
-    if freqs.size < 2:
-        raise ValueError("need at least 2 frequencies")
+    freqs = np.asarray(normal_freqs_sq, dtype=float)
+    if freqs.ndim != 1 or freqs.size < 2:
+        raise ValueError("need a list of at least 2 frequencies")
     if not np.all((0.0 <= freqs) & (freqs < np.inf)):
         raise ValueError("squared frequencies must be finite and non-negative")
     if np.any(np.diff(freqs) >= 0.0):
@@ -126,7 +134,7 @@ def star_to_chain(normal_freqs_sq) -> ChainReconstruction:
     couplings = row[1 : n_half + 1]
     scale = float(np.max(np.abs(couplings)))
     physical = bool(np.all(couplings >= -1e-12 * max(scale, 1.0)))
-    chain = ChainSpec(N=n_half, omega_sq=float(row[0]), couplings=tuple(couplings))
+    chain = ChainSpec(N=n_half, omega_sq=float(row[0]), couplings=couplings)
     return ChainReconstruction(chain=chain, physical=physical)
 
 

@@ -97,17 +97,17 @@ class ExponentialCutoff:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteModes:
-    """Finite reservoir: strictly increasing frequencies and couplings >= 0."""
+    """Finite reservoir: strictly increasing frequencies and couplings >= 0,
+    each kept as a read-only float array."""
 
-    omegas: tuple[float, ...]
-    gs: tuple[float, ...]
+    omega_array: np.ndarray
+    g_array: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.omegas, dtype=float)
-        g = np.asarray(self.gs, dtype=float)
-        if w.size == 0 or w.size != g.size:
+        w, g = np.array(self.omega_array, dtype=float), np.array(self.g_array, dtype=float)
+        if w.ndim != 1 or w.size == 0 or w.shape != g.shape:
             raise ValueError("DiscreteModes needs equal-length, non-empty lists")
         if not np.all(np.abs(np.concatenate((w, g))) < math.inf):
             raise ValueError("mode frequencies and couplings must be finite")
@@ -115,16 +115,9 @@ class DiscreteModes:
             raise ValueError("mode frequencies must be positive and strictly increasing")
         if np.any(g < 0.0):
             raise ValueError("couplings must be non-negative")
-        object.__setattr__(self, "omegas", tuple(w.tolist()))
-        object.__setattr__(self, "gs", tuple(g.tolist()))
-
-    @property
-    def omega_array(self) -> np.ndarray:
-        return np.asarray(self.omegas, dtype=float)
-
-    @property
-    def g_array(self) -> np.ndarray:
-        return np.asarray(self.gs, dtype=float)
+        w.flags.writeable = g.flags.writeable = False
+        object.__setattr__(self, "omega_array", w)
+        object.__setattr__(self, "g_array", g)
 
 
 ContinuousSpectralDensity = Union[LorentzDrude, ExponentialCutoff]
@@ -275,7 +268,7 @@ def discretize_clm(
             [_integral(sd.j, l, h, "discretization bin", limit=100) for l, h in zip(lo, hi)]
         )
     g2 = wn / np.pi * bin_int
-    modes = DiscreteModes(tuple(wn), tuple(np.sqrt(g2)))
+    modes = DiscreteModes(wn, np.sqrt(g2))
     warnings: tuple[str, ...] = ()
     if n_modes <= omega_max / sd.omega_c:
         warnings = (

@@ -31,7 +31,7 @@ from qthermo import (
 def mean_energy(m, T):
     """Thermal energy sum_n eps_n/(e^(eps_n/T) -+ 1), zero-point part dropped."""
     sign = -1.0 if m.statistics == "bosonic" else 1.0
-    return float(np.sum(m.energy_array / (np.exp(m.energy_array / T) + sign)))
+    return float(np.sum(m.energies / (np.exp(m.energies / T) + sign)))
 
 
 class TestModeHeatCapacity:
@@ -98,6 +98,15 @@ class TestLatticeHeatCapacity:
             bd = float(rng.uniform(4.0, 40.0))
             t = gap / bd
             assert lattice_heat_capacity(m, t) <= low_temperature_bound(m, t) * (1 + 1e-12)
+
+    def test_low_temperature_bound_refuses_beta_gap_below_4(self):
+        # at beta*Delta = 1 the fermionic N C(Delta, T) is 0.393, under the
+        # capacity 0.617 it would bound; beta*Delta = 4 is still in its domain
+        m = ModeSystem("fermionic", (1.0, 2.0))
+        assert lattice_heat_capacity(m, 1.0) == pytest.approx(0.617, abs=1e-3)
+        with pytest.raises(ValueError, match=r"beta\*Delta >= 4"):
+            low_temperature_bound(m, 1.0)
+        assert low_temperature_bound(m, 0.25) == 2.0 * mode_heat_capacity("fermionic", 1.0, 0.25)
 
     def test_global_chain_thermometry_cross_link(self):
         # thermal TIHC: sum of per-mode QFIs equals C_total / T^2

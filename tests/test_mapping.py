@@ -338,8 +338,8 @@ class TestClmNormalModes:
         star = discretize_clm(LorentzDrude(0.1, 2.0), 400, 40.0, omega0_sq=0.04)
         ev = clm_normal_modes(star)
         with mpmath.workdps(30):
-            w2 = [mpmath.mpf(x) ** 2 for x in star.sd.omegas]
-            g2 = [mpmath.mpf(x) ** 2 for x in star.sd.gs]
+            w2 = [mpmath.mpf(x) ** 2 for x in star.sd.omega_array]
+            g2 = [mpmath.mpf(x) ** 2 for x in star.sd.g_array]
             top = mpmath.mpf(star.omega0_sq) + mpmath.fsum(a / b for a, b in zip(g2, w2))
 
             def secular(lam):

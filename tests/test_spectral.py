@@ -183,7 +183,7 @@ class TestDiscretize:
         for n in (1, 7, 25, 50):
             lo, hi = (n - 0.5) * a, (n + 0.5) * a
             oracle = n * a / np.pi * quad(sd.j, lo, hi)[0]
-            assert modes.gs[n - 1] ** 2 == pytest.approx(oracle, rel=1e-10)
+            assert modes.g_array[n - 1] ** 2 == pytest.approx(oracle, rel=1e-10)
 
     def test_star_renormalization_consistency(self):
         star = discretize_clm(LorentzDrude(0.1, 2.0), 200, 40.0)
@@ -192,8 +192,8 @@ class TestDiscretize:
 
     def test_single_mode_degenerate_case(self):
         star = discretize_clm(LorentzDrude(0.1, 2.0), 1, 10.0)
-        assert len(star.sd.omegas) == 1
-        assert star.sd.omegas[0] == pytest.approx(10.0)
+        assert len(star.sd.omega_array) == 1
+        assert star.sd.omega_array[0] == pytest.approx(10.0)
 
     def test_regime_warning(self):
         star = discretize_clm(LorentzDrude(0.1, 2.0), 10, 100.0)  # N <= wmax/wc
